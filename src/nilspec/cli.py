@@ -2,22 +2,47 @@
 
 Subcommands: validate, certify, multiplicities, distinguish, table1,
 search-iso.  Exit code 0 on success, 1 on a valid-but-negative verdict
-(for example "not representation equivalent"), 2 on input errors.
+(for example "not representation equivalent"), 2 on input errors, 3 when
+search-iso hits its node ceiling before a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
+from .exactnum import IntLattice
+from .exactnum.matrix import mat_vec
 from .exactnum.quadext import ModulusMismatch
-from .exactnum.scalars import rat_to_str
+from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric
+from .isosearch import (
+    SearchBudget,
+    SearchOutcome,
+    SearchSpaceExceeded,
+    bounded_lattice_isomorphism_search,
+)
 from .lattices import LatticeSpec
 from .liealg import DEFAULT_SEED, NilLieAlgebra
-from .registry import EXAMPLE_IDS, load, table_one
+from .oneform import (
+    CharacterWave,
+    assemble_E,
+    central_dual_generator,
+    distinguish_pair,
+    enumerate_shell,
+    numeric_spectrum,
+)
+from .registry import EXAMPLE_IDS, _parse_witness, load, table_one
+from .repspec import (
+    Pair,
+    certify_isospectral,
+    certify_rep_equivalent,
+    moore_wolf_multiplicity,
+    pesce_occurrence_and_multiplicity,
+)
 
 
 class InputError(Exception):
@@ -74,15 +99,7 @@ def cmd_validate(args) -> int:
     return 2
 
 
-def _witness_from_json(data):
-    from .registry import _parse_witness
-
-    return _parse_witness(data)
-
-
 def cmd_certify(args) -> int:
-    from .repspec import Pair, certify_rep_equivalent, certify_isospectral
-
     if args.replay:
         saved = _read_json(args.replay)
         record = _load_record(saved["pair"].split(".")[0] if "." in saved["pair"] else saved["pair"])
@@ -101,10 +118,8 @@ def cmd_certify(args) -> int:
         metric = Metric.from_json(_read_json(args.files[1]), alg)
         spec1 = LatticeSpec.from_json(_read_json(args.files[2]), alg, name="file.1")
         spec2 = LatticeSpec.from_json(_read_json(args.files[3]), alg, name="file.2")
-        witness = _witness_from_json(_read_json(args.witness)) if args.witness else None
-        from .repspec import Pair as PairCls
-
-        pair = PairCls("files", alg, metric, spec1, spec2)
+        witness = _parse_witness(_read_json(args.witness)) if args.witness else None
+        pair = Pair("files", alg, metric, spec1, spec2)
         iso_cert = certify_isospectral(pair, witness, n_samples=args.samples, seed=args.seed) if witness else None
         cor = certify_rep_equivalent(pair, witness, n_samples=args.samples, seed=args.seed)
     else:
@@ -140,10 +155,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_multiplicities(args) -> int:
-    from .oneform import central_dual_generator, enumerate_shell
-    from .exactnum import IntLattice
-    from .repspec import moore_wolf_multiplicity, pesce_occurrence_and_multiplicity
-
     record = _load_record(args.target)
     pair = record.pair()
     flag = record.sector_flag
@@ -167,9 +178,6 @@ def cmd_multiplicities(args) -> int:
         # Dual direction of the sector's own central coordinate.
         fresh = flag.chain[idx].basis()
         news = [b for b in fresh if not flag.chain[idx - 1].contains(b)] if idx else fresh
-        from .exactnum.matrix import mat_vec
-        from .vecops import vdot
-
         direction = mat_vec(proj, news[0])
         for c in range(-args.range, args.range + 1):
             if c == 0:
@@ -182,10 +190,8 @@ def cmd_multiplicities(args) -> int:
             r2 = pesce_occurrence_and_multiplicity(qalg, qlat2, tau)
             rows.append({"tau": r1.to_json()["tau"], "lattice1": r1.to_json(), "lattice2": r2.to_json()})
     else:
-        from .exactnum import IntLattice as IL
-
         for side, spec in (("lattice1", record.spec1), ("lattice2", record.spec2)):
-            lat = IL(record.algebra.dim, spec.generators)
+            lat = IntLattice(record.algebra.dim, spec.generators)
             shell_rows = []
             for s2 in range(1, args.range + 1):
                 for tau in enumerate_shell(record.algebra, record.metric, lat, Fraction(s2)):
@@ -200,10 +206,8 @@ def cmd_multiplicities(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    from .oneform import distinguish_pair
-
     record = _load_record(args.target)
-    report = distinguish_pair(args.target, n_samples=args.samples_small, seed=args.seed)
+    report = distinguish_pair(record, n_samples=args.samples_small, seed=args.seed)
     lines = []
     if report["verdict"] == "one_form_isospectral":
         lines.append(f"{args.target}: one-form spectra equal ({report['reason']})")
@@ -224,14 +228,9 @@ def cmd_distinguish(args) -> int:
 
 def _numeric_cross_check(record, report, pi_value: float) -> dict:
     """Float eigenvalue check of the exact verdicts (oracle only)."""
-    from .oneform import CharacterWave, assemble_E, numeric_spectrum
-    from .exactnum.scalars import rat_from_str
-
     lam = record.eigen_candidate
     lam_val = lam.a.eval_complex(complex(pi_value)).real
     if not lam.b.is_zero():
-        import math
-
         lam_val += math.sqrt(lam.q.eval_complex(complex(pi_value)).real)
     checks = []
     for side in ("lattice1", "lattice2"):
@@ -269,18 +268,19 @@ def cmd_table1(args) -> int:
 
 
 def cmd_search_iso(args) -> int:
-    from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomorphism_search
-
     record = _load_record(args.target)
-    denoms = tuple(int(x) for x in args.denoms.split(","))
-    budget = SearchBudget(bound=args.bound, denominators=denoms)
-    outcome = bounded_lattice_isomorphism_search(
-        record.algebra, record.spec1, record.spec2, budget
-    )
+    budget = SearchBudget(bound=args.bound)
+    truncated = False
+    try:
+        outcome = bounded_lattice_isomorphism_search(
+            record.algebra, record.spec1, record.spec2, budget
+        )
+    except SearchSpaceExceeded as exc:
+        outcome = SearchOutcome(None, False, budget.node_ceiling, str(exc))
+        truncated = True
     payload = {
         "example": args.target,
         "bound": args.bound,
-        "denominators": list(denoms),
         "found": [[rat_to_str(x) for x in row] for row in outcome.found]
         if outcome.found
         else None,
@@ -289,6 +289,10 @@ def cmd_search_iso(args) -> int:
         "note": outcome.note,
         "disclaimer": "bounded search: no-hit is evidence, not a nonisomorphism proof",
     }
+    if truncated:
+        payload["truncated"] = True
+        _emit(args, payload, [f"{args.target}: truncated at {budget.node_ceiling} nodes, no verdict"])
+        return 3
     if outcome.found is not None:
         _emit(args, payload, [f"{args.target}: isomorphism found ({outcome.nodes} nodes)"])
         return 0
@@ -296,8 +300,9 @@ def cmd_search_iso(args) -> int:
         args,
         payload,
         [
-            f"{args.target}: no isomorphism within bound {args.bound} "
-            f"(denominators {denoms}; evidence, not proof)"
+            f"{args.target}: no isomorphism within bound {args.bound} (each generator "
+            f"v_i sent into the log-cover lattice, L-inf box of radius {args.bound}*|v_i|_1; "
+            "evidence, not proof)"
         ],
     )
     return 1
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-iso", help="bounded lattice isomorphism search")
     p.add_argument("target")
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--denoms", default="1,2,4")
     return parser
 
 

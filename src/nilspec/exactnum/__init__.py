@@ -18,7 +18,6 @@ from .intlattice import (
     IntLattice,
     hnf,
     integer_kernel,
-    lattice_equal,
     smith_diagonal,
     snf,
     solve_integer,
@@ -31,7 +30,6 @@ from .scalars import (
     GAUSS_ONE,
     GAUSS_ZERO,
     GaussRat,
-    Rat,
     perfect_square_root,
     rat_from_str,
     rat_to_str,
@@ -48,7 +46,6 @@ __all__ = [
     "POLY_P",
     "POLY_ZERO",
     "QuadExtElem",
-    "Rat",
     "UniPoly",
     "bareiss_det",
     "bareiss_echelon",
@@ -59,7 +56,6 @@ __all__ = [
     "identity",
     "integer_kernel",
     "invert_rational",
-    "lattice_equal",
     "mat_mul",
     "mat_vec",
     "perfect_square_root",

@@ -166,15 +166,19 @@ def smith_diagonal(mat):
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
+def _kernel_split(mat, nc):
+    """Z-bases (kernel of mat, complement) of Z^nc: columns of the SNF's v."""
+    if not mat:
+        return [[int(i == j) for j in range(nc)] for i in range(nc)], []
+    s, _, v = snf(mat)
+    rank = sum(1 for i in range(min(len(mat), nc)) if s[i][i])
+    cols = [[v[r][j] for r in range(nc)] for j in range(nc)]
+    return cols[rank:], cols[:rank]
+
+
 def integer_kernel(mat):
     """Z-basis of {x in Z^n : mat. x = 0} for an integer matrix."""
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    if nr == 0:
-        return [[int(i == j) for j in range(nc)] for i in range(nc)]
-    s, _, v = snf(mat)
-    rank = sum(1 for i in range(min(nr, nc)) if s[i][i])
-    return [[v[r][j] for r in range(nc)] for j in range(rank, nc)]
+    return _kernel_split(mat, len(mat[0]) if mat else 0)[0]
 
 
 def solve_integer(mat, rhs):
@@ -249,24 +253,6 @@ class IntLattice:
             vec = [a - q * b for a, b in zip(vec, row)]
         return not any(vec)
 
-    def coordinates(self, v):
-        """Integer coordinates of v in the canonical basis, or None."""
-        vec = [Fraction(x) * self.den for x in v]
-        if any(x.denominator != 1 for x in vec):
-            return None
-        vec = [int(x) for x in vec]
-        coords = []
-        for row in self.rows:
-            j = next(i for i, x in enumerate(row) if x)
-            if vec[j] % row[j]:
-                return None
-            q = vec[j] // row[j]
-            coords.append(q)
-            vec = [a - q * b for a, b in zip(vec, row)]
-        if any(vec):
-            return None
-        return coords
-
     def __eq__(self, other):
         if not isinstance(other, IntLattice):
             return NotImplemented
@@ -307,16 +293,8 @@ class IntLattice:
             for x in row:
                 den = lcm(den, x.denominator)
         scaled = [[int(x * den) for x in row] for row in prod]
-        nr = len(scaled)
         ncoord = len(basis)
-        s, _, v = snf(scaled) if nr else ([], [], [[int(i == j) for j in range(ncoord)] for i in range(ncoord)])
-        if nr:
-            rank = sum(1 for i in range(min(nr, ncoord)) if s[i][i])
-        else:
-            rank = 0
-        cols = [[v[r][j] for r in range(ncoord)] for j in range(ncoord)]
-        kernel_coords = cols[rank:]
-        compl_coords = cols[:rank]
+        kernel_coords, compl_coords = _kernel_split(scaled, ncoord)
 
         def assemble(coords):
             return [
@@ -332,6 +310,3 @@ class IntLattice:
     def __repr__(self):
         return f"IntLattice(dim={self.ambient}, rank={self.rank}, den={self.den})"
 
-
-def lattice_equal(a: IntLattice, b: IntLattice) -> bool:
-    return a == b

@@ -155,12 +155,6 @@ class UniPoly:
             acc = acc * x + c.to_complex()
         return acc
 
-    def eval_rat(self, x: Fraction) -> GaussRat:
-        acc = GAUSS_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * GaussRat(x) + c
-        return acc
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

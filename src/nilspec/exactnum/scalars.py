@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

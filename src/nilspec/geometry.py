@@ -46,9 +46,6 @@ class Metric:
     def to_frame(self, v):
         return tuple(mat_vec(self._inv, v))
 
-    def from_frame(self, coords):
-        return tuple(mat_vec(self.matrix, coords))
-
     def inner(self, u, v) -> Fraction:
         cu, cv = self.to_frame(u), self.to_frame(v)
         return sum((a * b for a, b in zip(cu, cv)), F0)
@@ -184,12 +181,3 @@ def nabla_chart(algebra: NilLieAlgebra, metric: Metric, directions=None, covecto
             chart[(i, m)] = [(k, coeffs[k]) for k in range(n) if coeffs[k] != 0]
     return chart
 
-
-def format_chart(chart, names) -> str:
-    lines = []
-    for (i, m), terms in sorted(chart.items()):
-        if not terms:
-            continue
-        expr = " + ".join(f"({rat_to_str(c)}){names[k]}*" for k, c in terms)
-        lines.append(f"nabla_{names[i]} {names[m]}* = {expr}")
-    return "\n".join(lines)

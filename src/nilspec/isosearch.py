@@ -9,9 +9,10 @@ relations between two undetermined columns are probed for global
 infeasibility first, which is what makes exhaustion cheap when no
 isomorphism exists.
 
-A negative outcome means precisely: no automorphism whose matrix entries
-lie in the declared fraction grid maps the first lattice onto the second.
-It is evidence bounded by the grid, never a nonisomorphism proof.
+A negative outcome means precisely: no automorphism maps the first lattice
+onto the second while sending each generator v_i to a point of the log-cover
+lattice inside the L-infinity box of radius bound * |v_i|_1.  It is evidence
+bounded by that box, never a nonisomorphism proof.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactnum import IntLattice, integer_kernel, solve_integer
-from .exactnum.matrix import invert_rational, mat_mul, mat_vec
-from .lattices import LatticeSpec
+from .exactnum.matrix import invert_rational, mat_mul
+from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import basis_vec, vdot
 
@@ -34,7 +35,6 @@ class SearchSpaceExceeded(RuntimeError):
 @dataclass
 class SearchBudget:
     bound: int = 4
-    denominators: tuple = (1, 2, 4)
     node_ceiling: int = 200_000
     probe_ceiling: int = 60_000
 
@@ -84,7 +84,8 @@ class _Column:
     def all_candidates(self, ceiling, counter):
         """Boxed lattice members, enumerated and filtered once, then reused."""
         if self._cached is None:
-            raw = _affine_candidates(self.lattice, [], self.box, ceiling, counter)
+            u0, directions = _solve_column_system(self.lattice, [])
+            raw = _enumerate_affine(self.lattice.ambient, u0, directions, self.box, ceiling, counter)
             self._cached = sorted(
                 (u for u in raw if self.member_test(u)),
                 key=lambda u: (sum(abs(x - g) for x, g in zip(u, self.gen)), [-x for x in u]),
@@ -201,15 +202,6 @@ def _enumerate_affine(ambient, u0, directions, box, ceiling, counter):
     yield from rec(0, list(u0))
 
 
-def _affine_candidates(lattice: IntLattice, constraints, box, ceiling, counter):
-    """Lattice points satisfying exact linear constraints, inside the box."""
-    solved = _solve_column_system(lattice, constraints)
-    if solved is None:
-        return
-    u0, directions = solved
-    yield from _enumerate_affine(lattice.ambient, u0, directions, box, ceiling, counter)
-
-
 def _bracket_coords(spec1: LatticeSpec, i, j):
     """[v_i, v_j] in generator-basis coordinates."""
     b = spec1.algebra.bracket(spec1.generators[i], spec1.generators[j])
@@ -307,28 +299,12 @@ def bounded_lattice_isomorphism_search(
             probe_counter = [0]
             try:
                 for u in cols[first].all_candidates(budget.probe_ceiling, probe_counter):
+                    # The rows give x -> [x, u]; with u the image of v_i the
+                    # bracket [u, x] = rhs flips the sign of the target.
                     rows = _linear_rows(algebra, u)
-                    if first == i:
-                        sys_rows = rows  # [u_second, u] needs sign flip
-                        target = [-r for r in rhs_vec]
-                    else:
-                        sys_rows = rows
-                        target = rhs_vec
-                    # [x, u] = target resp. -(target): rows give x -> [x, u].
-                    basis = cols[second].lattice.basis_vectors()
-                    k = len(basis)
-                    m_rows = [
-                        [vdot(row, basis[b]) for b in range(k)] for row in sys_rows
-                    ]
-                    den = 1
-                    for row in m_rows:
-                        for x in row:
-                            den = lcm(den, x.denominator)
-                    for t in target:
-                        den = lcm(den, Fraction(t).denominator)
-                    int_rows = [[int(x * den) for x in row] for row in m_rows]
-                    int_t = [int(Fraction(t) * den) for t in target]
-                    if solve_integer(int_rows, int_t) is not None:
+                    target = [-r for r in rhs_vec] if first == i else rhs_vec
+                    system = list(zip(rows, target))
+                    if _solve_column_system(cols[second].lattice, system) is not None:
                         killed = False
                         break
             except SearchSpaceExceeded:
@@ -347,14 +323,10 @@ def bounded_lattice_isomorphism_search(
         umat = [[images[j][i] for j in range(n)] for i in range(n)]
         psi = mat_mul(umat, vinv)
         try:
-            inv = invert_rational(psi)
+            invert_rational(psi)
         except ValueError:
             return None
-        if not algebra.is_automorphism(psi):
-            return None
-        if not all(spec2.contains(mat_vec(psi, g)) for g in spec1.generators):
-            return None
-        if not all(spec1.contains(mat_vec(inv, g)) for g in spec2.generators):
+        if not algebra.is_automorphism(psi) or not maps_onto(psi, spec1, spec2):
             return None
         return psi
 

@@ -193,6 +193,22 @@ class LatticeSpec:
         return LatticeSpec(algebra, gens, name=name)
 
 
+def maps_onto(psi, spec1: LatticeSpec, spec2: LatticeSpec) -> bool:
+    """Whether the linear map psi carries the lattice of spec1 onto spec2.
+
+    Onto is checked in both directions: psi sends every generator of the
+    first lattice into the second, and psi^-1 sends every generator of the
+    second into the first.  A singular psi maps nothing onto anything.
+    """
+    try:
+        inv = invert_rational(psi)
+    except ValueError:
+        return False
+    return all(spec2.contains(mat_vec(psi, g)) for g in spec1.generators) and all(
+        spec1.contains(mat_vec(inv, g)) for g in spec2.generators
+    )
+
+
 @dataclass
 class CentralLattice:
     center: Subspace

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactnum import rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec, rref, solve_rational
-from .vecops import basis_vec, is_zero_vec, vadd, vec, vneg, vscale, vsub, vzero
+from .vecops import basis_vec, is_zero_vec, vadd, vec, vscale, vsub, vzero
 
 DEFAULT_SEED = 1729
 SAMPLE_NUMERATOR_BOUND = 10
@@ -310,9 +310,6 @@ class NilLieAlgebra:
         t2 = self.bracket(y, self.bracket(y, x))
         out = vadd(out, vscale(Fraction(1, 12), vadd(t1, t2)))
         return out
-
-    def cbh_inverse(self, x) -> tuple:
-        return vneg(x)
 
     # -- maps ---------------------------------------------------------------------
 

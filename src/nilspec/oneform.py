@@ -11,18 +11,24 @@ because pi is transcendental.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
-from .exactnum.matrix import bareiss_echelon, mat_vec, rank_and_kernel
+from .exactnum.matrix import bareiss_echelon, mat_vec, rank_and_kernel, solve_rational
 from .exactnum.poly import POLY_ONE
 from .exactnum.quadext import QuadExtElem
 from .exactnum.scalars import GaussRat, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
-from .liealg import NilLieAlgebra
+from .liealg import DEFAULT_SEED, NilLieAlgebra
+from .repspec import (
+    _sample_sector_functional,
+    certify_rep_equivalent,
+    moore_wolf_multiplicity,
+    orbit_pairing_report,
+    pesce_occurrence_and_multiplicity,
+)
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,9 @@ def numeric_spectrum(matrix: CharacterMatrix, pi_value: float, tolerance: float)
     A numeric cross-check only; a non-Hermitian specialization beyond the
     tolerance signals an assembly bug.
     """
+    # Imported here so that commands which never run this oracle never load numpy.
+    import numpy as np
+
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n = matrix.dim
@@ -278,16 +287,14 @@ def central_dual_generator(spec) -> tuple:
     pivots = [next(i for i, x in enumerate(r) if x) for r in central.center.rows]
     tau = [Fraction(0)] * spec.algebra.dim
     # Supported on the center, pairing to 1: solve on the pivot coordinates.
-    from .exactnum.matrix import solve_rational
-
     sol = solve_rational([[b[m] for m in pivots]], [Fraction(1)])
     for m, v in zip(pivots, sol[0]):
         tau[m] = v
     return tuple(tau)
 
 
-def distinguish_pair(example_id: str, n_samples: int = 20, seed: int | None = None) -> dict:
-    """One-form comparison report for a bundled example pair.
+def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> dict:
+    """One-form comparison report for a loaded ``registry.ExampleRecord``.
 
     Representation-equivalent pairs are reported as equal on one-forms.  For
     the rest, the character sector is compared exactly: shells at the
@@ -295,20 +302,9 @@ def distinguish_pair(example_id: str, n_samples: int = 20, seed: int | None = No
     eigenvalue, and the resulting multiplicities; the remaining sectors are
     covered by the representation-level facts configured per example.
     """
-    from .liealg import DEFAULT_SEED
-    from .registry import load
-    from .repspec import (
-        certify_rep_equivalent,
-        moore_wolf_multiplicity,
-        orbit_pairing_report,
-        pesce_occurrence_and_multiplicity,
-        _sample_sector_functional,
-    )
-
     seed = DEFAULT_SEED if seed is None else seed
-    record = load(example_id)
     pair = record.pair()
-    out = {"example": example_id}
+    out = {"example": record.id}
     cor = certify_rep_equivalent(pair, record.rep_equivalent_witness, seed=seed)
     if cor.kind == "rep_equivalent" and cor.ok:
         out["verdict"] = "one_form_isospectral"
@@ -364,9 +360,7 @@ def distinguish_pair(example_id: str, n_samples: int = 20, seed: int | None = No
                     break
             sector_checks[label] = {"mode": "moore_wolf", "ok": ok}
         elif mode == "pesce_equal":
-            import random as _random
-
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             checked = 0
             ok = True
             while checked < n_samples:

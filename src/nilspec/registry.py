@@ -19,9 +19,11 @@ from .exactnum.quadext import QuadExtElem
 from .exactnum.poly import UniPoly
 from .exactnum.scalars import GaussRat
 from .geometry import Metric
-from .lattices import LatticeSpec
+from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomorphism_search
+from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
-from .repspec import Pair, SectorFlag, Witness
+from .oneform import distinguish_pair
+from .repspec import Pair, SectorFlag, Witness, certify_isospectral, certify_rep_equivalent
 
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
 
@@ -132,7 +134,7 @@ def load(example_id: str) -> ExampleRecord:
     return record
 
 
-def table_one(ids=EXAMPLE_IDS, search_budget=None) -> list:
+def table_one(ids=EXAMPLE_IDS) -> list:
     """Recompute the comparison table for the requested examples.
 
     Columns: isospectral (certificate), representation equivalence
@@ -141,10 +143,6 @@ def table_one(ids=EXAMPLE_IDS, search_budget=None) -> list:
     a bounded search, labeled as evidence only), and the out-of-scope
     length-spectrum columns.
     """
-    from .isosearch import SearchBudget, bounded_lattice_isomorphism_search
-    from .oneform import distinguish_pair
-    from .repspec import certify_rep_equivalent, certify_isospectral
-
     rows = []
     for example_id in ids:
         record = load(example_id)
@@ -155,28 +153,19 @@ def table_one(ids=EXAMPLE_IDS, search_budget=None) -> list:
         if rep_equivalent:
             one_form = "equal (representation equivalent)"
         else:
-            report = distinguish_pair(example_id)
+            report = distinguish_pair(record)
             one_form = (
                 "distinct (one-form spectra differ)"
                 if report["verdict"] == "not_one_form_isospectral"
                 else report["verdict"]
             )
         if record.iso_witness is not None:
-            ok = record.algebra.is_automorphism(record.iso_witness)
-            fwd = all(
-                record.spec2.contains(
-                    tuple(
-                        sum(record.iso_witness[i][j] * g[j] for j in range(record.algebra.dim))
-                        for i in range(record.algebra.dim)
-                    )
-                )
-                for g in record.spec1.generators
+            ok = record.algebra.is_automorphism(record.iso_witness) and maps_onto(
+                record.iso_witness, record.spec1, record.spec2
             )
-            isomorphic = "yes (verified witness)" if ok and fwd else "witness failed"
+            isomorphic = "yes (verified witness)" if ok else "witness failed"
         else:
-            from .isosearch import SearchSpaceExceeded
-
-            budget = search_budget or SearchBudget(bound=1, denominators=(1, 2), node_ceiling=8000)
+            budget = SearchBudget(bound=1, node_ceiling=8000)
             try:
                 outcome = bounded_lattice_isomorphism_search(
                     record.algebra, record.spec1, record.spec2, budget

@@ -321,7 +321,7 @@ def test_criterion_10_numeric_oracle():
 
 def test_criterion_11_bounded_isomorphism_searches():
     t0 = time.monotonic()
-    budget = SearchBudget(bound=4, denominators=(1, 2, 4))
+    budget = SearchBudget(bound=4)
     for ex in ("III", "IV"):
         record = load(ex)
         out = bounded_lattice_isomorphism_search(

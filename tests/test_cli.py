@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from nilspec import cli
 from nilspec.cli import run
+from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.registry import load
 
 
@@ -143,6 +147,31 @@ def test_search_iso_cli(capsys):
     code, out, _ = invoke(capsys, "search-iso", "IV", "--bound", "4")
     assert code == 1
     assert "evidence, not proof" in out
+
+
+def test_search_iso_rejects_denoms(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["search-iso", "II", "--denoms", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --denoms" in capsys.readouterr().err
+
+
+def test_search_iso_truncated_is_its_own_outcome(monkeypatch, capsys):
+    def truncated(*args, **kwargs):
+        raise SearchSpaceExceeded("node ceiling exceeded")
+
+    monkeypatch.setattr(cli, "bounded_lattice_isomorphism_search", truncated)
+    code, out, err = invoke(capsys, "--json", "search-iso", "IV", "--bound", "1")
+    assert code == 3
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["truncated"] is True
+    assert payload["found"] is None
+    assert payload["exhausted"] is False
+    assert payload["nodes"] == cli.SearchBudget().node_ceiling
+    code, out, _ = invoke(capsys, "search-iso", "IV")
+    assert code == 3
+    assert "truncated" in out
 
 
 def test_table1_single_row(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from nilspec.exactnum import IntLattice
 from nilspec.exactnum.matrix import identity
-from nilspec.lattices import LatticeSpec, quotient_covolume
+from nilspec.lattices import LatticeSpec, maps_onto, quotient_covolume
 from nilspec.liealg import Subspace
+from nilspec.registry import load
 from nilspec.vecops import basis_vec, vadd, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
@@ -196,3 +197,18 @@ def test_lattice_json_roundtrip():
     back = LatticeSpec.from_json(data, build_dim7())
     assert back.generators == spec.generators
     assert back.to_json("dim7") == data
+
+
+def test_maps_onto_checks_both_directions():
+    spec = load("I").spec1
+    n = spec.algebra.dim
+    assert maps_onto(identity(n), spec, spec)
+    record = load("II")
+    assert maps_onto(record.iso_witness, record.spec1, record.spec2)
+    singular = identity(n)
+    singular[0][0] = F(0)
+    assert not maps_onto(singular, spec, spec)
+    # 2I sends the lattice into itself but not onto it.
+    double = [[2 * x for x in row] for row in identity(n)]
+    assert all(spec.contains([2 * x for x in g]) for g in spec.generators)
+    assert not maps_onto(double, spec, spec)

@@ -1,0 +1,79 @@
+"""Import layering of the package, read from the source with ast.
+
+The math modules sit below the registry and the CLI: they never import
+either, so the exact arithmetic can be reused without the bundled data.
+numpy serves only the float oracle and is imported inside it, so commands
+that never run the oracle never load it.
+"""
+
+import ast
+import pathlib
+
+import nilspec
+
+PACKAGE = pathlib.Path(nilspec.__file__).parent
+MATH_MODULES = (
+    "exactnum",
+    "vecops",
+    "liealg",
+    "lattices",
+    "geometry",
+    "repspec",
+    "oneform",
+    "isosearch",
+)
+
+
+def _modules():
+    """(top-level name under nilspec, module name, [(imported names, scope)])."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        package = ("nilspec",) + path.parent.relative_to(PACKAGE).parts
+        name = ".".join(package + (path.stem,))
+        top = name.split(".")[1]
+        yield top, name, _imports(ast.parse(path.read_text(encoding="utf-8")), package)
+
+
+def _imports(tree, package):
+    """Absolute names each import statement loads, with its enclosing def."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.append(([alias.name for alias in child.names], scope))
+            elif isinstance(child, ast.ImportFrom):
+                parts = list(package[: len(package) - child.level + 1]) if child.level else []
+                base = ".".join(parts + ([child.module] if child.module else []))
+                names = [base] + [f"{base}.{alias.name}" for alias in child.names]
+                out.append((names, scope))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, None)
+    return out
+
+
+def _refers_to(names, target):
+    return any(n == target or n.startswith(target + ".") for n in names)
+
+
+def test_only_cli_imports_cli():
+    for top, module, imports in _modules():
+        for names, _ in imports:
+            assert top == "cli" or not _refers_to(names, "nilspec.cli"), module
+
+
+def test_math_modules_do_not_import_registry():
+    for top, module, imports in _modules():
+        for names, scope in imports:
+            if top in MATH_MODULES:
+                assert not _refers_to(names, "nilspec.registry"), (module, scope)
+
+
+def test_numpy_only_inside_the_float_oracle():
+    for _, module, imports in _modules():
+        for names, scope in imports:
+            if _refers_to(names, "numpy"):
+                assert (module, scope) == ("nilspec.oneform", "numeric_spectrum")
