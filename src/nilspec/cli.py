@@ -99,27 +99,44 @@ def cmd_validate(args) -> int:
     return 2
 
 
+def _pair_from_files(args):
+    """The pair and optional witness named by --files and --witness."""
+    alg = NilLieAlgebra.from_json(_read_json(args.files[0]))
+    metric = Metric.from_json(_read_json(args.files[1]), alg)
+    spec1 = LatticeSpec.from_json(_read_json(args.files[2]), alg, name="file.1")
+    spec2 = LatticeSpec.from_json(_read_json(args.files[3]), alg, name="file.2")
+    witness = _parse_witness(_read_json(args.witness)) if args.witness else None
+    return Pair("files", alg, metric, spec1, spec2), witness
+
+
 def cmd_certify(args) -> int:
     if args.replay:
         saved = _read_json(args.replay)
-        record = _load_record(saved["pair"].split(".")[0] if "." in saved["pair"] else saved["pair"])
-        pair = record.pair()
-        if saved["kind"] == "isospectral":
-            fresh = certify_isospectral(pair, record.quotient_witness, seed=args.seed)
+        if args.files:
+            pair, iso_witness = _pair_from_files(args)
+            rep_witness = iso_witness
+        elif saved["pair"] == "files":
+            raise InputError(
+                "certificate was made with --files; replay it with the same "
+                "--files ALGEBRA METRIC LAT1 LAT2 (and --witness)"
+            )
         else:
-            fresh = certify_rep_equivalent(pair, record.rep_equivalent_witness, seed=args.seed)
+            record = _load_record(saved["pair"].split(".")[0])
+            pair = record.pair()
+            iso_witness, rep_witness = record.quotient_witness, record.rep_equivalent_witness
+        if saved["kind"] == "isospectral":
+            if iso_witness is None:
+                raise InputError("replaying an isospectral certificate needs --witness")
+            fresh = certify_isospectral(pair, iso_witness, seed=args.seed)
+        else:
+            fresh = certify_rep_equivalent(pair, rep_witness, seed=args.seed)
         same = fresh.to_json() == saved
         payload = {"replay_matches": same, "certificate": fresh.to_json()}
         _emit(args, payload, [f"replay: {'identical verdicts' if same else 'MISMATCH'}"])
         return 0 if same else 1
 
     if args.files:
-        alg = NilLieAlgebra.from_json(_read_json(args.files[0]))
-        metric = Metric.from_json(_read_json(args.files[1]), alg)
-        spec1 = LatticeSpec.from_json(_read_json(args.files[2]), alg, name="file.1")
-        spec2 = LatticeSpec.from_json(_read_json(args.files[3]), alg, name="file.2")
-        witness = _parse_witness(_read_json(args.witness)) if args.witness else None
-        pair = Pair("files", alg, metric, spec1, spec2)
+        pair, witness = _pair_from_files(args)
         iso_cert = certify_isospectral(pair, witness, n_samples=args.samples, seed=args.seed) if witness else None
         cor = certify_rep_equivalent(pair, witness, n_samples=args.samples, seed=args.seed)
     else:
@@ -268,6 +285,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_search_iso(args) -> int:
+    if args.bound < 1:
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
     record = _load_record(args.target)
     budget = SearchBudget(bound=args.bound)
     truncated = False
@@ -325,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", nargs="?", help="example id")
     p.add_argument("--files", nargs=4, metavar=("ALGEBRA", "METRIC", "LAT1", "LAT2"))
     p.add_argument("--witness", help="witness JSON file (with --files)")
-    p.add_argument("--replay", help="re-verify a stored certificate JSON")
+    p.add_argument(
+        "--replay", help="re-verify a stored certificate JSON (with --files if it was made from files)"
+    )
 
     p = sub.add_parser("multiplicities", help="occurrence and multiplicity tables")
     p.add_argument("target")
@@ -342,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-iso", help="bounded lattice isomorphism search")
     p.add_argument("target")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=4, help="box radius factor, at least 1")
     return parser
 
 

@@ -25,7 +25,7 @@ from .exactnum import IntLattice, integer_kernel, solve_integer
 from .exactnum.matrix import invert_rational, mat_mul
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
-from .vecops import basis_vec, vdot
+from .vecops import basis_vec, clear_denominators
 
 
 class SearchSpaceExceeded(RuntimeError):
@@ -70,32 +70,96 @@ def _full_subspace(algebra):
     return Subspace(algebra.dim, [basis_vec(algebra.dim, i) for i in range(algebra.dim)])
 
 
+def _ambient_brackets(algebra: NilLieAlgebra):
+    """Integer structure constants: ([(k, m, a, c)], den), [e_k, e_m]_a = c/den."""
+    n = algebra.dim
+    pairs = [(k, m) for k in range(n) for m in range(n) if k != m]
+    values = [algebra.basis_bracket(k, m) for k, m in pairs]
+    nums, den = clear_denominators(x for v in values for x in v)
+    terms = [
+        (k, m, a, nums[p * n + a])
+        for p, (k, m) in enumerate(pairs)
+        for a in range(n)
+        if nums[p * n + a]
+    ]
+    return terms, den
+
+
+def _bracket_int(terms, x, y):
+    """Numerators of [x, y] for integer x, y and the terms of _ambient_brackets."""
+    out = [0] * len(x)
+    for k, m, a, c in terms:
+        if x[k] and y[m]:
+            out[a] += c * x[k] * y[m]
+    return out
+
+
+def _as_fractions(u, den):
+    return tuple(Fraction(x, den) for x in u)
+
+
 class _Column:
-    def __init__(self, index, gen, subspace, lattice, box, member_test):
+    """One generator's image: a lattice, a box and the probe tensor, in integers.
+
+    Candidates are integer vectors over ``den``, the column lattice's
+    denominator; ``box`` is the L-infinity radius in those units.  The probe
+    tensor holds [b_j, e_m]_a for the lattice basis b_j as integers over
+    ``tensor_den``: entry m lists the nonzero (a, j, c).
+    """
+
+    def __init__(self, index, gen, subspace, lattice, box, spec2, brackets):
         self.index = index
-        self.gen = gen
         self.subspace = subspace
         self.lattice = lattice
-        self.box = box
-        self.member_test = member_test
+        self.den = lattice.den
+        self.basis = lattice.rows
+        self.box = box * self.den
+        self.spec2 = spec2
         self.central = False
         self._cached = None
+        gnum, gden = clear_denominators(gen)
+        self._gen_den = gden
+        self._gen_scaled = [g * self.den for g in gnum]
+        self._brackets = brackets
+        terms, bden = brackets
+        self.tensor = [[] for _ in range(lattice.ambient)]
+        for k, m, a, c in terms:
+            for j, b in enumerate(self.basis):
+                if b[k]:
+                    self.tensor[m].append((a, j, b[k] * c))
+        self.tensor_den = bden * self.den
+
+    def sort_key(self, u):
+        """Nearest to the generator itself first, then by descending coordinates."""
+        g = self._gen_den
+        return (sum(abs(x * g - t) for x, t in zip(u, self._gen_scaled)), [-x for x in u])
+
+    def is_member(self, u):
+        return self.spec2.contains(_as_fractions(u, self.den))
+
+    def satisfies(self, u, constraints):
+        """Whether [u, u_j] = rhs holds for every constraint of _solve_column_system."""
+        terms, bden = self._brackets
+        for (uj, dj), (rhs, dr) in constraints:
+            scale = bden * self.den * dj
+            got = _bracket_int(terms, u, uj)
+            if any(x * dr != r * scale for x, r in zip(got, rhs)):
+                return False
+        return True
 
     def all_candidates(self, ceiling, counter):
         """Boxed lattice members, enumerated and filtered once, then reused."""
         if self._cached is None:
-            u0, directions = _solve_column_system(self.lattice, [])
-            raw = _enumerate_affine(self.lattice.ambient, u0, directions, self.box, ceiling, counter)
-            self._cached = sorted(
-                (u for u in raw if self.member_test(u)),
-                key=lambda u: (sum(abs(x - g) for x, g in zip(u, self.gen)), [-x for x in u]),
-            )
+            u0, directions = _solve_column_system(self, [])
+            raw = _enumerate_affine(u0, directions, self.box, ceiling, counter)
+            self._cached = sorted((u for u in raw if self.is_member(u)), key=self.sort_key)
         return self._cached
 
 
 def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: SearchBudget):
     subs = canonical_subspaces(algebra)
     center = algebra.center()
+    brackets = _ambient_brackets(algebra)
     cols = []
     for i, gen in enumerate(spec1.generators):
         constraint = _full_subspace(algebra)
@@ -105,37 +169,47 @@ def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: Search
         lattice = spec2.log_cover_lattice(constraint)
         norm1 = sum(abs(x) for x in gen)
         box = Fraction(budget.bound) * norm1
-        col = _Column(i, gen, constraint, lattice, box, spec2.contains)
+        col = _Column(i, gen, constraint, lattice, box, spec2, brackets)
         col.central = center.contains(gen)
         cols.append(col)
     return cols
 
 
-def _solve_column_system(lattice: IntLattice, constraints):
-    """Integer solutions of linear constraints over a lattice.
+def _solve_column_system(col: _Column, constraints):
+    """Integer solutions x of [x, u_j] = rhs_j with x in the column lattice.
 
+    Each constraint is ((u_j, u_den), (rhs, rhs_den)) of integer vectors over
+    their denominators.  The system in lattice coordinates is one contraction
+    of the column's probe tensor with u_j; every row and target is scaled to
+    one common denominator, which leaves the integer solutions unchanged.
     Returns None when infeasible, else (u0, directions): the particular
-    ambient solution and the ambient images of a kernel basis.
+    solution and the images of a kernel basis, integer vectors over col.den.
     """
-    basis = lattice.basis_vectors()
+    basis = col.basis
     k = len(basis)
+    n = col.lattice.ambient
     if k == 0:
-        if not constraints or all(Fraction(rhs) == 0 for _, rhs in constraints):
-            return tuple([Fraction(0)] * lattice.ambient), []
+        if all(not any(rhs) for _, (rhs, _den) in constraints):
+            return (0,) * n, []
         return None
-    rows = []
-    rhs = []
-    for row, r in constraints:
-        rows.append([vdot(row, basis[j]) for j in range(k)])
-        rhs.append(Fraction(r))
-    if rows:
-        den = 1
-        for row, r in zip(rows, rhs):
-            for x in row:
-                den = lcm(den, x.denominator)
-            den = lcm(den, r.denominator)
-        int_rows = [[int(x * den) for x in row] for row in rows]
-        int_rhs = [int(r * den) for r in rhs]
+    if constraints:
+        scale = lcm(
+            *(col.tensor_den * du for (_u, du), _rhs in constraints),
+            *(dr for _u, (_rhs, dr) in constraints),
+        )
+        int_rows = []
+        int_rhs = []
+        for (u, du), (rhs, dr) in constraints:
+            f = scale // (col.tensor_den * du)
+            rows = [[0] * k for _ in range(n)]
+            for m, x in enumerate(u):
+                if x:
+                    fx = f * x
+                    for a, j, c in col.tensor[m]:
+                        rows[a][j] += c * fx
+            int_rows.extend(rows)
+            g = scale // dr
+            int_rhs.extend(g * r for r in rhs)
         x0 = solve_integer(int_rows, int_rhs)
         if x0 is None:
             return None
@@ -143,35 +217,31 @@ def _solve_column_system(lattice: IntLattice, constraints):
     else:
         x0 = [0] * k
         kern = [[int(i == j) for j in range(k)] for i in range(k)]
-    u0 = tuple(
-        sum(Fraction(x0[j]) * basis[j][m] for j in range(k))
-        for m in range(lattice.ambient)
-    )
-    directions = [
-        tuple(
-            sum(Fraction(kv[j]) * basis[j][m] for j in range(k))
-            for m in range(lattice.ambient)
-        )
-        for kv in kern
-    ]
-    return u0, directions
+
+    def image(x):
+        return tuple(sum(x[j] * basis[j][m] for j in range(k)) for m in range(n))
+
+    return image(x0), [image(kv) for kv in kern]
 
 
-def _enumerate_affine(ambient, u0, directions, box, ceiling, counter):
-    """All points u0 + sum z_r directions[r] inside the coordinate box."""
+def _enumerate_affine(u0, directions, box, ceiling, counter):
+    """All points u0 + sum z_r directions[r] with every |coordinate| <= box.
+
+    Points are integer vectors; box may be a Fraction.  The search radius of
+    each z_r comes from the Gram inverse, once per call.
+    """
+    ambient = len(u0)
+    limit = int(box)
     f = len(directions)
     if f == 0:
-        if all(abs(x) <= box for x in u0):
+        if all(abs(x) <= limit for x in u0):
             counter[0] += 1
             if counter[0] > ceiling:
                 raise SearchSpaceExceeded("node ceiling exceeded")
             yield tuple(u0)
         return
     gram = [
-        [
-            sum(directions[r][m] * directions[s][m] for m in range(ambient))
-            for s in range(f)
-        ]
+        [sum(a * b for a, b in zip(directions[r], directions[s])) for s in range(f)]
         for r in range(f)
     ]
     ginv = invert_rational(gram)
@@ -186,29 +256,51 @@ def _enumerate_affine(ambient, u0, directions, box, ceiling, counter):
 
     def rec(r, partial):
         if r == f:
-            if all(abs(x) <= box for x in partial):
+            if all(-limit <= x <= limit for x in partial):
                 counter[0] += 1
                 if counter[0] > ceiling:
                     raise SearchSpaceExceeded("node ceiling exceeded")
                 yield tuple(partial)
             return
+        d = directions[r]
         for z in range(-radius[r], radius[r] + 1):
             if z == 0:
                 nxt = partial
             else:
-                nxt = [partial[m] + z * directions[r][m] for m in range(ambient)]
+                nxt = [p + z * x for p, x in zip(partial, d)]
             yield from rec(r + 1, nxt)
 
     yield from rec(0, list(u0))
 
 
-def _bracket_coords(spec1: LatticeSpec, i, j):
-    """[v_i, v_j] in generator-basis coordinates."""
-    b = spec1.algebra.bracket(spec1.generators[i], spec1.generators[j])
-    return spec1.generator_coordinates(b)
+def _image(coords, assigned, cols):
+    """sum_m coords_m u_m for scaled coords and assigned images: (ints, den)."""
+    nums, cden = coords
+    terms = [(c, assigned[m], cols[m].den) for m, c in enumerate(nums) if c]
+    den = lcm(*(d for _, _, d in terms))
+    out = [0] * len(nums)
+    for c, u, d in terms:
+        f = c * (den // d)
+        for a, x in enumerate(u):
+            out[a] += f * x
+    return out, cden * den
 
 
-def _probe_pairs(algebra, spec1, cols):
+def _bracket_coords(spec1: LatticeSpec):
+    """[v_i, v_j] in generator-basis coordinates, as (ints, den), for i != j."""
+    n = spec1.algebra.dim
+    gens = spec1.generators
+    return {
+        (i, j): clear_denominators(
+            spec1.generator_coordinates(spec1.algebra.bracket(gens[i], gens[j]))
+        )
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+
+
+def _probe_pairs(algebra, brackets, cols):
     """Bilinear pairs whose bracket is a combination of central generators."""
     n = algebra.dim
     central = [c.index for c in cols if c.central]
@@ -217,10 +309,10 @@ def _probe_pairs(algebra, spec1, cols):
         for j in range(n):
             if i == j or cols[i].subspace.dim == n or cols[j].subspace.dim == n:
                 continue
-            coords = _bracket_coords(spec1, i, j)
-            if all(c == 0 for c in coords):
+            coords = brackets[(i, j)]
+            if not any(coords[0]):
                 continue
-            if all(c == 0 or m in central for m, c in enumerate(coords)):
+            if all(c == 0 or m in central for m, c in enumerate(coords[0])):
                 pairs.append((i, j, coords))
     return pairs
 
@@ -235,14 +327,14 @@ def _central_assignments(cols, spec2, budget, counter):
 
     def rec(idx, chosen):
         if idx == len(central_cols):
-            lat = IntLattice(spec2.algebra.dim, list(chosen.values()))
-            if lat == target:
+            images = [_as_fractions(u, cols[i].den) for i, u in chosen.items()]
+            if IntLattice(spec2.algebra.dim, images) == target:
                 out.append(dict(chosen))
             return
         col = central_cols[idx]
         cands = col.all_candidates(budget.node_ceiling, counter)
         for u in cands:
-            if not target.member(u):
+            if not target.member(_as_fractions(u, col.den)):
                 continue
             chosen[col.index] = u
             rec(idx + 1, chosen)
@@ -250,13 +342,6 @@ def _central_assignments(cols, spec2, budget, counter):
 
     rec(0, {})
     return out
-
-
-def _linear_rows(algebra, u_j):
-    """Rows of the map u -> [u, u_j] in ambient coordinates."""
-    n = algebra.dim
-    cols = [algebra.bracket(basis_vec(n, k), u_j) for k in range(n)]
-    return [[cols[k][m] for k in range(n)] for m in range(n)]
 
 
 def bounded_lattice_isomorphism_search(
@@ -276,6 +361,7 @@ def bounded_lattice_isomorphism_search(
         raise ValueError("lattices must live in the given algebra")
     n = algebra.dim
     cols = _column_data(algebra, spec1, spec2, budget)
+    brackets = _bracket_coords(spec1)
     counter = [0]
 
     central_maps = _central_assignments(cols, spec2, budget, counter)
@@ -284,27 +370,20 @@ def bounded_lattice_isomorphism_search(
 
     # Global bilinear probes: a pair with no integer solution for any
     # boxed first column kills the whole search.
-    pairs = _probe_pairs(algebra, spec1, cols)
+    pairs = _probe_pairs(algebra, brackets, cols)
     for i, j, coords in pairs:
         first, second = (i, j) if cols[i].subspace.dim <= cols[j].subspace.dim else (j, i)
         killed = True
         for cmap in central_maps:
-            rhs_vec = [
-                sum(
-                    Fraction(coords[m]) * Fraction(cmap[m][a])
-                    for m in cmap
-                )
-                for a in range(n)
-            ]
+            rhs, rhs_den = _image(coords, cmap, cols)
+            # The system is x -> [x, u]; with u the image of v_i the bracket
+            # [u, x] = rhs flips the sign of the target.
+            target = ([-r for r in rhs] if first == i else rhs, rhs_den)
+            den = cols[first].den
             probe_counter = [0]
             try:
                 for u in cols[first].all_candidates(budget.probe_ceiling, probe_counter):
-                    # The rows give x -> [x, u]; with u the image of v_i the
-                    # bracket [u, x] = rhs flips the sign of the target.
-                    rows = _linear_rows(algebra, u)
-                    target = [-r for r in rhs_vec] if first == i else rhs_vec
-                    system = list(zip(rows, target))
-                    if _solve_column_system(cols[second].lattice, system) is not None:
+                    if _solve_column_system(cols[second], [((u, den), target)]) is not None:
                         killed = False
                         break
             except SearchSpaceExceeded:
@@ -320,13 +399,9 @@ def bounded_lattice_isomorphism_search(
     vinv = invert_rational(vmat)
 
     def verify(images):
-        umat = [[images[j][i] for j in range(n)] for i in range(n)]
+        umat = [[Fraction(images[j][i], cols[j].den) for j in range(n)] for i in range(n)]
         psi = mat_mul(umat, vinv)
-        try:
-            invert_rational(psi)
-        except ValueError:
-            return None
-        if not algebra.is_automorphism(psi) or not maps_onto(psi, spec1, spec2):
+        if not maps_onto(psi, spec1, spec2) or not algebra.is_automorphism(psi):
             return None
         return psi
 
@@ -349,43 +424,32 @@ def bounded_lattice_isomorphism_search(
         for j in assigned:
             if j == idx:
                 continue
-            coords = _bracket_coords(spec1, idx, j)
-            if any(c != 0 and m not in assigned for m, c in enumerate(coords)):
+            coords = brackets[(idx, j)]
+            if any(c != 0 and m not in assigned for m, c in enumerate(coords[0])):
                 continue
-            rhs = [
-                sum(Fraction(coords[m]) * Fraction(assigned[m][a]) for m in assigned if coords[m] != 0)
-                for a in range(n)
-            ]
-            rows = _linear_rows(algebra, assigned[j])
-            for a in range(n):
-                constraints.append((rows[a], rhs[a]))
+            constraints.append(((assigned[j], cols[j].den), _image(coords, assigned, cols)))
         need_member = False
         if constraints:
-            solved = _solve_column_system(col.lattice, constraints)
+            solved = _solve_column_system(col, constraints)
             if solved is None:
                 return
             u0, directions = solved
             if len(directions) <= 3:
                 need_member = True
                 cands = sorted(
-                    _enumerate_affine(
-                        algebra.dim, u0, directions, col.box, budget.node_ceiling, counter
-                    ),
-                    key=lambda u: (
-                        sum(abs(x - g) for x, g in zip(u, col.gen)),
-                        [-x for x in u],
-                    ),
+                    _enumerate_affine(u0, directions, col.box, budget.node_ceiling, counter),
+                    key=col.sort_key,
                 )
             else:
                 cands = [
                     u
                     for u in col.all_candidates(budget.node_ceiling, counter)
-                    if all(vdot(row, u) == rhs for row, rhs in constraints)
+                    if col.satisfies(u, constraints)
                 ]
         else:
             cands = col.all_candidates(budget.node_ceiling, counter)
         for u in cands:
-            if need_member and not spec2.contains(u):
+            if need_member and not col.is_member(u):
                 continue
             counter[0] += 1
             if counter[0] > budget.node_ceiling:

@@ -4,17 +4,27 @@ A lattice is specified by ordered generator logs v_1..v_n: every group
 element factors uniquely as exp(t_1 v_1)...exp(t_n v_n), and membership is
 integrality of all t_i.  Each generator tail must span an ideal, which makes
 the peeling in `malcev_coordinates` triangular.
+
+The peel runs on Python integers in generator coordinates.  Each spec
+compiles two integer tables, each over one common denominator: the inverse
+change of basis, and the structure constants [v_a, v_b] in generator
+coordinates.  A vector c then loses its leading generator t = c_i through the
+step-3 group law, c <- c - t v_i - (t/2) ad_i(c) + (t^2 ad_i^2(c) +
+t [c, ad_i(c)]) / 12, and because [g, tail_i] lies in tail_{i+1} the next
+coordinate is read off directly.  Numerators and the denominator are reduced
+by their gcd after every generator; Fractions appear only in the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
-from .vecops import is_zero_vec, vneg, vscale, vzero
+from .vecops import clear_denominators, is_zero_vec, vneg, vscale, vzero
 
 
 class LatticeSpec:
@@ -34,17 +44,51 @@ class LatticeSpec:
         # Change of basis: columns are generator logs.
         cols = [[gens[j][i] for j in range(n)] for i in range(n)]
         try:
-            self._to_gen_coords = invert_rational(cols)
+            to_gen = invert_rational(cols)
         except ValueError:
             raise ValueError("generators are linearly dependent") from None
+        nums, self._to_gen_den = clear_denominators(x for row in to_gen for x in row)
+        self._to_gen = [nums[i * n : (i + 1) * n] for i in range(n)]
+        self._check_tails()
+        self._compile_structure_constants()
         self._validate_adapted()
 
-    def _validate_adapted(self):
+    def _check_tails(self):
         n = self.algebra.dim
         for i in range(1, n):
             tail = Subspace(n, self.generators[i:])
             if not self.algebra.is_ideal(tail):
                 raise ValueError(f"generator tail starting at {i} is not an ideal")
+
+    def _compile_structure_constants(self):
+        """Integer [v_a, v_b] in generator coordinates, over one denominator.
+
+        ``_ad[i]`` lists (b, k, c) with [v_i, v_b] having c at v_k, and
+        ``_brackets`` lists (a, b, k, c) for a < b; both are over ``_struct_den``.
+        """
+        n = self.algebra.dim
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        scaled = [
+            self._scaled_gen_coords(self.algebra.bracket(self.generators[a], self.generators[b]))
+            for a, b in pairs
+        ]
+        nums, den = clear_denominators(
+            Fraction(x, d) for coords, d in scaled for x in coords
+        )
+        self._struct_den = den
+        self._brackets = [
+            (a, b, k, nums[p * n + k])
+            for p, (a, b) in enumerate(pairs)
+            for k in range(n)
+            if nums[p * n + k]
+        ]
+        self._ad = [[] for _ in range(n)]
+        for a, b, k, c in self._brackets:
+            self._ad[a].append((b, k, c))
+            self._ad[b].append((a, k, -c))
+
+    def _validate_adapted(self):
+        n = self.algebra.dim
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -56,36 +100,78 @@ class LatticeSpec:
                         "generator products leave the lattice: not an adapted basis"
                     )
 
+    def _scaled_gen_coords(self, v):
+        """Generator coordinates of v as (integer numerators, denominator)."""
+        vnum, vden = clear_denominators(v)
+        return (
+            [sum(m * x for m, x in zip(row, vnum)) for row in self._to_gen],
+            self._to_gen_den * vden,
+        )
+
     def generator_coordinates(self, v):
         """Linear coordinates of a vector in the generator basis."""
-        return tuple(
-            sum(
-                (self._to_gen_coords[i][k] * Fraction(v[k]) for k in range(1, len(v))),
-                self._to_gen_coords[i][0] * Fraction(v[0]),
-            )
-            for i in range(self.algebra.dim)
-        )
+        nums, den = self._scaled_gen_coords(v)
+        return tuple(Fraction(x, den) for x in nums)
 
     # -- group arithmetic in log coordinates ------------------------------------
 
+    def _ad_int(self, i, x):
+        out = [0] * len(x)
+        for b, k, c in self._ad[i]:
+            if x[b]:
+                out[k] += c * x[b]
+        return out
+
+    def _bracket_int(self, x, y):
+        out = [0] * len(x)
+        for a, b, k, c in self._brackets:
+            f = x[a] * y[b] - x[b] * y[a]
+            if f:
+                out[k] += c * f
+        return out
+
+    def _peel(self, g_log):
+        """Yield each Malcev coordinate of g_log as (numerator, denominator).
+
+        The state is c = num/den in generator coordinates; peeling v_i is
+        c <- cbh(-t v_i, c) with t = c_i, written over the common denominator
+        12 sd^2 den^3 (sd is the structure-constant denominator).
+        """
+        num, den = self._scaled_gen_coords(g_log)
+        g = gcd(den, *num)
+        num = [x // g for x in num]
+        den //= g
+        sd = self._struct_den
+        for i in range(len(num)):
+            t = num[i]
+            yield t, den
+            if not t:
+                continue
+            num[i] = 0
+            adc = self._ad_int(i, num)  # ad_i(c) * sd * den
+            if any(adc):
+                ad2c = self._ad_int(i, adc)  # ad_i^2(c) * sd^2 * den
+                # [c, ad_i(c)] * sd^2 * den^2 is brk + t * ad2c, since c = c' + t v_i.
+                brk = self._bracket_int(num, adc)
+                keep = 12 * sd * sd * den * den
+                half = 6 * sd * den * t
+                num = [
+                    keep * x - half * y + t * (2 * t * z + w)
+                    for x, y, z, w in zip(num, adc, ad2c, brk)
+                ]
+                den = 12 * sd * sd * den**3
+            g = gcd(den, *num)
+            num = [x // g for x in num]
+            den //= g
+        if any(num):
+            raise AssertionError("peeling failed to terminate")
+
     def malcev_coordinates(self, g_log):
         """The unique exponents with exp(g) = exp(t_1 v_1)...exp(t_n v_n)."""
-        w = tuple(Fraction(x) for x in g_log)
-        coords = []
-        for i in range(self.algebra.dim):
-            t = sum(
-                (self._to_gen_coords[i][k] * w[k] for k in range(1, len(w))),
-                self._to_gen_coords[i][0] * w[0],
-            )
-            coords.append(t)
-            if t:
-                w = self.algebra.cbh(vneg(vscale(t, self.generators[i])), w)
-        if not is_zero_vec(w):
-            raise AssertionError("peeling failed to terminate")
-        return coords
+        return [Fraction(t, den) for t, den in self._peel(g_log)]
 
     def contains(self, g_log) -> bool:
-        return all(t.denominator == 1 for t in self.malcev_coordinates(g_log))
+        return all(t % den == 0 for t, den in self._peel(g_log))
 
     def assemble(self, coords):
         """log of the word exp(t_1 v_1)...exp(t_n v_n)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def vec(xs) -> tuple:
@@ -40,3 +41,10 @@ def is_zero_vec(a) -> bool:
 
 def basis_vec(n: int, i: int) -> tuple:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+
+def clear_denominators(xs) -> tuple:
+    """(numerators, den): integers over the least common denominator of xs."""
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    den = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals], den

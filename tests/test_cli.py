@@ -58,32 +58,46 @@ def test_certify_unknown_example(capsys):
     assert "unknown example" in err
 
 
-def test_certify_from_files(tmp_path, capsys):
-    record = load("II")
+def _write_files(tmp_path, example_id):
+    """The example's algebra, metric, lattices and witness as --files input."""
+    record = load(example_id)
+    ref = f"dim{record.algebra.dim}"
+    data = {
+        "alg": record.algebra.to_json(),
+        "met": record.metric.to_json(ref),
+        "l1": record.spec1.to_json(ref),
+        "l2": record.spec2.to_json(ref),
+        "w": record.rep_equivalent_witness.to_json(),
+    }
     paths = {}
-    paths["alg"] = tmp_path / "alg.json"
-    paths["alg"].write_text(json.dumps(record.algebra.to_json()))
-    paths["met"] = tmp_path / "met.json"
-    paths["met"].write_text(json.dumps(record.metric.to_json("dim5")))
-    paths["l1"] = tmp_path / "l1.json"
-    paths["l1"].write_text(json.dumps(record.spec1.to_json("dim5")))
-    paths["l2"] = tmp_path / "l2.json"
-    paths["l2"].write_text(json.dumps(record.spec2.to_json("dim5")))
-    paths["w"] = tmp_path / "w.json"
-    paths["w"].write_text(json.dumps(record.rep_equivalent_witness.to_json()))
-    code, out, _ = invoke(
-        capsys,
-        "certify",
-        "--files",
-        str(paths["alg"]),
-        str(paths["met"]),
-        str(paths["l1"]),
-        str(paths["l2"]),
-        "--witness",
-        str(paths["w"]),
-    )
+    for key, value in data.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(value))
+    files = ["--files"] + [str(paths[k]) for k in ("alg", "met", "l1", "l2")]
+    return files + ["--witness", str(paths["w"])]
+
+
+def test_certify_from_files(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "certify", *_write_files(tmp_path, "II"))
     assert code == 0
     assert "representation equivalent: yes" in out
+
+
+def test_certify_replay_of_files_certificate(tmp_path, capsys):
+    files = _write_files(tmp_path, "II")
+    code, out, _ = invoke(capsys, "--json", "certify", *files)
+    assert code == 0
+    payload = json.loads(out)
+    for kind in ("isospectral", "rep_equivalence"):
+        assert payload[kind]["pair"] == "files"
+        cert_path = tmp_path / f"{kind}.json"
+        cert_path.write_text(json.dumps(payload[kind]))
+        code, out, _ = invoke(capsys, "certify", "--replay", str(cert_path), *files)
+        assert code == 0
+        assert "identical verdicts" in out
+        code, _, err = invoke(capsys, "certify", "--replay", str(cert_path))
+        assert code == 2
+        assert "--files" in err
 
 
 def test_certify_replay_roundtrip(tmp_path, capsys):
@@ -154,6 +168,14 @@ def test_search_iso_rejects_denoms(capsys):
         run(["search-iso", "II", "--denoms", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --denoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_search_iso_rejects_bound_below_one(bound, capsys):
+    code, out, err = invoke(capsys, "search-iso", "IV", "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert "--bound must be at least 1" in err
 
 
 def test_search_iso_truncated_is_its_own_outcome(monkeypatch, capsys):

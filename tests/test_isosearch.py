@@ -1,12 +1,23 @@
 from fractions import Fraction
+from math import lcm
 
+import pytest
+
+from nilspec.exactnum import integer_kernel, solve_integer
 from nilspec.exactnum.matrix import mat_vec
 from nilspec.isosearch import (
     SearchBudget,
+    _bracket_coords,
+    _central_assignments,
+    _column_data,
+    _image,
+    _probe_pairs,
+    _solve_column_system,
     bounded_lattice_isomorphism_search,
     canonical_subspaces,
 )
 from nilspec.registry import load
+from nilspec.vecops import basis_vec, clear_denominators, vdot
 
 F = Fraction
 
@@ -63,3 +74,88 @@ def test_search_self_pair_finds_identity():
     assert out.found is not None
     n = record.algebra.dim
     assert out.found == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _reference_probe(algebra, lattice, u, target):
+    """The Fraction probe: rows of x -> [x, u], projected onto the lattice basis.
+
+    Returns None when infeasible, else the particular solution and kernel
+    basis in ambient coordinates.
+    """
+    n = algebra.dim
+    images = [algebra.bracket(basis_vec(n, k), u) for k in range(n)]
+    linear_rows = [[images[k][m] for k in range(n)] for m in range(n)]
+    basis = lattice.basis_vectors()
+    rows = [[vdot(row, b) for b in basis] for row in linear_rows]
+    den = 1
+    for row, r in zip(rows, target):
+        for x in row + [r]:
+            den = lcm(den, x.denominator)
+    int_rows = [[int(x * den) for x in row] for row in rows]
+    x0 = solve_integer(int_rows, [int(r * den) for r in target])
+    if x0 is None:
+        return None
+
+    def image(x):
+        return tuple(sum(x[j] * basis[j][m] for j in range(len(basis))) for m in range(n))
+
+    return image(x0), [image(kv) for kv in integer_kernel(int_rows)]
+
+
+@pytest.mark.parametrize("example_id, stride", [("III", 1), ("IV", 1), ("II", 5)])
+def test_probe_contraction_matches_fraction_probe(example_id, stride):
+    record = load(example_id)
+    algebra, spec1, spec2 = record.algebra, record.spec1, record.spec2
+    budget = SearchBudget(bound=2)
+    cols = _column_data(algebra, spec1, spec2, budget)
+    brackets = _bracket_coords(spec1)
+    central_maps = _central_assignments(cols, spec2, budget, [0])
+    pairs = _probe_pairs(algebra, brackets, cols)
+    assert pairs and central_maps
+    # Pairs (i, j) and (j, i), and the central maps, share a probe column;
+    # every candidate is checked once, the targets taking turns.
+    targets = {}
+    for i, j, coords in pairs:
+        first, second = (i, j) if cols[i].subspace.dim <= cols[j].subspace.dim else (j, i)
+        for cmap in central_maps:
+            rhs, rhs_den = _image(coords, cmap, cols)
+            targets.setdefault((first, second), []).append((rhs, rhs_den))
+    checked = feasible = 0
+    for (first, second), column_targets in targets.items():
+        den, second_den = cols[first].den, cols[second].den
+        candidates = cols[first].all_candidates(budget.probe_ceiling, [0])
+        for t, u in enumerate(candidates[::stride]):
+            rhs, rhs_den = column_targets[t % len(column_targets)]
+            fast = _solve_column_system(cols[second], [((u, den), (rhs, rhs_den))])
+            u_frac = tuple(F(x, den) for x in u)
+            target = [F(r, rhs_den) for r in rhs]
+            slow = _reference_probe(algebra, cols[second].lattice, u_frac, target)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                u0, directions = fast
+                assert tuple(F(x, second_den) for x in u0) == slow[0]
+                assert [tuple(F(x, second_den) for x in d) for d in directions] == slow[1]
+                feasible += 1
+            checked += 1
+    assert checked > 0
+    if example_id == "II":
+        assert 0 < feasible < checked
+
+
+def test_candidate_filter_matches_fraction_bracket():
+    record = load("I")
+    algebra = record.algebra
+    cols = _column_data(algebra, record.spec1, record.spec1, SearchBudget(bound=1))
+    col, other = cols[2], cols[3]
+    candidates = col.all_candidates(8000, [0])[:40]
+    outcomes = set()
+    for uj in other.all_candidates(8000, [0])[:5]:
+        uj_frac = tuple(F(x, other.den) for x in uj)
+        for source in candidates[:3]:
+            rhs = algebra.bracket(tuple(F(x, col.den) for x in source), uj_frac)
+            constraint = ((uj, other.den), clear_denominators(rhs))
+            for u in candidates:
+                expected = algebra.bracket(tuple(F(x, col.den) for x in u), uj_frac) == rhs
+                assert col.satisfies(u, [constraint]) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilspec.exactnum import IntLattice
-from nilspec.exactnum.matrix import identity
+from nilspec.exactnum.matrix import identity, invert_rational
 from nilspec.lattices import LatticeSpec, maps_onto, quotient_covolume
 from nilspec.liealg import Subspace
-from nilspec.registry import load
-from nilspec.vecops import basis_vec, vadd, vscale
+from nilspec.registry import EXAMPLE_IDS, load
+from nilspec.vecops import basis_vec, is_zero_vec, vadd, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
 
@@ -212,3 +214,60 @@ def test_maps_onto_checks_both_directions():
     double = [[2 * x for x in row] for row in identity(n)]
     assert all(spec.contains([2 * x for x in g]) for g in spec.generators)
     assert not maps_onto(double, spec, spec)
+
+
+def reference_malcev_coordinates(spec, g_log):
+    """The Fraction peel: t_i by the inverse change of basis, then cbh(-t_i v_i, w)."""
+    n = spec.algebra.dim
+    to_gen = invert_rational([[spec.generators[j][i] for j in range(n)] for i in range(n)])
+    w = tuple(F(x) for x in g_log)
+    coords = []
+    for i in range(n):
+        t = sum(to_gen[i][k] * w[k] for k in range(n))
+        coords.append(t)
+        if t:
+            w = spec.algebra.cbh(vscale(-t, spec.generators[i]), w)
+    assert is_zero_vec(w)
+    return coords
+
+
+BUNDLED_SPECS = [(root, side) for root in EXAMPLE_IDS for side in ("spec1", "spec2")]
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    records = {root: load(root) for root in EXAMPLE_IDS}
+    return {(root, side): getattr(records[root], side) for root, side in BUNDLED_SPECS}
+
+
+def _agrees_with_reference(spec, g):
+    expected = reference_malcev_coordinates(spec, g)
+    assert spec.malcev_coordinates(g) == expected
+    assert spec.contains(g) == all(t.denominator == 1 for t in expected)
+    return expected
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malcev_peel_matches_fraction_peel_on_rationals(bundled, root, side, data):
+    spec = bundled[(root, side)]
+    rational = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+    g = data.draw(st.lists(rational, min_size=spec.algebra.dim, max_size=spec.algebra.dim))
+    _agrees_with_reference(spec, g)
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malcev_peel_matches_fraction_peel_on_words(bundled, root, side, data):
+    spec = bundled[(root, side)]
+    n = spec.algebra.dim
+    word = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    g = spec.assemble(word)
+    assert _agrees_with_reference(spec, g) == word
+    assert spec.contains(g)
+    # Halving the last exponent leaves the lattice when that exponent is odd.
+    halved = spec.assemble(word[:-1] + [F(word[-1], 2)])
+    assert _agrees_with_reference(spec, halved)[-1] == F(word[-1], 2)
+    assert spec.contains(halved) == (word[-1] % 2 == 0)
