@@ -3,7 +3,9 @@
 Subcommands: validate, certify, multiplicities, distinguish, table1,
 search-iso.  Exit code 0 on success, 1 on a valid-but-negative verdict
 (for example "not representation equivalent"), 2 on input errors, 3 when
-search-iso hits its node ceiling before a verdict.
+search-iso hits its node ceiling before a verdict, and 4 when an internal
+invariant fails (an exact division with a remainder, a failed consistency
+check): that is a bug or corrupt bundled data, never a verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .exactnum import IntLattice
 from .exactnum.matrix import mat_vec
-from .exactnum.quadext import ModulusMismatch
 from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric
 from .isosearch import (
@@ -59,6 +60,19 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
+# What the constructors raise on a malformed or inconsistent user file.
+_BAD_FILE = (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError)
+
+
+def _parse_file(path: str, parse, *args):
+    """parse(data, *args) on the JSON in path; its complaints are input errors."""
+    data = _read_json(path)
+    try:
+        return parse(data, *args)
+    except _BAD_FILE as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _load_record(example_id: str):
     try:
         return load(example_id)
@@ -75,9 +89,11 @@ def _emit(args, payload: dict, text_lines):
 
 
 def cmd_validate(args) -> int:
-    data = _read_json(args.target)
-    algebra = NilLieAlgebra.from_json(data)
-    report = algebra.validate()
+    algebra = _parse_file(args.target, NilLieAlgebra.from_json)
+    try:
+        report = algebra.validate()
+    except _BAD_FILE as exc:
+        raise InputError(f"{args.target}: {exc}") from exc
     payload = {
         "jacobi_ok": report.jacobi_ok,
         "jacobi_violations": report.jacobi_violations,
@@ -101,17 +117,20 @@ def cmd_validate(args) -> int:
 
 def _pair_from_files(args):
     """The pair and optional witness named by --files and --witness."""
-    alg = NilLieAlgebra.from_json(_read_json(args.files[0]))
-    metric = Metric.from_json(_read_json(args.files[1]), alg)
-    spec1 = LatticeSpec.from_json(_read_json(args.files[2]), alg, name="file.1")
-    spec2 = LatticeSpec.from_json(_read_json(args.files[3]), alg, name="file.2")
-    witness = _parse_witness(_read_json(args.witness)) if args.witness else None
+    alg_path, metric_path, path1, path2 = args.files
+    alg = _parse_file(alg_path, NilLieAlgebra.from_json)
+    metric = _parse_file(metric_path, Metric.from_json, alg)
+    spec1 = _parse_file(path1, LatticeSpec.from_json, alg, "file.1")
+    spec2 = _parse_file(path2, LatticeSpec.from_json, alg, "file.2")
+    witness = _parse_file(args.witness, _parse_witness) if args.witness else None
     return Pair("files", alg, metric, spec1, spec2), witness
 
 
 def cmd_certify(args) -> int:
     if args.replay:
         saved = _read_json(args.replay)
+        if not isinstance(saved, dict) or not {"pair", "kind"} <= saved.keys():
+            raise InputError(f"{args.replay} is not a certificate: needs 'pair' and 'kind'")
         if args.files:
             pair, iso_witness = _pair_from_files(args)
             rep_witness = iso_witness
@@ -383,12 +402,10 @@ def run(argv) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ModulusMismatch as exc:
-        print(f"error: modulus mismatch: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, KeyError, ArithmeticError, AssertionError) as exc:
+        # Input is checked where it is read, so anything else is a failed invariant.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

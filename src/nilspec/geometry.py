@@ -34,6 +34,7 @@ class Metric:
         except ValueError:
             raise ValueError("frame columns are dependent") from None
         self.matrix = matrix
+        self._frame_brackets = None
 
     @staticmethod
     def standard(algebra: NilLieAlgebra) -> "Metric":
@@ -60,15 +61,17 @@ class Metric:
         )
 
     def frame_brackets(self):
-        """Structure constants in the frame: [E_i, E_j] = sum_k c[i][j][k] E_k."""
-        n = self.algebra.dim
-        c = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c[i][j] = self.to_frame(
-                    self.algebra.bracket(self.columns[i], self.columns[j])
-                )
-        return c
+        """Structure constants in the frame: [E_i, E_j] = sum_k c[i][j][k] E_k.
+
+        Computed once per metric, as nested tuples.
+        """
+        if self._frame_brackets is None:
+            cols = self.columns
+            self._frame_brackets = tuple(
+                tuple(self.to_frame(self.algebra.bracket(ci, cj)) for cj in cols)
+                for ci in cols
+            )
+        return self._frame_brackets
 
     def quotient(self, ideal: Subspace, quot_algebra: NilLieAlgebra, proj):
         """Induced metric on the quotient by a frame-spanned ideal.

@@ -135,7 +135,7 @@ class _Column:
         return (sum(abs(x * g - t) for x, t in zip(u, self._gen_scaled)), [-x for x in u])
 
     def is_member(self, u):
-        return self.spec2.contains(_as_fractions(u, self.den))
+        return self.spec2.contains_scaled(u, self.den)
 
     def satisfies(self, u, constraints):
         """Whether [u, u_j] = rhs holds for every constraint of _solve_column_system."""

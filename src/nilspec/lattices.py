@@ -69,7 +69,9 @@ class LatticeSpec:
         n = self.algebra.dim
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         scaled = [
-            self._scaled_gen_coords(self.algebra.bracket(self.generators[a], self.generators[b]))
+            self._gen_coords_int(
+                *clear_denominators(self.algebra.bracket(self.generators[a], self.generators[b]))
+            )
             for a, b in pairs
         ]
         nums, den = clear_denominators(
@@ -100,9 +102,8 @@ class LatticeSpec:
                         "generator products leave the lattice: not an adapted basis"
                     )
 
-    def _scaled_gen_coords(self, v):
-        """Generator coordinates of v as (integer numerators, denominator)."""
-        vnum, vden = clear_denominators(v)
+    def _gen_coords_int(self, vnum, vden):
+        """Generator coordinates of vnum / vden as (integer numerators, denominator)."""
         return (
             [sum(m * x for m, x in zip(row, vnum)) for row in self._to_gen],
             self._to_gen_den * vden,
@@ -110,7 +111,7 @@ class LatticeSpec:
 
     def generator_coordinates(self, v):
         """Linear coordinates of a vector in the generator basis."""
-        nums, den = self._scaled_gen_coords(v)
+        nums, den = self._gen_coords_int(*clear_denominators(v))
         return tuple(Fraction(x, den) for x in nums)
 
     # -- group arithmetic in log coordinates ------------------------------------
@@ -130,14 +131,15 @@ class LatticeSpec:
                 out[k] += c * f
         return out
 
-    def _peel(self, g_log):
-        """Yield each Malcev coordinate of g_log as (numerator, denominator).
+    def _peel(self, vnum, vden):
+        """Yield each Malcev coordinate of vnum / vden as (numerator, denominator).
 
+        vnum are integer structure coordinates over the positive integer vden.
         The state is c = num/den in generator coordinates; peeling v_i is
         c <- cbh(-t v_i, c) with t = c_i, written over the common denominator
         12 sd^2 den^3 (sd is the structure-constant denominator).
         """
-        num, den = self._scaled_gen_coords(g_log)
+        num, den = self._gen_coords_int(vnum, vden)
         g = gcd(den, *num)
         num = [x // g for x in num]
         den //= g
@@ -168,10 +170,14 @@ class LatticeSpec:
 
     def malcev_coordinates(self, g_log):
         """The unique exponents with exp(g) = exp(t_1 v_1)...exp(t_n v_n)."""
-        return [Fraction(t, den) for t, den in self._peel(g_log)]
+        return [Fraction(t, den) for t, den in self._peel(*clear_denominators(g_log))]
 
     def contains(self, g_log) -> bool:
-        return all(t % den == 0 for t, den in self._peel(g_log))
+        return self.contains_scaled(*clear_denominators(g_log))
+
+    def contains_scaled(self, vnum, vden) -> bool:
+        """Membership of log vnum / vden, for integers vnum over a positive vden."""
+        return all(t % den == 0 for t, den in self._peel(vnum, vden))
 
     def assemble(self, coords):
         """log of the word exp(t_1 v_1)...exp(t_n v_n)."""

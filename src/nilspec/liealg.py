@@ -112,6 +112,7 @@ class NilLieAlgebra:
                 table[(i, j)] = tuple(cleaned)
         self._table = table
         self._series = None
+        self._center = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -206,12 +207,15 @@ class NilLieAlgebra:
         return series[-1]
 
     def center(self) -> Subspace:
+        if self._center is not None:
+            return self._center
         stacked = []
         for j in range(self.dim):
             adj = self.ad_matrix(basis_vec(self.dim, j))
             stacked.extend(adj)
         _, kernel = solve_rational(stacked, [Fraction(0)] * len(stacked))
-        return Subspace(self.dim, [vec(v) for v in kernel])
+        self._center = Subspace(self.dim, [vec(v) for v in kernel])
+        return self._center
 
     def centralizer(self, sub: Subspace) -> Subspace:
         basis = sub.basis()

@@ -7,6 +7,22 @@ n x n matrix with entries in Q(i)[p], p standing for pi.  Candidate
 eigenvalues live in a quadratic extension ring and are accepted or rejected
 by exact polynomial vanishing, which is equivalent to the analytic statement
 because pi is transcendental.
+
+`det_at` finds det(E - lambda I) = A(p) + B(p) s, with s^2 = q(p), by
+evaluation and interpolation on integers.  Write lambda = a + b s, q = Q / c
+with Q integral, and sigma = c s, so sigma^2 = c Q(p).  One common
+denominator L turns L (E - lambda I) into a matrix over Z[i][p][sigma].  At
+an integer p0 that matrix lies over Z[i][t]/(t^2 - d), with d = c Q(p0).
+Points where q(p0) is zero or a square in Q(i) are skipped: a rational is a
+square in Q(i) exactly when its absolute value is a rational square.  At the
+remaining points the ring is a domain inside the field Q(i)(sqrt d).
+Fraction-free (Bareiss) elimination there divides exactly, and the image of
+the determinant splits uniquely into its 1 and t parts.  Give p weight 1 and
+sigma weight deg(q)/2.  Every entry then has weight at most w, the largest
+of the entry degrees of E, deg a and deg b + deg(q)/2.  Evaluation is a ring
+homomorphism, weights add under products, and sigma^2 -> c Q(p) keeps them.
+So L^n A and L^n B / c are integer polynomials of degree at most
+D = floor(n w), and their values at D + 1 distinct points determine them.
 """
 
 from __future__ import annotations
@@ -14,9 +30,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
-from .exactnum.matrix import bareiss_echelon, mat_vec, rank_and_kernel, solve_rational
+from .exactnum.matrix import mat_vec, rank_and_kernel, solve_rational
 from .exactnum.poly import POLY_ONE
 from .exactnum.quadext import QuadExtElem
 from .exactnum.scalars import GaussRat, rat_to_str
@@ -29,6 +46,7 @@ from .repspec import (
     orbit_pairing_report,
     pesce_occurrence_and_multiplicity,
 )
+from .vecops import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -138,10 +156,176 @@ def assemble_E(algebra: NilLieAlgebra, metric: Metric, wave: CharacterWave) -> C
 
 
 def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
-    """Exact det(E - lambda I) plus the eigenvalue verdict."""
-    shifted = matrix.shifted(lam)
-    det = bareiss_echelon(shifted)[2]
+    """Exact det(E - lambda I) plus the eigenvalue verdict.
+
+    Evaluation at integer points and exact interpolation; see the module
+    docstring for why the points used determine the determinant.
+    """
+    n = matrix.dim
+    q = lam.q
+    # q = Q / c with Q integral; sigma = c s has sigma^2 = c Q(p).
+    qnum, c = clear_denominators(x.re for x in q.coeffs)
+    sigma_sq = [(c * x, 0) for x in qnum]
+    b_over_c = [GaussRat(x.re / c, x.im / c) for x in lam.b.coeffs]
+    # L (E - lambda I) = L E - L a I - (L b / c) sigma I has Z[i] coefficients.
+    polys = [e.coeffs for row in matrix.entries for e in row]
+    rationals = [x for cs in polys + [lam.a.coeffs, b_over_c] for x in cs]
+    scale = lcm(
+        *(x.re.denominator for x in rationals), *(x.im.denominator for x in rationals)
+    )
+    entries = [_gauss_int_coeffs(e, scale) for e in polys]
+    a_int = _gauss_int_coeffs(lam.a.coeffs, scale)
+    b_int = _gauss_int_coeffs(b_over_c, scale)
+    # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
+    two_w = max(
+        2 * max(len(cs) - 1 for cs in polys),
+        2 * lam.a.degree(),
+        2 * lam.b.degree() + q.degree(),
+        0,
+    )
+    top = n * two_w // 2
+    points, values = [], []
+    for p0 in _evaluation_points():
+        d, _ = _eval_gauss(sigma_sq, p0)
+        # d = c^2 q(p0) is zero or a square in Q(i) exactly when q(p0) is.
+        if d == 0 or isqrt(abs(d)) ** 2 == abs(d):
+            continue
+        ar, ai = _eval_gauss(a_int, p0)
+        br, bi = _eval_gauss(b_int, p0)
+        rows = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                er, ei = _eval_gauss(entries[j * n + k], p0)
+                row.append((er - ar, ei - ai, -br, -bi) if j == k else (er, ei, 0, 0))
+            rows.append(row)
+        points.append(p0)
+        values.append(_bareiss_det_quadratic(rows, d))
+        if len(points) == top + 1:
+            break
+    # det(L (E - lambda I)) = L^n (A + B s) = L^n A + (L^n B / c) sigma.
+    parts = [_interpolate(points, [v[k] for v in values]) for k in range(4)]
+    det_scale = scale**n
+    a_coeffs = [
+        GaussRat(Fraction(re, det_scale), Fraction(im, det_scale))
+        for re, im in zip(parts[0], parts[1])
+    ]
+    b_coeffs = [
+        GaussRat(Fraction(c * re, det_scale), Fraction(c * im, det_scale))
+        for re, im in zip(parts[2], parts[3])
+    ]
+    det = lam.with_parts(UniPoly(a_coeffs), UniPoly(b_coeffs))
     return det, det.is_zero()
+
+
+def _gauss_int_coeffs(coeffs, scale):
+    """scale * x as an (re, im) integer pair, for each x whose denominators divide scale."""
+    return [
+        (x.re.numerator * (scale // x.re.denominator), x.im.numerator * (scale // x.im.denominator))
+        for x in coeffs
+    ]
+
+
+def _eval_gauss(coeffs, x):
+    """Value at the integer x of a polynomial with (re, im) integer coefficients."""
+    re = im = 0
+    for cr, ci in reversed(coeffs):
+        re = re * x + cr
+        im = im * x + ci
+    return re, im
+
+
+def _evaluation_points():
+    """0, 1, -1, 2, -2, ...: the smallest integers first, so values stay small."""
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
+
+
+def _qmul(x, y, d):
+    """Product in Z[i][t]/(t^2 - d); (ar, ai, br, bi) is (ar + ai i) + (br + bi i) t."""
+    ar, ai, br, bi = x
+    cr, ci, er, ei = y
+    return (
+        ar * cr - ai * ci + d * (br * er - bi * ei),
+        ar * ci + ai * cr + d * (br * ei + bi * er),
+        ar * er - ai * ei + br * cr - bi * ci,
+        ar * ei + ai * er + br * ci + bi * cr,
+    )
+
+
+def _bareiss_det_quadratic(rows, d):
+    """Determinant over Z[i][t]/(t^2 - d), d not a square in Q(i).
+
+    The ring is then a domain inside the field Q(i)(sqrt d), so fraction-free
+    elimination applies: dividing by the previous pivot x means multiplying by
+    its conjugate (t -> -t) times the Gaussian conjugate of its norm
+    N(x) = x conj_t(x), then dividing by |N(x)|^2.  Every such division is
+    exact by Sylvester's identity; a remainder is an arithmetic error.
+    """
+    n = len(rows)
+    negate = False
+    inv, norm = None, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if any(rows[i][k])), None)
+        if pr is None:
+            return (0, 0, 0, 0)
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            negate = not negate
+        piv = rows[k]
+        pk = piv[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            head = row[k]
+            for j in range(k + 1, n):
+                x = _qmul(pk, row[j], d)
+                y = _qmul(head, piv[j], d)
+                x = (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
+                if inv is not None:
+                    x = _qmul(x, inv, d)
+                    quot = []
+                    for v in x:
+                        qv, r = divmod(v, norm)
+                        if r:
+                            raise ArithmeticError("inexact division in det_at")
+                        quot.append(qv)
+                    x = tuple(quot)
+                row[j] = x
+        cr, ci, er, ei = pk
+        # N(pk) = (cr + ci i)^2 - d (er + ei i)^2 is nonzero because d is not a square.
+        nr = cr * cr - ci * ci - d * (er * er - ei * ei)
+        ni = 2 * (cr * ci - d * er * ei)
+        inv = _qmul((cr, ci, -er, -ei), (nr, -ni, 0, 0), d)
+        norm = nr * nr + ni * ni
+    det = rows[n - 1][n - 1]
+    return tuple(-v for v in det) if negate else det
+
+
+def _interpolate(xs, ys):
+    """Coefficients, lowest first, of the integer polynomial of degree < len(xs)
+    through the points (xs[k], ys[k]).
+
+    Newton divided differences of an integer polynomial at integer nodes are
+    integers, so a remainder means no such polynomial exists.
+    """
+    m = len(xs)
+    dd = list(ys)
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            qv, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise ArithmeticError("determinant values are not an integer polynomial")
+            dd[i] = qv
+    coeffs = [0] * m
+    for i in range(m - 1, -1, -1):
+        for j in range(m - 1, 0, -1):
+            coeffs[j] = coeffs[j - 1] - xs[i] * coeffs[j]
+        coeffs[0] = dd[i] - xs[i] * coeffs[0]
+    return coeffs
 
 
 def leading_pi_coefficient(matrix: CharacterMatrix, lam: QuadExtElem) -> Fraction:

@@ -11,9 +11,11 @@ claim so a verdict can be replayed check by check.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import IntLattice, perfect_square_root, pfaffian
 from .exactnum.matrix import bareiss_det, identity, mat_mul, mat_vec, solve_rational
@@ -152,16 +154,67 @@ def pesce_occurrence_and_multiplicity(
     )
 
 
+def _complement_brackets(algebra: NilLieAlgebra):
+    """Center pivot coordinates, and [e_u, e_v] over the other coordinates."""
+    center = algebra.center()
+    pivots = tuple(next(i for i, x in enumerate(r) if x) for r in center.rows)
+    compl = [basis_vec(algebra.dim, m) for m in range(algebra.dim) if m not in pivots]
+    return pivots, tuple(tuple(algebra.bracket(u, v) for v in compl) for u in compl)
+
+
+def _pairing(tau, brackets):
+    """The matrix tau([x_a, x_b]) from a table of brackets [x_a, x_b]."""
+    return [[vdot(tau, br) for br in row] for row in brackets]
+
+
+def _nondegenerate(tau, brackets) -> bool:
+    """Whether tau([.,.]) is nondegenerate on the vectors the table brackets."""
+    return bool(brackets) and bareiss_det(_pairing(tau, brackets)) != 0
+
+
 def is_square_integrable(algebra: NilLieAlgebra, tau) -> bool:
     """Nondegeneracy of tau([.,.]) on g modulo its center."""
-    tau = vec(tau)
+    _, brackets = _complement_brackets(algebra)
+    return _nondegenerate(vec(tau), brackets)
+
+
+class _CentralData(NamedTuple):
+    """What moore_wolf_multiplicity needs of a lattice, whatever tau is."""
+
+    pivots: tuple  # coordinates carrying the center
+    complement_brackets: tuple  # for the square-integrability determinant
+    central_basis: tuple  # Z-basis of log(Gamma cap Z(G))
+    lift_brackets: tuple  # [u_a, u_b] for lifts u of a Z-basis of the quotient
+
+
+# Keyed weakly by LatticeSpec, so the data lives exactly as long as its spec.
+# A value depends only on its spec, which is never changed after construction,
+# so sharing the table between callers cannot let one affect another.
+_CENTRAL_DATA = weakref.WeakKeyDictionary()
+
+
+def _central_data(spec: LatticeSpec) -> _CentralData:
+    data = _CENTRAL_DATA.get(spec)
+    if data is not None:
+        return data
+    algebra = spec.algebra
+    pivots, complement = _complement_brackets(algebra)
     center = algebra.center()
-    pivots = [next(i for i, x in enumerate(r) if x) for r in center.rows]
-    compl = [basis_vec(algebra.dim, m) for m in range(algebra.dim) if m not in pivots]
-    if not compl:
-        return False
-    b = [[vdot(tau, algebra.bracket(u, v)) for v in compl] for u in compl]
-    return bareiss_det(b) != 0
+    central = spec.center_intersection()
+    qspec, qlat = spec.quotient(ideal=center)
+    # Sections of the projection differ by central vectors, which brackets
+    # kill, so any lift computes tau([.,.]) on the quotient.
+    _, proj = algebra.quotient(center)
+    section, _ = solve_rational(proj, identity(qspec.algebra.dim))
+    lifts = [vec(mat_vec(section, v)) for v in qlat.basis_vectors()]
+    data = _CentralData(
+        pivots=pivots,
+        complement_brackets=complement,
+        central_basis=tuple(vec(g) for g in central.lattice.basis_vectors()),
+        lift_brackets=tuple(tuple(algebra.bracket(u, v) for v in lifts) for u in lifts),
+    )
+    _CENTRAL_DATA[spec] = data
+    return data
 
 
 def moore_wolf_multiplicity(spec: LatticeSpec, tau) -> MultiplicityRecord:
@@ -170,28 +223,17 @@ def moore_wolf_multiplicity(spec: LatticeSpec, tau) -> MultiplicityRecord:
     tau must be supported on the center (zero on the complementary standard
     coordinates) and square integrable.  The unit-covolume normalization is
     realized by evaluating the Pfaffian of tau([.,.]) in a Z-basis of the
-    quotient-by-center log lattice.
+    quotient-by-center log lattice.  Everything that does not depend on tau
+    is computed once per spec.
     """
-    algebra = spec.algebra
     tau = vec(tau)
-    center = algebra.center()
-    pivots = [next(i for i, x in enumerate(r) if x) for r in center.rows]
-    if any(tau[m] != 0 for m in range(algebra.dim) if m not in pivots):
+    data = _central_data(spec)
+    if any(tau[m] != 0 for m in range(spec.algebra.dim) if m not in data.pivots):
         raise ValueError("functional is not supported on the center")
-    if not is_square_integrable(algebra, tau):
+    if not _nondegenerate(tau, data.complement_brackets):
         raise ValueError("functional is not square integrable")
-    central = spec.center_intersection()
-    occurs = all(
-        vdot(tau, vec(g)).denominator == 1 for g in central.lattice.basis_vectors()
-    )
-    qspec, qlat = spec.quotient(ideal=center)
-    # Sections of the projection differ by central vectors, which brackets
-    # kill, so any lift computes tau([.,.]) on the quotient.
-    _, proj = algebra.quotient(center)
-    section, _ = solve_rational(proj, identity(qspec.algebra.dim))
-    lifts = [mat_vec(section, v) for v in qlat.basis_vectors()]
-    b = [[vdot(tau, algebra.bracket(vec(u), vec(v))) for v in lifts] for u in lifts]
-    pf = pfaffian(b)
+    occurs = all(vdot(tau, g).denominator == 1 for g in data.central_basis)
+    pf = pfaffian(_pairing(tau, data.lift_brackets))
     return MultiplicityRecord(
         tau=tuple(tau),
         occurs=occurs,

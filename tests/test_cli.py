@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilspec import cli
+from nilspec import cli, oneform
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.registry import load
@@ -98,6 +98,37 @@ def test_certify_replay_of_files_certificate(tmp_path, capsys):
         code, _, err = invoke(capsys, "certify", "--replay", str(cert_path))
         assert code == 2
         assert "--files" in err
+
+
+def test_bad_user_file_is_input_error(tmp_path, capsys):
+    files = _write_files(tmp_path, "II")
+    lattice = tmp_path / "l1.json"
+    data = json.loads(lattice.read_text())
+    data["generators"] = data["generators"][:-1]
+    lattice.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert code == 2
+    assert out == ""
+    assert "l1.json" in err and "need one generator per dimension" in err
+
+
+def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": "isospectral"}))
+    code, _, err = invoke(capsys, "certify", "--replay", str(path))
+    assert code == 2
+    assert "not a certificate" in err
+
+
+def test_internal_failure_exits_4(monkeypatch, capsys):
+    def inexact(matrix, lam):
+        raise ArithmeticError("inexact division in det_at")
+
+    monkeypatch.setattr(oneform, "det_at", inexact)
+    code, out, err = invoke(capsys, "--json", "distinguish", "III")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: ArithmeticError: inexact division in det_at\n"
 
 
 def test_certify_replay_roundtrip(tmp_path, capsys):

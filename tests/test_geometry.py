@@ -204,3 +204,11 @@ def test_inner_product_and_frames():
     for j, col in enumerate(m.columns):
         for k, col2 in enumerate(m.columns):
             assert m.inner(col, col2) == (1 if j == k else 0)
+
+
+def test_frame_brackets_are_computed_once():
+    metric = metric_v(build_dim7())
+    c = metric.frame_brackets()
+    assert isinstance(c, tuple)
+    assert all(isinstance(row, tuple) and all(isinstance(v, tuple) for v in row) for row in c)
+    assert metric.frame_brackets() is c

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -271,3 +272,22 @@ def test_malcev_peel_matches_fraction_peel_on_words(bundled, root, side, data):
     halved = spec.assemble(word[:-1] + [F(word[-1], 2)])
     assert _agrees_with_reference(spec, halved)[-1] == F(word[-1], 2)
     assert spec.contains(halved) == (word[-1] % 2 == 0)
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_contains_scaled_matches_contains(bundled, root, side, data):
+    spec = bundled[(root, side)]
+    n = spec.algebra.dim
+    den = data.draw(st.integers(1, 12))
+    num = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    assert spec.contains_scaled(num, den) == spec.contains(tuple(F(x, den) for x in num))
+    # A lattice member written over a denominator larger than its own.
+    g = spec.assemble(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    common = lcm(*(x.denominator for x in g)) * den
+    scaled = [int(x * common) for x in g]
+    assert spec.contains_scaled(scaled, common)
+    assert spec.contains_scaled([x + 1 for x in scaled], common) == spec.contains(
+        tuple(F(x + 1, common) for x in scaled)
+    )

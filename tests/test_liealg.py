@@ -274,3 +274,9 @@ def test_algebra_json_roundtrip(dim7):
     back = NilLieAlgebra.from_json(data)
     assert back.to_json() == data
     assert back.bracket(e(7, 0), e(7, 2)) == e(7, 4)
+
+
+def test_center_is_computed_once(dim7):
+    center = dim7.center()
+    assert isinstance(center.rows, tuple)
+    assert dim7.center() is center

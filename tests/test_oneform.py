@@ -2,14 +2,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilspec.exactnum import UniPoly
+from nilspec.exactnum import IntLattice, UniPoly
+from nilspec.exactnum.matrix import bareiss_echelon
+from nilspec.exactnum.quadext import QuadExtElem
 from nilspec.exactnum.scalars import GaussRat
 from nilspec.geometry import Metric
 from nilspec.lattices import LatticeSpec
 from nilspec.oneform import (
+    CharacterMatrix,
     CharacterWave,
     assemble_E,
     det_at,
@@ -21,6 +27,7 @@ from nilspec.oneform import (
     s2_values_up_to,
     sqrt_candidate,
 )
+from nilspec.registry import load
 from nilspec.vecops import basis_vec, vzero
 
 from conftest import build_dim5, build_dim7, lattice_gens
@@ -414,3 +421,87 @@ def test_numeric_spectrum():
     spec_b = numeric_spectrum(assemble_E(wave_b.algebra, wave_b.metric, wave_b), math.pi, 1e-9)
     target = math.pi**2 + 1
     assert any(abs(x - target) < 1e-9 for x in spec_b)
+
+
+# -- det_at against Bareiss over Q(i)[p][s] -----------------------------------------
+
+
+def _reference_det_at(matrix, lam):
+    """det(E - lambda I) by fraction-free elimination over Q(i)[p][s]/(s^2 - q)."""
+    return bareiss_echelon(CharacterMatrix.shifted(matrix, lam))[2]
+
+
+# Moduli that make det_at skip points: q(0) = 0 for p; q(0) = 1, a square, for
+# 1 + 17/4 p^2; q(0) = -4 = (2i)^2 and q(2) = q(-2) = 0 for p^2 - 4.
+MODULI = [[0, 1], [1, 0, F(17, 4)], [-4, 0, 1]]
+
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def gauss_poly(draw, real=False, max_degree=2):
+    degree = draw(st.integers(-1, max_degree))
+    coeffs = []
+    for _ in range(degree + 1):
+        re = draw(small_rational)
+        im = F(0) if real else draw(small_rational)
+        coeffs.append(GaussRat(re, im))
+    return UniPoly(coeffs)
+
+
+@st.composite
+def hermitian_matrix(draw):
+    n = draw(st.integers(3, 7))
+    entries = [[None] * n for _ in range(n)]
+    for j in range(n):
+        entries[j][j] = draw(gauss_poly(real=True))
+        for k in range(j + 1, n):
+            # Mostly sparse, like the assembled matrices.
+            e = draw(gauss_poly()) if draw(st.integers(0, 2)) == 0 else UniPoly()
+            entries[j][k], entries[k][j] = e, e.conj()
+    return entries
+
+
+@st.composite
+def candidate(draw):
+    q = UniPoly(draw(st.sampled_from(MODULI)))
+    kind = draw(st.sampled_from(["plain", "sqrt", "mixed"]))
+    if kind == "plain":
+        return QuadExtElem(draw(gauss_poly(real=True)), UniPoly(), q)
+    if kind == "sqrt":
+        return QuadExtElem(q, UniPoly([1]), q)
+    b = draw(gauss_poly(real=True, max_degree=1))
+    return QuadExtElem(draw(gauss_poly(real=True)), b, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=hermitian_matrix(), lam=candidate(), singular=st.booleans())
+def test_det_at_matches_bareiss_over_polynomials(entries, lam, singular):
+    n = len(entries)
+    if singular and lam.b.is_zero():
+        # Split off lambda as a 1 x 1 block, so that it is an eigenvalue.
+        for k in range(1, n):
+            entries[0][k] = entries[k][0] = UniPoly()
+        entries[0][0] = lam.a
+    matrix = SimpleNamespace(dim=n, entries=entries)
+    det, is_zero = det_at(matrix, lam)
+    expected = _reference_det_at(matrix, lam)
+    assert det == expected
+    assert is_zero == expected.is_zero()
+    if singular and lam.b.is_zero():
+        assert is_zero
+
+
+@pytest.mark.parametrize("root", ["III", "IV", "V"])
+def test_det_at_matches_bareiss_on_shells(root):
+    record = load(root)
+    algebra, metric, lam = record.algebra, record.metric, record.eigen_candidate
+    zeros = 0
+    for spec in (record.spec1, record.spec2):
+        lattice = IntLattice(algebra.dim, spec.generators)
+        for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
+            e = assemble_E(algebra, metric, CharacterWave(algebra, metric, tau))
+            det, is_zero = det_at(e, lam)
+            assert det == _reference_det_at(e, lam)
+            zeros += is_zero
+    assert zeros > 0

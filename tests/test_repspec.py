@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from nilspec import registry
 from nilspec.liealg import NilLieAlgebra
+from nilspec.oneform import central_dual_generator
 from nilspec.registry import load
 from nilspec.repspec import (
     Witness,
@@ -288,3 +290,21 @@ def test_certificates_are_replayable():
     neg1 = certify_rep_equivalent(pair, None)
     neg2 = certify_rep_equivalent(record.pair(), None)
     assert neg1.to_json() == neg2.to_json()
+
+
+def test_moore_wolf_cache_matches_fresh_load(monkeypatch):
+    records = [load(ex) for ex in ("III", "IV", "V")]
+    calls = []
+    for _ in range(2):
+        for c in (1, -1, 2, -3):
+            for record in records:
+                tau = tuple(F(c) * t for t in central_dual_generator(record.spec1))
+                for side in ("spec1", "spec2"):
+                    spec = getattr(record, side)
+                    calls.append((record.id, side, spec, tau, moore_wolf_multiplicity(spec, tau)))
+    for example_id, side, spec, tau, got in calls:
+        # An empty registry cache gives new specs with nothing computed yet.
+        monkeypatch.setattr(registry, "_CACHE", {})
+        fresh = getattr(load(example_id), side)
+        assert fresh is not spec
+        assert moore_wolf_multiplicity(fresh, tau) == got
