@@ -126,6 +126,11 @@ def _pair_from_files(args):
     return Pair("files", alg, metric, spec1, spec2), witness
 
 
+def _require_samples(flag: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_certify(args) -> int:
     if args.replay:
         saved = _read_json(args.replay)
@@ -242,6 +247,7 @@ def cmd_multiplicities(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
+    _require_samples("--samples-small", args.samples_small)
     record = _load_record(args.target)
     report = distinguish_pair(record, n_samples=args.samples_small, seed=args.seed)
     lines = []
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    parser.add_argument("--samples", type=int, default=200, help="sample count for sampled checks")
+    parser.add_argument("--samples", type=int, default=200, help="sample count for certify's sampled checks, at least 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate an algebra definition file")
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguish", help="one-form spectrum comparison")
     p.add_argument("target")
     p.add_argument("--pi", type=float, default=None, help="run the numeric oracle at this value")
-    p.add_argument("--samples-small", type=int, default=12, help="sector sampling size")
+    p.add_argument("--samples-small", type=int, default=12, help="sector sampling size, at least 1")
 
     p = sub.add_parser("table1", help="recompute the comparison table")
     p.add_argument("ids", nargs="*", help="example ids (default: all)")
@@ -398,6 +404,7 @@ def run(argv) -> int:
         "search-iso": cmd_search_iso,
     }
     try:
+        _require_samples("--samples", args.samples)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -275,37 +275,23 @@ class IntLattice:
     def intersect_kernel(self, mat):
         """Sublattice {v in L : mat.v = 0} plus a complement basis.
 
-        Returns (kernel_gens, complement_gens) as vectors in Q^n; the
-        complement generators map to a Z-basis of L / (L cap ker mat).
+        mat is an integer matrix acting on Q^n.  Returns (kernel, complement)
+        as integer rows over ``self.den`` (the vector is row / den); the
+        complement rows map to a Z-basis of L / (L cap ker mat).  Scaling
+        mat by a positive integer leaves both unchanged.
         """
-        basis = self.basis_vectors()
-        if not basis:
+        if not self.rows:
             return [], []
-        # mat acts on lattice coordinates: rows of (mat . basis^T).
-        den = 1
-        prod = []
-        for mrow in mat:
-            row = [
-                sum(Fraction(mrow[k]) * basis[j][k] for k in range(self.ambient))
-                for j in range(len(basis))
-            ]
-            prod.append(row)
-            for x in row:
-                den = lcm(den, x.denominator)
-        scaled = [[int(x * den) for x in row] for row in prod]
-        ncoord = len(basis)
-        kernel_coords, compl_coords = _kernel_split(scaled, ncoord)
+        prod = [[sum(a * b for a, b in zip(mrow, row)) for row in self.rows] for mrow in mat]
+        kernel, compl = _kernel_split(prod, self.rank)
 
-        def assemble(coords):
+        def combine(coords):
             return [
-                [
-                    sum(Fraction(c[j]) * basis[j][k] for j in range(ncoord))
-                    for k in range(self.ambient)
-                ]
-                for c in coords
+                [sum(c * row[k] for c, row in zip(cs, self.rows)) for k in range(self.ambient)]
+                for cs in coords
             ]
 
-        return assemble(kernel_coords), assemble(compl_coords)
+        return combine(kernel), combine(compl)
 
     def __repr__(self):
         return f"IntLattice(dim={self.ambient}, rank={self.rank}, den={self.den})"

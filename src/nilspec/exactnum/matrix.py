@@ -1,8 +1,10 @@
-"""Exact dense matrix routines over Q, Q(i), Q(i)[p] and quadratic extensions.
+"""Exact dense matrix routines over Z, Q, Q(i), Q(i)[p] and quadratic extensions.
 
 Matrices are lists of row lists.  Elements only need ring arithmetic through
 operators plus an exact-division hook; fraction-free (Bareiss) elimination
-keeps every intermediate value inside the ring.
+keeps every intermediate value inside the ring.  On plain Python ints it
+stays on ints: the hook is floor division that raises ``ArithmeticError``
+on a remainder, and the starting pivot is the int 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from .scalars import GaussRat
 
 
 def _exact_div(x, y):
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if r:
+            raise ArithmeticError(f"inexact integer division {x} / {y}")
+        return q
     if isinstance(x, (UniPoly, QuadExtElem)):
         return x.exact_div(y)
     return x / y
@@ -27,6 +34,8 @@ def _is_zero(x) -> bool:
 
 
 def _one_like(x):
+    if type(x) is int:
+        return 1
     if isinstance(x, GaussRat):
         return GaussRat(1)
     if isinstance(x, UniPoly):

@@ -71,18 +71,9 @@ def _full_subspace(algebra):
 
 
 def _ambient_brackets(algebra: NilLieAlgebra):
-    """Integer structure constants: ([(k, m, a, c)], den), [e_k, e_m]_a = c/den."""
-    n = algebra.dim
-    pairs = [(k, m) for k in range(n) for m in range(n) if k != m]
-    values = [algebra.basis_bracket(k, m) for k, m in pairs]
-    nums, den = clear_denominators(x for v in values for x in v)
-    terms = [
-        (k, m, a, nums[p * n + a])
-        for p, (k, m) in enumerate(pairs)
-        for a in range(n)
-        if nums[p * n + a]
-    ]
-    return terms, den
+    """The structure tensor in both orders: ([(k, m, a, c)], den), [e_k, e_m]_a = c/den."""
+    entries, den = algebra.structure_tensor()
+    return [t for i, j, a, c in entries for t in ((i, j, a, c), (j, i, a, -c))], den
 
 
 def _bracket_int(terms, x, y):

@@ -24,7 +24,7 @@ from math import gcd
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
-from .vecops import clear_denominators, is_zero_vec, vneg, vscale, vzero
+from .vecops import clear_denominators, clear_rows, is_zero_vec, vneg, vscale, vzero
 
 
 class LatticeSpec:
@@ -47,8 +47,7 @@ class LatticeSpec:
             to_gen = invert_rational(cols)
         except ValueError:
             raise ValueError("generators are linearly dependent") from None
-        nums, self._to_gen_den = clear_denominators(x for row in to_gen for x in row)
-        self._to_gen = [nums[i * n : (i + 1) * n] for i in range(n)]
+        self._to_gen, self._to_gen_den = clear_rows(to_gen)
         self._check_tails()
         self._compile_structure_constants()
         self._validate_adapted()

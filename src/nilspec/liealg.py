@@ -5,6 +5,17 @@ truncated group law in logarithmic coordinates, and the exact sampling
 checks used by the certification layer.  Vectors are tuples of Fractions in
 the structure basis; linear maps are row-major matrices sending coordinate
 columns to coordinate columns.
+
+The structure constants are also compiled, on first use, into an integer
+tensor over one common denominator (``NilLieAlgebra.structure_tensor``).
+For a vector or functional with cleared denominators, ``ad(x)`` and the
+form ``tau([e_i, e_j])`` are then one integer contraction each, scaled by a
+positive integer.  The rank conditions behind the sampled checks (strict
+nonsingularity ``z in ad(X)g``, almost-innerness ``phi(X) - X in [g, X]``,
+coadjoint orbits) and the center and centralizers are decided on those
+integer matrices by fraction-free elimination (``bareiss_echelon`` on ints):
+a vector lies in the column span of ``A`` exactly when appending it adds no
+pivot, and a positive rescaling of ``A`` or of the vector changes neither.
 """
 
 from __future__ import annotations
@@ -12,10 +23,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import rat_from_str, rat_to_str
-from .exactnum.matrix import invert_rational, mat_vec, rref, solve_rational
-from .vecops import basis_vec, is_zero_vec, vadd, vec, vscale, vsub, vzero
+from .exactnum.matrix import (
+    bareiss_echelon,
+    invert_rational,
+    mat_vec,
+    rank_and_kernel,
+    rref,
+    solve_rational,
+)
+from .vecops import (
+    basis_vec,
+    clear_denominators,
+    clear_rows,
+    is_zero_vec,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+    vzero,
+)
 
 DEFAULT_SEED = 1729
 SAMPLE_NUMERATOR_BOUND = 10
@@ -113,6 +142,7 @@ class NilLieAlgebra:
         self._table = table
         self._series = None
         self._center = None
+        self._tensor = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,6 +192,58 @@ class NilLieAlgebra:
         cols = [self.bracket(x, basis_vec(self.dim, j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
+    # -- integer structure tensor ------------------------------------------------
+
+    def structure_tensor(self):
+        """(entries, den): the structure constants as integers over one denominator.
+
+        den > 0, and entries lists (i, j, k, c) with i < j for the nonzero
+        entries C[i][j][k] = c of the tensor antisymmetric in i, j with
+        [e_i, e_j] = sum_k C[i][j][k] e_k / den.  Compiled on first use.
+        """
+        if self._tensor is None:
+            den = lcm(1, *(c.denominator for terms in self._table.values() for _, c in terms))
+            entries = tuple(
+                (i, j, k, int(c * den))
+                for (i, j), terms in sorted(self._table.items())
+                for k, c in terms
+            )
+            self._tensor = (entries, den)
+        return self._tensor
+
+    def ad_scaled(self, x):
+        """den * ad(x) as an integer matrix, for an integer vector x.
+
+        Column j is den * [x, e_j]; den is ``structure_tensor()``'s.
+        """
+        n = self.dim
+        out = [[0] * n for _ in range(n)]
+        for i, j, k, c in self.structure_tensor()[0]:
+            # [x, e_j] collects x_i C[i][j], [x, e_i] collects x_j C[j][i].
+            row = out[k]
+            row[j] += x[i] * c
+            row[i] -= x[j] * c
+        return out
+
+    def form_scaled(self, t):
+        """den * tau([e_i, e_j]) as an integer matrix, for integer tau = t."""
+        n = self.dim
+        out = [[0] * n for _ in range(n)]
+        for i, j, k, c in self.structure_tensor()[0]:
+            v = t[k] * c
+            out[i][j] += v
+            out[j][i] -= v
+        return out
+
+    def _common_kernel(self, vectors) -> Subspace:
+        """{v : [v, b] = 0 for every b in vectors}, by integer elimination."""
+        stacked = []
+        for b in vectors:
+            # [v, b] = -ad(b) v, and a positive scale keeps the kernel.
+            stacked.extend(self.ad_scaled(clear_denominators(b)[0]))
+        _, kernel = rank_and_kernel(stacked)
+        return Subspace(self.dim, kernel)
+
     def lower_central_series(self):
         """Subspaces [g^(1), g^(2), ...] down to zero."""
         if self._series is not None:
@@ -207,27 +289,17 @@ class NilLieAlgebra:
         return series[-1]
 
     def center(self) -> Subspace:
-        if self._center is not None:
-            return self._center
-        stacked = []
-        for j in range(self.dim):
-            adj = self.ad_matrix(basis_vec(self.dim, j))
-            stacked.extend(adj)
-        _, kernel = solve_rational(stacked, [Fraction(0)] * len(stacked))
-        self._center = Subspace(self.dim, [vec(v) for v in kernel])
+        if self._center is None:
+            self._center = self._common_kernel(
+                [basis_vec(self.dim, j) for j in range(self.dim)]
+            )
         return self._center
 
     def centralizer(self, sub: Subspace) -> Subspace:
         basis = sub.basis()
         if not basis:
             return Subspace(self.dim, [basis_vec(self.dim, i) for i in range(self.dim)])
-        stacked = []
-        for b in basis:
-            adb = self.ad_matrix(tuple(b))
-            # [v, b] = -ad(b) v
-            stacked.extend(adb)
-        _, kernel = solve_rational(stacked, [Fraction(0)] * len(stacked))
-        return Subspace(self.dim, [vec(v) for v in kernel])
+        return self._common_kernel(basis)
 
     def is_ideal(self, sub: Subspace) -> bool:
         return all(
@@ -364,29 +436,44 @@ def _structured_vectors(dim: int):
     return out
 
 
+def _first_outside_span(a, cols):
+    """Index of the first of cols outside the column span of a, or None.
+
+    One integer elimination of [a | cols]: with pivots taken left to right,
+    the first pivot past a's columns sits at the first column that lies
+    outside the span of a (the columns before it lie inside).
+    """
+    n = len(a[0])
+    aug = [row + [c[k] for c in cols] for k, row in enumerate(a)]
+    _, pivots, _ = bareiss_echelon(aug)
+    return next((c - n for c in pivots if c >= n), None)
+
+
 def is_strictly_nonsingular_sampled(
     algebra: NilLieAlgebra, n_samples: int = 1000, seed: int = DEFAULT_SEED
 ) -> SampledVerdict:
     """Check z(g) in ad(X)(g) for every sampled noncentral X, exactly.
 
-    Exact arithmetic means a reported counterexample is a genuine one; a
-    passing verdict certifies only the sampled set.
+    Each point is one integer rank test, rank[ad(X) | z] == rank ad(X), on
+    the scaled matrix of ``ad_scaled``; X is central exactly when that
+    matrix vanishes.  Exact arithmetic means a reported counterexample is a
+    genuine one; a passing verdict certifies only the sampled set.
     """
-    center = algebra.center()
-    zbasis = center.basis()
+    zbasis = algebra.center().basis()
+    zcols = [clear_denominators(z)[0] for z in zbasis]
     rng = random.Random(seed)
     pts = _structured_vectors(algebra.dim)
     pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
     checked = 0
     for x in pts:
-        if center.contains(x):
+        adx = algebra.ad_scaled(clear_denominators(x)[0])
+        if not any(map(any, adx)):
             continue
-        adx = algebra.ad_matrix(x)
-        for z in zbasis:
-            if solve_rational(adx, list(z)) is None:
-                return SampledVerdict(
-                    ok=False, checked=checked, counterexample=(x, tuple(z)), seed=seed
-                )
+        miss = _first_outside_span(adx, zcols)
+        if miss is not None:
+            return SampledVerdict(
+                ok=False, checked=checked, counterexample=(x, tuple(zbasis[miss])), seed=seed
+            )
         checked += 1
     return SampledVerdict(ok=True, checked=checked, seed=seed)
 
@@ -414,39 +501,42 @@ def is_almost_inner_2step(
     """Per-element conjugacy check for automorphisms of 2-step algebras.
 
     In a 2-step algebra Ad(exp A) X = X + [A, X], so phi is almost inner
-    exactly when phi(X) - X lies in [g, X] for every X; each sample is
-    decided by an exact linear solve and comes with its own witness A.
+    exactly when phi(X) - X lies in [g, X] = ad(X)g for every X; each
+    sample is decided by an integer rank test.  The witness is a single
+    conjugator for every X when one exists, otherwise an A with
+    [A, X] = phi(X) - X for the last sample X with phi(X) != X.
     """
     if algebra.step > 2:
         raise ValueError("almost-inner criterion implemented only for step <= 2")
     if not algebra.is_automorphism(m):
         raise ValueError("map is not an automorphism")
+    n = algebra.dim
+    # phi - 1 as integers over one denominator.
+    shift, _ = clear_rows([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
     rng = random.Random(seed)
-    pts = _structured_vectors(algebra.dim)
-    pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
+    pts = _structured_vectors(n)
+    pts += [sample_vector(rng, n) for _ in range(n_samples)]
     checked = 0
-    last_witness = None
+    last = None
     for x in pts:
-        target = vsub(vec(mat_vec(m, x)), x)
-        if is_zero_vec(target):
-            checked += 1
-            continue
-        adx = algebra.ad_matrix(x)
-        neg = [[-v for v in row] for row in adx]
-        sol = solve_rational(neg, list(target))
-        if sol is None:
-            return SampledVerdict(
-                ok=False, checked=checked, counterexample=(x,), seed=seed
-            )
-        last_witness = (x, tuple(sol[0]))
+        xs = clear_denominators(x)[0]
+        target = [sum(a * b for a, b in zip(row, xs)) for row in shift]
+        if any(target):
+            if _first_outside_span(algebra.ad_scaled(xs), [target]) is not None:
+                return SampledVerdict(
+                    ok=False, checked=checked, counterexample=(x,), seed=seed
+                )
+            last = x
         checked += 1
     verdict = SampledVerdict(ok=True, checked=checked, seed=seed)
     global_witness = find_inner_witness(algebra, m)
     if global_witness is not None:
         verdict.witness = global_witness
         verdict.notes.append("inner: single conjugator works for every sample")
-    elif last_witness is not None:
-        verdict.witness = last_witness[1]
+    elif last is not None:
+        # [A, x] = -ad(x) A.
+        neg = [[-v for v in row] for row in algebra.ad_matrix(last)]
+        verdict.witness = tuple(solve_rational(neg, list(vsub(vec(mat_vec(m, last)), last)))[0])
     return verdict
 
 
@@ -458,50 +548,8 @@ def coadjoint_orbit_equal_2step(algebra: NilLieAlgebra, tau1, tau2) -> bool:
     """
     if algebra.step > 2:
         raise ValueError("orbit test implemented only for step <= 2")
-    n = algebra.dim
-    cols = []
-    for a in range(n):
-        ada = algebra.ad_matrix(basis_vec(n, a))
-        # (tau o ad(e_a))(e_j) = tau([e_a, e_j]).
-        col = [
-            sum(Fraction(tau1[k]) * ada[k][j] for k in range(n)) for j in range(n)
-        ]
-        cols.append(col)
-    matrix = [[cols[a][j] for a in range(n)] for j in range(n)]
-    diff = vsub(vec(tau2), vec(tau1))
-    return solve_rational(matrix, list(diff)) is not None
-
-
-def singular_locus_sampled(
-    algebra: NilLieAlgebra, n_samples: int = 300, seed: int = DEFAULT_SEED
-):
-    """Span of sampled directions where ad drops below its generic rank.
-
-    Returns (subspace, generic_rank, verified) where verified means every
-    structured and sampled point of the span also has degenerate ad.  The
-    computation is a sampled description of a rank stratum, so it is used
-    for reporting and cross-checks, never as a soundness-bearing constraint.
-    """
-    rng = random.Random(seed)
-    pts = _structured_vectors(algebra.dim)
-    pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
-
-    def ad_rank(x):
-        _, pivots = rref(algebra.ad_matrix(x))
-        return len(pivots)
-
-    generic = max(ad_rank(x) for x in pts)
-    degenerate = [x for x in pts if ad_rank(x) < generic]
-    span = Subspace(algebra.dim, degenerate)
-    verified = True
-    combos = [vadd(a, b) for a in span.basis() for b in span.basis()]
-    for _ in range(50):
-        acc = vzero(algebra.dim)
-        for bv in span.basis():
-            acc = vadd(acc, vscale(sample_fraction(rng), bv))
-        combos.append(acc)
-    for x in combos:
-        if ad_rank(tuple(x)) >= generic and not is_zero_vec(x):
-            verified = False
-            break
-    return span, generic, verified
+    # Column a is tau1 o ad(e_a): (tau1 o ad(e_a))(e_j) = tau1([e_a, e_j]).
+    form = algebra.form_scaled(clear_denominators(tau1)[0])
+    matrix = [list(col) for col in zip(*form)]
+    diff = clear_denominators(vsub(vec(tau2), vec(tau1)))[0]
+    return _first_outside_span(matrix, [diff]) is None

@@ -562,7 +562,7 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
                 checked += 1
             sector_checks[label] = {
                 "mode": "pesce_equal",
-                "ok": ok,
+                "ok": ok and checked >= 1,
                 "checked": checked,
                 "note": "verified_on_sample",
             }

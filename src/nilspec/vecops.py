@@ -48,3 +48,11 @@ def clear_denominators(xs) -> tuple:
     vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     den = lcm(*(x.denominator for x in vals))
     return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def clear_rows(rows) -> tuple:
+    """(integer rows, den): a rational matrix over its least common denominator."""
+    rows = [list(r) for r in rows]
+    nums, den = clear_denominators(x for r in rows for x in r)
+    it = iter(nums)
+    return [[next(it) for _ in r] for r in rows], den

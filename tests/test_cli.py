@@ -209,6 +209,22 @@ def test_search_iso_rejects_bound_below_one(bound, capsys):
     assert "--bound must be at least 1" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--samples", "{}", "certify", "II"], "--samples"),
+        (["--samples", "{}", "distinguish", "III"], "--samples"),
+        (["distinguish", "III", "--samples-small", "{}"], "--samples-small"),
+    ],
+)
+def test_sample_counts_below_one_are_rejected(argv, flag, count, capsys):
+    code, out, err = invoke(capsys, "--json", *[a.format(count) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be at least 1, got {count}" in err
+
+
 def test_search_iso_truncated_is_its_own_outcome(monkeypatch, capsys):
     def truncated(*args, **kwargs):
         raise SearchSpaceExceeded("node ceiling exceeded")

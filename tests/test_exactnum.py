@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilspec.exactnum import (
     GaussRat,
@@ -18,10 +23,12 @@ from nilspec.exactnum import (
     pfaffian,
     quadext_zero_test,
     rank_and_kernel,
+    rref,
     smith_diagonal,
     snf,
     solve_integer,
 )
+from nilspec.exactnum.matrix import _exact_div, bareiss_echelon
 
 Q17 = UniPoly([Fraction(1), 0, Fraction(17, 4)])  # (17/4)p^2 + 1
 
@@ -265,3 +272,75 @@ def test_enumerate_on_shell_diag():
 def test_smith_diagonal_example():
     assert smith_diagonal([[2, 0], [0, 4]]) == [2, 4]
     assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
+
+
+# -- the integer elimination core ----------------------------------------------
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Random int matrices up to 7x8, often of deficient rank (a product)."""
+    nr = draw(st.integers(1, 7))
+    nc = nr if square else draw(st.integers(1, 8))
+    entry = st.integers(-9, 9)
+    k = draw(st.integers(1, max(nr, nc)))
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    a = [[draw(entry) for _ in range(k)] for _ in range(nr)]
+    b = [[draw(entry) for _ in range(nc)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=int_matrices(square=True))
+def test_bareiss_det_on_ints_matches_cofactor(m):
+    det = bareiss_det(m)
+    assert type(det) is int
+    assert det == cofactor_det(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=int_matrices())
+def test_bareiss_rank_on_ints_matches_rref(m):
+    rows, pivots, _ = bareiss_echelon(m)
+    assert all(type(x) is int for row in rows for x in row)
+    assert len(pivots) == len(rref(m)[1])
+
+
+@given(q=st.integers(-10**6, 10**6), d=st.integers(2, 10**4), r=st.integers(1, 10**4))
+def test_inexact_integer_division_raises(q, d, r):
+    r %= d
+    if r == 0:
+        r = 1
+    for y in (d, -d):
+        assert _exact_div(q * y, y) == q
+        with pytest.raises(ArithmeticError):
+            _exact_div(q * y + r, y)
+
+
+# snf's entries grow without bound on this rank-4 matrix (past two million
+# bits after fourteen pivot sweeps), so it does not return.  Random lattices
+# with fractional structure constants reach such inputs through
+# IntLattice.intersect_kernel.  A strict xfail, so that a fix shows up here.
+SNF_BLOWUP = [
+    [-38400, -115200, -414720, -115200, 0, 0],
+    [460800, 0, -493920, 328800, 0, 0],
+    [403200, 172800, 218880, 364800, 0, 0],
+    [351200, -328800, -1459200, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0],
+]
+
+
+@pytest.mark.xfail(strict=True, reason="snf coefficient blow-up, see CHANGES.md")
+def test_snf_terminates_on_rank_deficient_matrix():
+    code = (
+        "from nilspec.exactnum import snf\n"
+        f"s, u, v = snf({SNF_BLOWUP!r})\n"
+        "assert sum(1 for i in range(6) if s[i][i]) == 4\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=3)
+    except subprocess.TimeoutExpired:
+        pytest.fail("snf did not return within 3 s")

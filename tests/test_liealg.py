@@ -5,16 +5,18 @@ import pytest
 
 from nilspec.liealg import (
     NilLieAlgebra,
+    DEFAULT_SEED,
     Subspace,
+    _structured_vectors,
     coadjoint_orbit_equal_2step,
     find_inner_witness,
     is_almost_inner_2step,
     is_strictly_nonsingular_sampled,
+    sample_fraction,
     sample_vector,
-    singular_locus_sampled,
 )
-from nilspec.exactnum.matrix import identity, mat_vec
-from nilspec.vecops import basis_vec, vadd, vneg, vscale, vsub, vzero
+from nilspec.exactnum.matrix import identity, mat_vec, rref
+from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale, vsub, vzero
 
 F = Fraction
 
@@ -258,6 +260,38 @@ def test_automorphisms_preserve_series(dim7):
         assert image == sub
     cimage = Subspace(7, [tuple(mat_vec(m, b)) for b in dim7.center().basis()])
     assert cimage == dim7.center()
+
+
+def singular_locus_sampled(algebra, n_samples=300, seed=DEFAULT_SEED):
+    """Span of sampled directions where ad drops below its generic rank.
+
+    Returns (subspace, generic_rank, verified) where verified means every
+    structured and sampled point of the span also has degenerate ad: a
+    sampled description of a rank stratum, used only as a cross-check here.
+    """
+    rng = random.Random(seed)
+    pts = _structured_vectors(algebra.dim)
+    pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
+
+    def ad_rank(x):
+        _, pivots = rref(algebra.ad_matrix(x))
+        return len(pivots)
+
+    generic = max(ad_rank(x) for x in pts)
+    degenerate = [x for x in pts if ad_rank(x) < generic]
+    span = Subspace(algebra.dim, degenerate)
+    verified = True
+    combos = [vadd(a, b) for a in span.basis() for b in span.basis()]
+    for _ in range(50):
+        acc = vzero(algebra.dim)
+        for bv in span.basis():
+            acc = vadd(acc, vscale(sample_fraction(rng), bv))
+        combos.append(acc)
+    for x in combos:
+        if ad_rank(tuple(x)) >= generic and not is_zero_vec(x):
+            verified = False
+            break
+    return span, generic, verified
 
 
 def test_singular_locus(dim7, dim5):

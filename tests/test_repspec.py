@@ -5,7 +5,7 @@ import pytest
 
 from nilspec import registry
 from nilspec.liealg import NilLieAlgebra
-from nilspec.oneform import central_dual_generator
+from nilspec.oneform import central_dual_generator, distinguish_pair
 from nilspec.registry import load
 from nilspec.repspec import (
     Witness,
@@ -271,6 +271,21 @@ def test_orbit_pairing_example_iii():
     )
     assert report["ok"]
     assert report["checked"] >= 25
+
+
+def test_orbit_pairing_without_samples_is_not_ok():
+    record = load("III")
+    report = orbit_pairing_report(
+        record.pair(), record.sector_flag, "II", record.pairing_map, n_samples=0
+    )
+    assert report["checked"] == 0 and not report["ok"]
+
+
+def test_distinguish_without_samples_claims_nothing():
+    report = distinguish_pair(load("III"), n_samples=0)
+    sampled = [s for s in report["sector_checks"].values() if s["mode"] != "moore_wolf"]
+    assert sampled and not any(s["ok"] for s in sampled)
+    assert report["verdict"] == "inconclusive"
 
 
 def test_orbit_pairing_rejects_non_isometry():
