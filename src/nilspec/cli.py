@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import cmath
 import sys
 from fractions import Fraction
 
@@ -271,9 +271,8 @@ def cmd_distinguish(args) -> int:
 def _numeric_cross_check(record, report, pi_value: float) -> dict:
     """Float eigenvalue check of the exact verdicts (oracle only)."""
     lam = record.eigen_candidate
-    lam_val = lam.a.eval_complex(complex(pi_value)).real
-    if not lam.b.is_zero():
-        lam_val += math.sqrt(lam.q.eval_complex(complex(pi_value)).real)
+    p = complex(pi_value)
+    lam_val = lam.a.eval_complex(p) + lam.b.eval_complex(p) * cmath.sqrt(lam.q.eval_complex(p))
     checks = []
     for side in ("lattice1", "lattice2"):
         for row in report["per_tau"][side]:

@@ -1,19 +1,15 @@
-"""Exact dense matrix routines over Z, Q, Q(i), Q(i)[p] and quadratic extensions.
+"""Exact dense matrix routines over Z and Q.
 
-Matrices are lists of row lists.  Elements only need ring arithmetic through
-operators plus an exact-division hook; fraction-free (Bareiss) elimination
-keeps every intermediate value inside the ring.  On plain Python ints it
-stays on ints: the hook is floor division that raises ``ArithmeticError``
-on a remainder, and the starting pivot is the int 1.
+Matrices are lists of row lists.  Fraction-free (Bareiss) elimination keeps
+every intermediate value inside the ring.  On plain Python ints it stays on
+ints: exact division is floor division that raises ``ArithmeticError`` on a
+remainder, and the starting pivot is the int 1.  ``cofactor_det`` and
+``pfaffian`` need no division, so they serve any commutative ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .poly import UniPoly
-from .quadext import QuadExtElem
-from .scalars import GaussRat
 
 
 def _exact_div(x, y):
@@ -22,27 +18,11 @@ def _exact_div(x, y):
         if r:
             raise ArithmeticError(f"inexact integer division {x} / {y}")
         return q
-    if isinstance(x, (UniPoly, QuadExtElem)):
-        return x.exact_div(y)
     return x / y
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, (GaussRat, UniPoly, QuadExtElem)):
-        return x.is_zero()
-    return x == 0
-
-
 def _one_like(x):
-    if type(x) is int:
-        return 1
-    if isinstance(x, GaussRat):
-        return GaussRat(1)
-    if isinstance(x, UniPoly):
-        return UniPoly.const(1)
-    if isinstance(x, QuadExtElem):
-        return x.with_parts(UniPoly.const(1), UniPoly())
-    return Fraction(1)
+    return 1 if type(x) is int else Fraction(1)
 
 
 def dims(m):
@@ -78,12 +58,12 @@ def bareiss_echelon(m):
 
     Returns (rows, pivot_cols, det) where det is the exact determinant for
     square input (None otherwise).  All divisions are exact by the Sylvester
-    identity, over any integral domain.
+    identity, over Z (staying on ints) and Q.
     """
     rows = [list(r) for r in m]
     nr, nc = dims(rows)
     if nr == 0 or nc == 0:
-        return rows, [], _one_like(Fraction(1)) if nr == nc else None
+        return rows, [], Fraction(1) if nr == nc else None
     prev = _one_like(rows[0][0])
     pivot_cols = []
     sign_flip = False
@@ -91,7 +71,7 @@ def bareiss_echelon(m):
     for c in range(nc):
         if r >= nr:
             break
-        pr = next((i for i in range(r, nr) if not _is_zero(rows[i][c])), None)
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
         if pr is None:
             continue
         if pr != r:
@@ -136,7 +116,7 @@ def cofactor_det(m):
         return m[0][0]
     acc = None
     for j in range(nc):
-        if _is_zero(m[0][j]):
+        if m[0][j] == 0:
             continue
         sub = [[row[k] for k in range(nc) if k != j] for row in m[1:]]
         term = m[0][j] * cofactor_det(sub)
@@ -171,7 +151,7 @@ def rank_and_kernel(m):
             pc = pivot_cols[r]
             rhs = zero
             for c in range(pc + 1, nc):
-                if not _is_zero(rows[r][c]) and not _is_zero(sol[c]):
+                if rows[r][c] != 0 and sol[c] != 0:
                     rhs = rhs + rows[r][c] * sol[c]
             piv = rows[r][pc]
             # sol[pc]/denom = -rhs / (piv * denom): rescale everything by piv.
@@ -194,10 +174,10 @@ def pfaffian(m):
     if nr != nc:
         raise ValueError("pfaffian of a non-square matrix")
     for i in range(nr):
-        if not _is_zero(m[i][i]):
+        if m[i][i] != 0:
             raise ValueError("pfaffian requires zero diagonal")
         for j in range(i + 1, nr):
-            if not _is_zero(m[i][j] + m[j][i]):
+            if m[i][j] + m[j][i] != 0:
                 raise ValueError("pfaffian requires a skew-symmetric matrix")
     if nr % 2:
         raise ValueError("pfaffian of an odd-dimensional matrix")
@@ -212,7 +192,7 @@ def _pf_rec(m):
         return m[0][1]
     acc = None
     for j in range(1, n):
-        if _is_zero(m[0][j]):
+        if m[0][j] == 0:
             continue
         keep = [k for k in range(1, n) if k != j]
         sub = [[m[r][c] for c in keep] for r in keep]

@@ -124,12 +124,6 @@ class UniPoly:
                 rem[k + j] = rem[k + j] - f * c
         return UniPoly(quot), UniPoly(rem)
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd via the Euclidean algorithm."""
         a, b = self, UniPoly.coerce(other)

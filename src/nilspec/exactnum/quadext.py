@@ -70,26 +70,6 @@ class QuadExtElem:
 
     __rmul__ = __mul__
 
-    def conj_s(self) -> "QuadExtElem":
-        """Conjugate over the base ring: s -> -s."""
-        return self.with_parts(self.a, -self.b)
-
-    def norm(self) -> UniPoly:
-        """Norm a^2 - b^2 q down to Q(i)[p]."""
-        return self.a * self.a - self.b * self.b * self.q
-
-    def exact_div(self, other) -> "QuadExtElem":
-        other = self._same(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in quadratic extension")
-        if other.b.is_zero():
-            return self.with_parts(
-                self.a.exact_div(other.a), self.b.exact_div(other.a)
-            )
-        num = self * other.conj_s()
-        den = other.norm()
-        return self.with_parts(num.a.exact_div(den), num.b.exact_div(den))
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 

@@ -17,12 +17,19 @@ Points where q(p0) is zero or a square in Q(i) are skipped: a rational is a
 square in Q(i) exactly when its absolute value is a rational square.  At the
 remaining points the ring is a domain inside the field Q(i)(sqrt d).
 Fraction-free (Bareiss) elimination there divides exactly, and the image of
-the determinant splits uniquely into its 1 and t parts.  Give p weight 1 and
-sigma weight deg(q)/2.  Every entry then has weight at most w, the largest
-of the entry degrees of E, deg a and deg b + deg(q)/2.  Evaluation is a ring
+a minor splits uniquely into its 1 and t parts.  Give p weight 1 and sigma
+weight deg(q)/2.  Every entry then has weight at most w, the largest of the
+entry degrees of E, deg a and deg b + deg(q)/2.  Evaluation is a ring
 homomorphism, weights add under products, and sigma^2 -> c Q(p) keeps them.
-So L^n A and L^n B / c are integer polynomials of degree at most
-D = floor(n w), and their values at D + 1 distinct points determine them.
+So an r-minor A + B s of E - lambda I has L^r A and L^r B / c integer
+polynomials of degree at most D = floor(r w), and their values at D + 1
+distinct points determine them; r = n gives the determinant.
+
+`nullity_at` uses the same points for the rank over the fraction field.  A
+nonzero r-minor has weight at most r w <= n w, so its two parts cannot both
+vanish at all of the first floor(n w) + 1 good points: at one of them the
+evaluated matrix keeps rank r.  The rank is the largest rank seen there,
+and the kernel follows by Cramer's rule from interpolated minors.
 """
 
 from __future__ import annotations
@@ -30,10 +37,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 from math import isqrt, lcm
 
 from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
-from .exactnum.matrix import mat_vec, rank_and_kernel, solve_rational
+from .exactnum.matrix import mat_vec, solve_rational
 from .exactnum.poly import POLY_ONE
 from .exactnum.quadext import QuadExtElem
 from .exactnum.scalars import GaussRat, rat_to_str
@@ -110,20 +118,6 @@ class CharacterMatrix:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def shifted(self, lam: QuadExtElem):
-        """E - lambda I with entries promoted to lambda's extension ring."""
-        n = self.dim
-        out = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                cell = QuadExtElem(self.entries[j][k], UniPoly(), lam.q, _validated=True)
-                if j == k:
-                    cell = cell - lam
-                row.append(cell)
-            out.append(row)
-        return out
-
 
 def assemble_E(algebra: NilLieAlgebra, metric: Metric, wave: CharacterWave) -> CharacterMatrix:
     """Matrix of the Laplacian on F tensor (one-forms), in the dual frame.
@@ -158,64 +152,79 @@ def assemble_E(algebra: NilLieAlgebra, metric: Metric, wave: CharacterWave) -> C
 def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
     """Exact det(E - lambda I) plus the eigenvalue verdict.
 
-    Evaluation at integer points and exact interpolation; see the module
-    docstring for why the points used determine the determinant.
+    The full-size minor, by evaluation and interpolation (module docstring).
     """
-    n = matrix.dim
-    q = lam.q
-    # q = Q / c with Q integral; sigma = c s has sigma^2 = c Q(p).
-    qnum, c = clear_denominators(x.re for x in q.coeffs)
-    sigma_sq = [(c * x, 0) for x in qnum]
-    b_over_c = [GaussRat(x.re / c, x.im / c) for x in lam.b.coeffs]
-    # L (E - lambda I) = L E - L a I - (L b / c) sigma I has Z[i] coefficients.
-    polys = [e.coeffs for row in matrix.entries for e in row]
-    rationals = [x for cs in polys + [lam.a.coeffs, b_over_c] for x in cs]
-    scale = lcm(
-        *(x.re.denominator for x in rationals), *(x.im.denominator for x in rationals)
-    )
-    entries = [_gauss_int_coeffs(e, scale) for e in polys]
-    a_int = _gauss_int_coeffs(lam.a.coeffs, scale)
-    b_int = _gauss_int_coeffs(b_over_c, scale)
-    # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
-    two_w = max(
-        2 * max(len(cs) - 1 for cs in polys),
-        2 * lam.a.degree(),
-        2 * lam.b.degree() + q.degree(),
-        0,
-    )
-    top = n * two_w // 2
-    points, values = [], []
-    for p0 in _evaluation_points():
-        d, _ = _eval_gauss(sigma_sq, p0)
-        # d = c^2 q(p0) is zero or a square in Q(i) exactly when q(p0) is.
-        if d == 0 or isqrt(abs(d)) ** 2 == abs(d):
-            continue
-        ar, ai = _eval_gauss(a_int, p0)
-        br, bi = _eval_gauss(b_int, p0)
-        rows = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                er, ei = _eval_gauss(entries[j * n + k], p0)
-                row.append((er - ar, ei - ai, -br, -bi) if j == k else (er, ei, 0, 0))
-            rows.append(row)
-        points.append(p0)
-        values.append(_bareiss_det_quadratic(rows, d))
-        if len(points) == top + 1:
-            break
-    # det(L (E - lambda I)) = L^n (A + B s) = L^n A + (L^n B / c) sigma.
-    parts = [_interpolate(points, [v[k] for v in values]) for k in range(4)]
-    det_scale = scale**n
-    a_coeffs = [
-        GaussRat(Fraction(re, det_scale), Fraction(im, det_scale))
-        for re, im in zip(parts[0], parts[1])
-    ]
-    b_coeffs = [
-        GaussRat(Fraction(c * re, det_scale), Fraction(c * im, det_scale))
-        for re, im in zip(parts[2], parts[3])
-    ]
-    det = lam.with_parts(UniPoly(a_coeffs), UniPoly(b_coeffs))
+    full = list(range(matrix.dim))
+    (det,) = _ShiftedAtPoints(matrix, lam).minors([(full, full)])
     return det, det.is_zero()
+
+
+class _ShiftedAtPoints:
+    """L (E - lambda I) at good integer points: the setup det_at and nullity_at share."""
+
+    def __init__(self, matrix: CharacterMatrix, lam: QuadExtElem):
+        self.lam = lam
+        # q = Q / c with Q integral; sigma = c s has sigma^2 = c Q(p).
+        qnum, self.c = clear_denominators(x.re for x in lam.q.coeffs)
+        self.sigma_sq = [(self.c * x, 0) for x in qnum]
+        b_over_c = [GaussRat(x.re / self.c, x.im / self.c) for x in lam.b.coeffs]
+        # L (E - lambda I) = L E - L a I - (L b / c) sigma I has Z[i] coefficients.
+        polys = [e.coeffs for row in matrix.entries for e in row]
+        rationals = [x for cs in polys + [lam.a.coeffs, b_over_c] for x in cs]
+        self.scale = lcm(
+            *(x.re.denominator for x in rationals), *(x.im.denominator for x in rationals)
+        )
+        self.entries = [
+            [_gauss_int_coeffs(e.coeffs, self.scale) for e in row] for row in matrix.entries
+        ]
+        self.a_int = _gauss_int_coeffs(lam.a.coeffs, self.scale)
+        self.b_int = _gauss_int_coeffs(b_over_c, self.scale)
+        # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
+        self.two_w = max(
+            2 * max(len(cs) - 1 for cs in polys),
+            2 * lam.a.degree(),
+            2 * lam.b.degree() + lam.q.degree(),
+            0,
+        )
+
+    def points(self, r: int):
+        """(p0, d, rows) at the first floor(r w) + 1 good points, which determine every
+        r-minor: d = sigma^2 at p0 and rows = L (E - lambda I) there, as (ar, ai, br, bi)."""
+        for p0, d in islice(_good_points(self.sigma_sq), r * self.two_w // 2 + 1):
+            ar, ai = _eval_gauss(self.a_int, p0)
+            br, bi = _eval_gauss(self.b_int, p0)
+            rows = [
+                [(er - ar, ei - ai, -br, -bi) if j == k else (er, ei, 0, 0)
+                 for k, (er, ei) in enumerate(_eval_gauss(e, p0) for e in row)]
+                for j, row in enumerate(self.entries)
+            ]
+            yield p0, d, rows
+
+    def minors(self, minors):
+        """Exact minors det((E - lambda I)[rows][:, cols]) for (rows, cols) pairs of one size."""
+        r = len(minors[0][0])
+        xs, values = [], []
+        for p0, d, m in self.points(r):
+            xs.append(p0)
+            values.append(
+                [_echelon_quadratic([[m[i][j] for j in cols] for i in rows], d)[2]
+                 for rows, cols in minors]
+            )
+        # A minor of L (E - lambda I) is L^r (A + B s) = L^r A + (L^r B / c) sigma.
+        den = self.scale**r
+        out = []
+        for k in range(len(minors)):
+            re_a, im_a, re_b, im_b = (
+                _interpolate(xs, [v[k][part] for v in values]) for part in range(4)
+            )
+            a, b = _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
+            out.append(self.lam.with_parts(a, b))
+        return out
+
+
+def _gauss_poly(re, im, num, den):
+    """The polynomial with coefficients num (re[k] + im[k] i) / den."""
+    return UniPoly(GaussRat(Fraction(num * x, den), Fraction(num * y, den)) for x, y in zip(re, im))
 
 
 def _gauss_int_coeffs(coeffs, scale):
@@ -235,14 +244,15 @@ def _eval_gauss(coeffs, x):
     return re, im
 
 
-def _evaluation_points():
-    """0, 1, -1, 2, -2, ...: the smallest integers first, so values stay small."""
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
+def _good_points(sigma_sq):
+    """(p0, d = sigma^2 at p0) for p0 = 0, 1, -1, 2, -2, ..., so that values stay small.
+
+    Skips the p0 where d = c^2 q(p0) is zero or a square in Q(i), which is when q(p0) is.
+    """
+    for p0 in chain([0], chain.from_iterable(zip(count(1), count(-1, -1)))):
+        d, _ = _eval_gauss(sigma_sq, p0)
+        if d != 0 and isqrt(abs(d)) ** 2 != abs(d):
+            yield p0, d
 
 
 def _qmul(x, y, d):
@@ -257,28 +267,34 @@ def _qmul(x, y, d):
     )
 
 
-def _bareiss_det_quadratic(rows, d):
-    """Determinant over Z[i][t]/(t^2 - d), d not a square in Q(i).
+def _echelon_quadratic(rows, d):
+    """Fraction-free echelon of a square matrix over Z[i][t]/(t^2 - d), d not a square in Q(i).
 
-    The ring is then a domain inside the field Q(i)(sqrt d), so fraction-free
-    elimination applies: dividing by the previous pivot x means multiplying by
-    its conjugate (t -> -t) times the Gaussian conjugate of its norm
-    N(x) = x conj_t(x), then dividing by |N(x)|^2.  Every such division is
-    exact by Sylvester's identity; a remainder is an arithmetic error.
+    Returns (pivot_rows, pivot_cols, det): the minor on the original rows
+    pivot_rows and columns pivot_cols is nonzero of size the rank, and det is
+    zero below full rank.  The ring is a domain inside Q(i)(sqrt d): dividing
+    by the previous pivot x means multiplying by its conjugate (t -> -t)
+    times the Gaussian conjugate of its norm N(x) = x conj_t(x), then
+    dividing by |N(x)|^2.  Every such division is exact by Sylvester's
+    identity; a remainder is an arithmetic error.  Overwrites ``rows``.
     """
     n = len(rows)
+    order = list(range(n))
+    pivot_cols = []
     negate = False
-    inv, norm = None, 1
+    inv, norm, pk = None, 1, (1, 0, 0, 0)
     for k in range(n):
-        pr = next((i for i in range(k, n) if any(rows[i][k])), None)
+        r = len(pivot_cols)
+        pr = next((i for i in range(r, n) if any(rows[i][k])), None)
         if pr is None:
-            return (0, 0, 0, 0)
-        if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            order[r], order[pr] = order[pr], order[r]
             negate = not negate
-        piv = rows[k]
+        piv = rows[r]
         pk = piv[k]
-        for i in range(k + 1, n):
+        for i in range(r + 1, n):
             row = rows[i]
             head = row[k]
             for j in range(k + 1, n):
@@ -289,20 +305,23 @@ def _bareiss_det_quadratic(rows, d):
                     x = _qmul(x, inv, d)
                     quot = []
                     for v in x:
-                        qv, r = divmod(v, norm)
-                        if r:
-                            raise ArithmeticError("inexact division in det_at")
+                        qv, rem = divmod(v, norm)
+                        if rem:
+                            raise ArithmeticError("inexact division in fraction-free echelon")
                         quot.append(qv)
                     x = tuple(quot)
                 row[j] = x
+        pivot_cols.append(k)
         cr, ci, er, ei = pk
         # N(pk) = (cr + ci i)^2 - d (er + ei i)^2 is nonzero because d is not a square.
         nr = cr * cr - ci * ci - d * (er * er - ei * ei)
         ni = 2 * (cr * ci - d * er * ei)
         inv = _qmul((cr, ci, -er, -ei), (nr, -ni, 0, 0), d)
         norm = nr * nr + ni * ni
-    det = rows[n - 1][n - 1]
-    return tuple(-v for v in det) if negate else det
+    # At full rank the last pivot is the determinant, up to the row swaps' sign.
+    rank = len(pivot_cols)
+    det = tuple(-v if negate else v for v in pk) if rank == n else (0, 0, 0, 0)
+    return order[:rank], pivot_cols, det
 
 
 def _interpolate(xs, ys):
@@ -318,7 +337,7 @@ def _interpolate(xs, ys):
         for i in range(m - 1, k - 1, -1):
             qv, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
             if r:
-                raise ArithmeticError("determinant values are not an integer polynomial")
+                raise ArithmeticError("minor values are not an integer polynomial")
             dd[i] = qv
     coeffs = [0] * m
     for i in range(m - 1, -1, -1):
@@ -342,10 +361,36 @@ def leading_pi_coefficient(matrix: CharacterMatrix, lam: QuadExtElem) -> Fractio
 
 
 def nullity_at(matrix: CharacterMatrix, lam: QuadExtElem):
-    """Exact nullity of E - lambda I with a kernel basis over the extension."""
-    shifted = matrix.shifted(lam)
-    rank, kernel = rank_and_kernel(shifted)
-    return matrix.dim - rank, kernel
+    """Exact nullity of E - lambda I with a kernel basis over the extension.
+
+    The rank is the largest at the first floor(n w) + 1 good points (module
+    docstring).  Each column f outside the nonzero maximal minor M found
+    there gives one kernel vector by Cramer's rule: det M at f, minus det M
+    with its k-th column replaced by column f at M's k-th column, zero
+    elsewhere.  Each entry is one interpolated minor.
+    """
+    shifted = _ShiftedAtPoints(matrix, lam)
+    n = matrix.dim
+    rows, cols = [], []
+    for _, d, m in shifted.points(n):
+        rows, cols = max((rows, cols), _echelon_quadratic(m, d)[:2], key=lambda rc: len(rc[1]))
+        if len(cols) == n:
+            return 0, []
+    free = [f for f in range(n) if f not in cols]
+    rank = len(cols)
+    minors = [(rows, cols)] + [
+        (rows, cols[:k] + [f] + cols[k + 1 :]) for f in free for k in range(rank)
+    ]
+    values = shifted.minors(minors)
+    zero = lam.with_parts(UniPoly(), UniPoly())
+    kernel = []
+    for i, f in enumerate(free):
+        vec = [zero] * n
+        vec[f] = values[0]
+        for k, c in enumerate(cols):
+            vec[c] = -values[1 + i * rank + k]
+        kernel.append(vec)
+    return n - rank, kernel
 
 
 def numeric_spectrum(matrix: CharacterMatrix, pi_value: float, tolerance: float):

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from nilspec import cli, oneform
+from nilspec.exactnum import QuadExtElem
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.registry import load
@@ -170,6 +174,18 @@ def test_distinguish_numeric_oracle(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["numeric_check"]["ok"] is True
+
+
+def test_numeric_oracle_reads_the_candidate_coefficient():
+    # V's candidate q + s with s^2 = q, written as q + 2 s' with s'^2 = q / 4.
+    record = load("V")
+    lam = record.eigen_candidate
+    rewritten = dataclasses.replace(
+        record, eigen_candidate=QuadExtElem(lam.a, lam.b * 2, lam.q * Fraction(1, 4))
+    )
+    report = oneform.distinguish_pair(rewritten)
+    assert report["per_tau"] == oneform.distinguish_pair(record)["per_tau"]
+    assert cli._numeric_cross_check(rewritten, report, math.pi)["ok"] is True
 
 
 def test_multiplicities_sector_table(capsys):

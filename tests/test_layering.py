@@ -77,3 +77,12 @@ def test_numpy_only_inside_the_float_oracle():
         for names, scope in imports:
             if _refers_to(names, "numpy"):
                 assert (module, scope) == ("nilspec.oneform", "numeric_spectrum")
+
+
+def test_matrix_core_imports_no_polynomial_rings():
+    # The one-form layer eliminates over Z[i][t]/(t^2 - d) itself, so the
+    # generic matrix routines serve Z and Q only.
+    imports = {module: imports for _, module, imports in _modules()}["nilspec.exactnum.matrix"]
+    for names, _ in imports:
+        for ring in ("nilspec.exactnum.poly", "nilspec.exactnum.quadext"):
+            assert not _refers_to(names, ring), names

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilspec.exactnum import IntLattice, UniPoly
-from nilspec.exactnum.matrix import bareiss_echelon
+from nilspec.exactnum.matrix import cofactor_det
 from nilspec.exactnum.quadext import QuadExtElem
 from nilspec.exactnum.scalars import GaussRat
 from nilspec.geometry import Metric
 from nilspec.lattices import LatticeSpec
 from nilspec.oneform import (
-    CharacterMatrix,
     CharacterWave,
     assemble_E,
     det_at,
@@ -423,12 +422,53 @@ def test_numeric_spectrum():
     assert any(abs(x - target) < 1e-9 for x in spec_b)
 
 
-# -- det_at against Bareiss over Q(i)[p][s] -----------------------------------------
+# -- det_at and nullity_at against division-free references over Q(i)[p][s] ---------
+
+
+def _shifted(matrix, lam):
+    """E - lambda I over Q(i)[p][s]/(s^2 - q)."""
+    zero = lam.with_parts(UniPoly(), UniPoly())
+    return [
+        [lam.with_parts(e, UniPoly()) - (lam if j == k else zero) for k, e in enumerate(row)]
+        for j, row in enumerate(matrix.entries)
+    ]
 
 
 def _reference_det_at(matrix, lam):
-    """det(E - lambda I) by fraction-free elimination over Q(i)[p][s]/(s^2 - q)."""
-    return bareiss_echelon(CharacterMatrix.shifted(matrix, lam))[2]
+    """det(E - lambda I) by cofactor expansion over Q(i)[p][s]/(s^2 - q)."""
+    return cofactor_det(_shifted(matrix, lam))
+
+
+def _reference_rank(m):
+    """The largest r with a nonzero r-minor, by cofactor expansion."""
+    n = len(m)
+    for r in range(n, 0, -1):
+        for rows in itertools.combinations(range(n), r):
+            for cols in itertools.combinations(range(n), r):
+                if cofactor_det([[m[i][j] for j in cols] for i in rows]) != 0:
+                    return r
+    return 0
+
+
+def _check_nullity(matrix, lam):
+    """nullity_at against _reference_rank; its kernel is exact and independent."""
+    n = matrix.dim
+    m = _shifted(matrix, lam)
+    nullity, kernel = nullity_at(matrix, lam)
+    assert nullity == n - _reference_rank(m)
+    assert len(kernel) == nullity
+    for vec in kernel:
+        for row in m:
+            acc = lam.with_parts(UniPoly(), UniPoly())
+            for x, v in zip(row, vec):
+                acc = acc + x * v
+            assert acc.is_zero()
+    # Independent: some nullity x nullity minor of the kernel vectors is nonzero.
+    assert any(
+        cofactor_det([[vec[c] for c in cols] for vec in kernel]) != 0
+        for cols in itertools.combinations(range(n), nullity)
+    )
+    return nullity
 
 
 # Moduli that make det_at skip points: q(0) = 0 for p; q(0) = 1, a square, for
@@ -450,8 +490,8 @@ def gauss_poly(draw, real=False, max_degree=2):
 
 
 @st.composite
-def hermitian_matrix(draw):
-    n = draw(st.integers(3, 7))
+def hermitian_matrix(draw, n=None):
+    n = draw(st.integers(3, 7)) if n is None else n
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
         entries[j][j] = draw(gauss_poly(real=True))
@@ -505,3 +545,95 @@ def test_det_at_matches_bareiss_on_shells(root):
             assert det == _reference_det_at(e, lam)
             zeros += is_zero
     assert zeros > 0
+
+
+# Sums x^2 + |y|^2 = q: then [[a + b x, b y], [b conj(y), a - b x]] has the
+# eigenvalues a +- b s, so it is a singular 2 x 2 block of E - (a + b s) I.
+SPLIT_MODULI = {
+    (1, 0, F(17, 4)): [
+        ([0, 2], [1, GaussRat(0, F(1, 2))]),
+        ([0, F(1, 2)], [1, GaussRat(0, 2)]),
+    ],
+    (1, 0, 1): [([0, 1], [1]), ([], [1, GaussRat(0, 1)])],
+}
+
+# Unitary 2 x 2 matrices over Q(i).
+UNITARIES = [
+    [[GaussRat(F(3, 5)), GaussRat(F(-4, 5))], [GaussRat(F(4, 5)), GaussRat(F(3, 5))]],
+    [
+        [GaussRat(F(1, 2), F(1, 2)), GaussRat(F(1, 2), F(-1, 2))],
+        [GaussRat(F(1, 2), F(-1, 2)), GaussRat(F(1, 2), F(1, 2))],
+    ],
+]
+
+
+@st.composite
+def forced_rank_matrix(draw):
+    """(entries, lambda, deficiency) with rank(E - lambda I) <= n - deficiency.
+
+    Singular diagonal blocks of E - lambda I force the deficiency: 1 x 1
+    blocks for a plain lambda, 2 x 2 blocks from SPLIT_MODULI for a mixed
+    one.  A unitary similarity on two coordinates and a permutation hide them.
+    """
+    deficiency = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        lam = QuadExtElem(
+            draw(gauss_poly(real=True)), UniPoly(), UniPoly(draw(st.sampled_from(MODULI)))
+        )
+        blocks = [[[lam.a]]] * deficiency
+    else:
+        q = draw(st.sampled_from(sorted(SPLIT_MODULI)))
+        a = draw(gauss_poly(real=True))
+        b = draw(gauss_poly(real=True, max_degree=1).filter(lambda b: not b.is_zero()))
+        lam = QuadExtElem(a, b, UniPoly(q))
+        blocks = []
+        for _ in range(deficiency):
+            x, y = (UniPoly(cs) for cs in draw(st.sampled_from(SPLIT_MODULI[q])))
+            blocks.append([[a + b * x, b * y], [b * y.conj(), a - b * x]])
+    size = sum(len(block) for block in blocks)
+    blocks.append(draw(hermitian_matrix(n=draw(st.integers(1, 6 - size)))))
+    n = size + len(blocks[-1])
+    entries = [[UniPoly()] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for j, row in enumerate(block):
+            for k, e in enumerate(row):
+                entries[start + j][start + k] = e
+        start += len(block)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    (u00, u01), (u10, u11) = draw(st.sampled_from(UNITARIES))
+    # U E U^* for the unitary U acting on coordinates i and j.
+    entries[i], entries[j] = (
+        [x * u00 + y * u01 for x, y in zip(entries[i], entries[j])],
+        [x * u10 + y * u11 for x, y in zip(entries[i], entries[j])],
+    )
+    for row in entries:
+        row[i], row[j] = (
+            row[i] * u00.conj() + row[j] * u01.conj(),
+            row[i] * u10.conj() + row[j] * u11.conj(),
+        )
+    perm = draw(st.permutations(range(n)))
+    return [[entries[a][b] for b in perm] for a in perm], lam, deficiency
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=forced_rank_matrix())
+def test_nullity_at_matches_minors_over_polynomials(case):
+    entries, lam, deficiency = case
+    n = len(entries)
+    assert all(entries[j][k] == entries[k][j].conj() for j in range(n) for k in range(n))
+    matrix = SimpleNamespace(dim=n, entries=entries)
+    assert _check_nullity(matrix, lam) >= deficiency
+
+
+@pytest.mark.parametrize("root", ["III", "IV", "V"])
+def test_nullity_at_matches_minors_on_shells(root):
+    record = load(root)
+    algebra, metric, lam = record.algebra, record.metric, record.eigen_candidate
+    total = 0
+    for spec in (record.spec1, record.spec2):
+        lattice = IntLattice(algebra.dim, spec.generators)
+        for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
+            e = assemble_E(algebra, metric, CharacterWave(algebra, metric, tau))
+            total += _check_nullity(e, lam)
+    assert total == 2
