@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import cmath
+import math
 import sys
 from fractions import Fraction
 
@@ -123,10 +124,18 @@ def _pair_from_files(args):
     spec1 = _parse_file(path1, LatticeSpec.from_json, alg, "file.1")
     spec2 = _parse_file(path2, LatticeSpec.from_json, alg, "file.2")
     witness = _parse_file(args.witness, _parse_witness) if args.witness else None
-    return Pair("files", alg, metric, spec1, spec2), witness
+    pair = Pair("files", alg, metric, spec1, spec2)
+    try:
+        # What the certifiers project; a lattice they cannot project is bad input.
+        pair.quotient_data()
+        spec1.center_intersection()
+        spec2.center_intersection()
+    except _BAD_FILE as exc:
+        raise InputError(f"cannot project the lattices of {path1} and {path2}: {exc}") from exc
+    return pair, witness
 
 
-def _require_samples(flag: str, value: int) -> None:
+def _require_positive(flag: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{flag} must be at least 1, got {value}")
 
@@ -196,6 +205,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_multiplicities(args) -> int:
+    _require_positive("--range", args.range)
     record = _load_record(args.target)
     pair = record.pair()
     flag = record.sector_flag
@@ -247,7 +257,9 @@ def cmd_multiplicities(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    _require_samples("--samples-small", args.samples_small)
+    _require_positive("--samples-small", args.samples_small)
+    if args.pi is not None and not math.isfinite(args.pi):
+        raise InputError(f"--pi must be finite, got {args.pi}")
     record = _load_record(args.target)
     report = distinguish_pair(record, n_samples=args.samples_small, seed=args.seed)
     lines = []
@@ -309,8 +321,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_search_iso(args) -> int:
-    if args.bound < 1:
-        raise InputError(f"--bound must be at least 1, got {args.bound}")
+    _require_positive("--bound", args.bound)
     record = _load_record(args.target)
     budget = SearchBudget(bound=args.bound)
     truncated = False
@@ -375,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplicities", help="occurrence and multiplicity tables")
     p.add_argument("target")
     p.add_argument("--sector", required=True)
-    p.add_argument("--range", type=int, default=3)
+    p.add_argument("--range", type=int, default=3, help="how many tau values or shells, at least 1")
 
     p = sub.add_parser("distinguish", help="one-form spectrum comparison")
     p.add_argument("target")
-    p.add_argument("--pi", type=float, default=None, help="run the numeric oracle at this value")
+    p.add_argument("--pi", type=float, default=None, help="run the numeric oracle at this finite value")
     p.add_argument("--samples-small", type=int, default=12, help="sector sampling size, at least 1")
 
     p = sub.add_parser("table1", help="recompute the comparison table")
@@ -403,7 +414,7 @@ def run(argv) -> int:
         "search-iso": cmd_search_iso,
     }
     try:
-        _require_samples("--samples", args.samples)
+        _require_positive("--samples", args.samples)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

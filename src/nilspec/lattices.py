@@ -13,18 +13,23 @@ step-3 group law, c <- c - t v_i - (t/2) ad_i(c) + (t^2 ad_i^2(c) +
 t [c, ad_i(c)]) / 12, and because [g, tail_i] lies in tail_{i+1} the next
 coordinate is read off directly.  Numerators and the denominator are reduced
 by their gcd after every generator; Fractions appear only in the results.
+Validation reads the same table: the tails are ideals when no [v_a, v_b], a < b,
+has a v_k with k < b, the basis is adapted when each exp(v_i) exp(v_j) peels to
+integers, and `quotient`, the one constructor of projected lattices, reads
+Z-span closure off the projected spec's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
-from .vecops import clear_denominators, clear_rows, is_zero_vec, vneg, vscale, vzero
+from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale, vzero
 
 
 class LatticeSpec:
@@ -48,16 +53,15 @@ class LatticeSpec:
         except ValueError:
             raise ValueError("generators are linearly dependent") from None
         self._to_gen, self._to_gen_den = clear_rows(to_gen)
-        self._check_tails()
         self._compile_structure_constants()
+        self._check_tails()
         self._validate_adapted()
 
     def _check_tails(self):
-        n = self.algebra.dim
-        for i in range(1, n):
-            tail = Subspace(n, self.generators[i:])
-            if not self.algebra.is_ideal(tail):
-                raise ValueError(f"generator tail starting at {i} is not an ideal")
+        # [v_a, v_b] with a v_k below b breaks every tail starting in k+1..b.
+        low = [k for _, b, k, _ in self._brackets if k < b]
+        if low:
+            raise ValueError(f"generator tail starting at {min(low) + 1} is not an ideal")
 
     def _compile_structure_constants(self):
         """Integer [v_a, v_b] in generator coordinates, over one denominator.
@@ -89,17 +93,12 @@ class LatticeSpec:
             self._ad[b].append((a, k, -c))
 
     def _validate_adapted(self):
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                prod = self.algebra.cbh(self.generators[i], self.generators[j])
-                coords = self.malcev_coordinates(prod)
-                if any(t.denominator != 1 for t in coords):
-                    raise ValueError(
-                        "generator products leave the lattice: not an adapted basis"
-                    )
+        if self.algebra.step > 3:
+            raise ValueError("group law implemented only through step 3")
+        den = 12 * self._struct_den**2
+        for i, j in permutations(range(self.algebra.dim), 2):
+            if any(t % d for t, d in self._peel(self._product_int(i, j)[1], den)):
+                raise ValueError("generator products leave the lattice: not an adapted basis")
 
     def _gen_coords_int(self, vnum, vden):
         """Generator coordinates of vnum / vden as (integer numerators, denominator)."""
@@ -130,15 +129,25 @@ class LatticeSpec:
                 out[k] += c * f
         return out
 
-    def _peel(self, vnum, vden):
-        """Yield each Malcev coordinate of vnum / vden as (numerator, denominator).
+    def _product_int(self, i, j):
+        """B = [v_i, v_j] over sd and log(exp v_i exp v_j) = v_i + v_j + B/2 +
+        ([v_i, B] - [v_j, B]) / 12 over 12 sd^2, both in generator coordinates."""
+        sd = self._struct_den
+        brk = self._ad_int(i, [int(k == j) for k in range(len(self._ad))])
+        pairs = zip(brk, self._ad_int(i, brk), self._ad_int(j, brk))
+        prod = [6 * sd * b + x - y for b, x, y in pairs]
+        prod[i] += 12 * sd * sd
+        prod[j] += 12 * sd * sd
+        return brk, prod
 
-        vnum are integer structure coordinates over the positive integer vden.
-        The state is c = num/den in generator coordinates; peeling v_i is
-        c <- cbh(-t v_i, c) with t = c_i, written over the common denominator
-        12 sd^2 den^3 (sd is the structure-constant denominator).
+    def _peel(self, num, den):
+        """Yield each Malcev coordinate of num / den as (numerator, denominator).
+
+        num are integer generator coordinates over the positive integer den.
+        The state is c = num/den; peeling v_i is c <- cbh(-t v_i, c) with
+        t = c_i, written over the common denominator 12 sd^2 den^3 (sd is the
+        structure-constant denominator).
         """
-        num, den = self._gen_coords_int(vnum, vden)
         g = gcd(den, *num)
         num = [x // g for x in num]
         den //= g
@@ -169,14 +178,15 @@ class LatticeSpec:
 
     def malcev_coordinates(self, g_log):
         """The unique exponents with exp(g) = exp(t_1 v_1)...exp(t_n v_n)."""
-        return [Fraction(t, den) for t, den in self._peel(*clear_denominators(g_log))]
+        coords = self._gen_coords_int(*clear_denominators(g_log))
+        return [Fraction(t, den) for t, den in self._peel(*coords)]
 
     def contains(self, g_log) -> bool:
         return self.contains_scaled(*clear_denominators(g_log))
 
     def contains_scaled(self, vnum, vden) -> bool:
         """Membership of log vnum / vden, for integers vnum over a positive vden."""
-        return all(t % den == 0 for t, den in self._peel(vnum, vden))
+        return all(t % den == 0 for t, den in self._peel(*self._gen_coords_int(vnum, vden)))
 
     def assemble(self, coords):
         """log of the word exp(t_1 v_1)...exp(t_n v_n)."""
@@ -185,12 +195,6 @@ class LatticeSpec:
             if t:
                 w = self.algebra.cbh(w, vscale(t, g))
         return w
-
-    def product(self, a_log, b_log):
-        return self.algebra.cbh(a_log, b_log)
-
-    def inverse(self, a_log):
-        return vneg(a_log)
 
     # -- center ------------------------------------------------------------------
 
@@ -212,31 +216,28 @@ class LatticeSpec:
 
     # -- quotient ------------------------------------------------------------------
 
-    def quotient(self, ideal: Subspace | None = None):
-        """Project to the quotient group; returns (spec, log_lattice).
+    def quotient(self, quot_alg: NilLieAlgebra, proj):
+        """(spec, log_lattice) projected by ``quot_alg, proj = algebra.quotient(ideal)``.
 
-        Default ideal is the last nonzero term of the lower central series.
-        The returned IntLattice is the Z-span of the projected generator
+        The spec lives on quot_alg.  The returned IntLattice is the Z-span of the projected generator
         logs; the projection is only accepted when that span is closed under
         the quotient group law (pairwise products and brackets stay inside),
         so the span really is the log of the projected subgroup.
         """
-        if ideal is None:
-            ideal = self.algebra.derived(self.algebra.step - 1)
-        quot_alg, proj = self.algebra.quotient(ideal)
         projected = [tuple(mat_vec(proj, g)) for g in self.generators]
         surviving = [p for p in projected if not is_zero_vec(p)]
         if len(surviving) != quot_alg.dim:
             raise ValueError("projected generators do not form a basis")
         spec = LatticeSpec(quot_alg, surviving, name=f"{self.name}~" if self.name else "")
-        lattice = IntLattice(quot_alg.dim, surviving)
-        for a in surviving:
-            for b in surviving:
-                if not lattice.member(quot_alg.cbh(a, b)):
-                    raise ValueError("projected span is not closed under the group law")
-                if not lattice.member(quot_alg.bracket(a, b)):
-                    raise ValueError("projected span is not bracket-closed")
-        return spec, lattice
+        # The Z-span is the set of integer generator coordinates of spec.
+        sd = spec._struct_den
+        for a, b in product(range(quot_alg.dim), repeat=2):
+            brk, prod = spec._product_int(a, b)
+            if any(x % (12 * sd * sd) for x in prod):
+                raise ValueError("projected span is not closed under the group law")
+            if any(x % sd for x in brk):
+                raise ValueError("projected span is not bracket-closed")
+        return spec, IntLattice(quot_alg.dim, surviving)
 
     def log_cover_lattice(self, subspace: Subspace) -> IntLattice:
         """A lattice containing log(Gamma cap exp S) for an ideal S.

@@ -100,12 +100,8 @@ class Pair:
             ideal = self.algebra.derived(self.algebra.step - 1)
             qalg, proj = self.algebra.quotient(ideal)
             qmetric = self.metric.quotient(ideal, qalg, proj)
-            q1 = self.spec1.quotient(ideal)
-            q2 = self.spec2.quotient(ideal)
-            # The quotient specs share one algebra object for map checks.
-            qspec1 = LatticeSpec(qalg, q1[0].generators, name=q1[0].name)
-            qspec2 = LatticeSpec(qalg, q2[0].generators, name=q2[0].name)
-            self._quotient = (qalg, proj, qmetric, (qspec1, q1[1]), (qspec2, q2[1]))
+            q1, q2 = self.spec1.quotient(qalg, proj), self.spec2.quotient(qalg, proj)
+            self._quotient = (qalg, proj, qmetric, q1, q2)
         return self._quotient
 
 
@@ -202,11 +198,11 @@ def _central_data(spec: LatticeSpec) -> _CentralData:
     algebra = spec.algebra
     center = algebra.center()
     central = spec.center_intersection()
-    qspec, qlat = spec.quotient(ideal=center)
+    qalg, proj = algebra.quotient(center)
+    _, qlat = spec.quotient(qalg, proj)
     # Sections of the projection differ by central vectors, which brackets
     # kill, so any lift computes tau([.,.]) on the quotient.
-    _, proj = algebra.quotient(center)
-    section, _ = solve_rational(proj, identity(qspec.algebra.dim))
+    section, _ = solve_rational(proj, identity(qalg.dim))
     central_rows, central_den = clear_rows(central.lattice.basis_vectors())
     lift_rows, lift_den = clear_rows(mat_vec(section, v) for v in qlat.basis_vectors())
     data = _CentralData(_off_center(algebra), central_rows, central_den, lift_rows, lift_den)

@@ -116,6 +116,57 @@ def test_bad_user_file_is_input_error(tmp_path, capsys):
     assert "l1.json" in err and "need one generator per dimension" in err
 
 
+UNIT4 = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "brackets, generators, message",
+    [
+        # An adapted basis whose projection e1, e2, e3 to the Heisenberg
+        # quotient is not closed: cbh(e1, e2) = e1 + e2 + e3/2.
+        (
+            [[0, 1, [[2, "1"]]], [0, 2, [[3, "1"]]]],
+            UNIT4[:3] + [["0", "0", "0", "1/2"]],
+            "projected span is not closed under the group law",
+        ),
+        # The central e4 comes first, so no generator suffix spans the center.
+        (
+            [[0, 1, [[2, "1"]]]],
+            UNIT4[3:] + UNIT4[:3],
+            "central generator suffix does not span the center",
+        ),
+    ],
+)
+def test_unprojectable_user_lattices_are_input_errors(tmp_path, capsys, brackets, generators, message):
+    algebra = {"dim": 4, "names": ["e1", "e2", "e3", "e4"], "brackets": brackets}
+    metric = {"algebra_ref": "a", "orthonormal_columns": UNIT4}
+    lattice = {"algebra_ref": "a", "generators": generators}
+    paths = []
+    for key, value in (("alg", algebra), ("met", metric), ("l1", lattice), ("l2", lattice)):
+        paths.append(tmp_path / f"{key}.json")
+        paths[-1].write_text(json.dumps(value))
+    code, out, err = invoke(capsys, "certify", "--files", *map(str, paths))
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err and message in err
+
+
+@pytest.mark.parametrize("pi", ["nan", "inf"])
+def test_non_finite_pi_is_input_error(pi, capsys):
+    code, out, err = invoke(capsys, "distinguish", "IV", "--pi", pi)
+    assert code == 2
+    assert out == ""
+    assert f"--pi must be finite, got {pi}" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_multiplicities_rejects_range_below_one(count, capsys):
+    code, out, err = invoke(capsys, "multiplicities", "III", "--sector", "IV", "--range", count)
+    assert code == 2
+    assert out == ""
+    assert f"--range must be at least 1, got {count}" in err
+
+
 def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({"kind": "isospectral"}))

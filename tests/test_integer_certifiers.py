@@ -142,9 +142,9 @@ def _reference_moore_wolf(spec, tau):
     pivots = [next(i for i, x in enumerate(r) if x) for r in center.rows]
     assert all(tau[m] == 0 for m in range(algebra.dim) if m not in pivots)
     central = spec.center_intersection()
-    qspec, qlat = spec.quotient(ideal=center)
-    _, proj = algebra.quotient(center)
-    section, _ = solve_rational(proj, identity(qspec.algebra.dim))
+    qalg, proj = algebra.quotient(center)
+    _, qlat = spec.quotient(qalg, proj)
+    section, _ = solve_rational(proj, identity(qalg.dim))
     lifts = [vec(mat_vec(section, v)) for v in qlat.basis_vectors()]
     occurs = all(vdot(tau, vec(g)).denominator == 1 for g in central.lattice.basis_vectors())
     pf = pfaffian([[vdot(tau, algebra.bracket(u, v)) for v in lifts] for u in lifts])

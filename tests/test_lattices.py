@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilspec.exactnum import IntLattice
-from nilspec.exactnum.matrix import identity, invert_rational
+from nilspec.exactnum.matrix import identity, invert_rational, mat_vec
 from nilspec.lattices import LatticeSpec, maps_onto, quotient_covolume
-from nilspec.liealg import Subspace
+from nilspec.liealg import NilLieAlgebra, Subspace
 from nilspec.registry import EXAMPLE_IDS, load
-from nilspec.vecops import basis_vec, is_zero_vec, vadd, vscale
+from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
 
@@ -23,6 +24,12 @@ def make_spec(pair_id):
     root = pair_id.split(".")[0]
     alg = build_dim5() if root in ("II", "IV") else build_dim7()
     return LatticeSpec(alg, lattice_gens(pair_id), name=pair_id)
+
+
+def top_quotient(spec):
+    """The projection by the last nonzero term of the lower central series."""
+    alg = spec.algebra
+    return spec.quotient(*alg.quotient(alg.derived(alg.step - 1)))
 
 
 ALL_PAIRS = ["I", "II", "III", "IV", "V"]
@@ -87,8 +94,8 @@ def test_membership_closed_under_product_and_inverse():
         for _ in range(60):
             a = spec.assemble([F(rng.randint(-3, 3)) for _ in range(n)])
             b = spec.assemble([F(rng.randint(-3, 3)) for _ in range(n)])
-            assert spec.contains(spec.product(a, b))
-            assert spec.contains(spec.inverse(a))
+            assert spec.contains(spec.algebra.cbh(a, b))
+            assert spec.contains(vneg(a))
 
 
 def test_center_intersection_pairs():
@@ -113,7 +120,7 @@ def test_center_intersection_abelian():
 
 def test_quotient_lattices_match_expected_spans():
     s1 = make_spec("III.1")
-    q1, lat1 = s1.quotient()
+    q1, lat1 = top_quotient(s1)
     assert q1.algebra.dim == 6
     expect1 = IntLattice(
         6,
@@ -129,7 +136,7 @@ def test_quotient_lattices_match_expected_spans():
     assert lat1 == expect1
 
     s2 = make_spec("III.2")
-    q2, lat2 = s2.quotient()
+    q2, lat2 = top_quotient(s2)
     expect2 = IntLattice(
         6,
         [
@@ -149,15 +156,15 @@ def test_quotient_abelian_case():
 
     ab = NilLieAlgebra(2, ["a", "b"], {})
     spec = LatticeSpec(ab, [basis_vec(2, 0), basis_vec(2, 1)])
-    q, lat = spec.quotient(ideal=Subspace(2, []))
+    q, lat = spec.quotient(*ab.quotient(Subspace(2, [])))
     assert q.algebra.dim == 2
     assert lat == IntLattice(2, identity(2))
 
 
 def test_quotient_covolume_example_iii():
     cols6 = identity(6)
-    _, lat1 = make_spec("III.1").quotient()
-    _, lat2 = make_spec("III.2").quotient()
+    _, lat1 = top_quotient(make_spec("III.1"))
+    _, lat2 = top_quotient(make_spec("III.2"))
     assert quotient_covolume(lat1, cols6) == 16
     assert quotient_covolume(lat2, cols6) == 16
 
@@ -291,3 +298,123 @@ def test_contains_scaled_matches_contains(bundled, root, side, data):
     assert spec.contains_scaled([x + 1 for x in scaled], common) == spec.contains(
         tuple(F(x + 1, common) for x in scaled)
     )
+
+
+# -- construction and projection against the Fraction checks -------------------------
+
+
+def reference_construction_error(algebra, gens):
+    """The Fraction checks of an adapted basis, in order; the first error text or None.
+
+    Tails by ``is_ideal`` over spans, adaptedness by ``cbh`` of each ordered
+    pair of generators and the Fraction peel.
+    """
+    n = algebra.dim
+    try:
+        invert_rational([[g[i] for g in gens] for i in range(n)])
+    except ValueError:
+        return "generators are linearly dependent"
+    for i in range(1, n):
+        if not algebra.is_ideal(Subspace(n, gens[i:])):
+            return f"generator tail starting at {i} is not an ideal"
+    basis = SimpleNamespace(algebra=algebra, generators=gens)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                coords = reference_malcev_coordinates(basis, algebra.cbh(gens[i], gens[j]))
+                if any(t.denominator != 1 for t in coords):
+                    return "generator products leave the lattice: not an adapted basis"
+    return None
+
+
+def reference_quotient(spec, qalg, proj):
+    """The Fraction projection: (generators, Z-span) or the error text.
+
+    The span is accepted when ``IntLattice.member`` finds every pairwise
+    ``cbh`` product and bracket of projected generators inside it.
+    """
+    projected = [tuple(mat_vec(proj, g)) for g in spec.generators]
+    surviving = [p for p in projected if not is_zero_vec(p)]
+    if len(surviving) != qalg.dim:
+        return "projected generators do not form a basis"
+    error = reference_construction_error(qalg, surviving)
+    if error is not None:
+        return error
+    lattice = IntLattice(qalg.dim, surviving)
+    for a in surviving:
+        for b in surviving:
+            if not lattice.member(qalg.cbh(a, b)):
+                return "projected span is not closed under the group law"
+            if not lattice.member(qalg.bracket(a, b)):
+                return "projected span is not bracket-closed"
+    return surviving, lattice
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _projections(algebra):
+    """(quotient algebra, projection) by the top of the lower central series and by the center."""
+    return [algebra.quotient(algebra.derived(algebra.step - 1)), algebra.quotient(algebra.center())]
+
+
+COEFFS = [F(1, 2), F(2), F(-1), F(1, 3), F(3, 2), F(-1, 2)]
+
+
+@st.composite
+def perturbed(draw, gens):
+    """Bundled generators after a few scalings, shears and adjacent swaps."""
+    gens = list(gens)
+    n = len(gens)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["scale", "shear", "swap"]))
+        i = draw(st.integers(0, n - 1))
+        if kind == "scale":
+            gens[i] = vscale(draw(st.sampled_from(COEFFS)), gens[i])
+        elif kind == "shear":
+            j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            gens[i] = vadd(gens[i], vscale(draw(st.sampled_from(COEFFS)), gens[j]))
+        elif i + 1 < n:
+            gens[i], gens[i + 1] = gens[i + 1], gens[i]
+    return gens
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_construction_and_quotient_match_the_fraction_checks(bundled, root, side, data):
+    algebra = bundled[(root, side)].algebra
+    gens = data.draw(perturbed(bundled[(root, side)].generators))
+    spec = _outcome(lambda: LatticeSpec(algebra, gens))
+    expected = reference_construction_error(algebra, gens)
+    if expected is not None:
+        assert spec == expected
+        return
+    assert isinstance(spec, LatticeSpec)
+    for qalg, proj in _projections(algebra):
+        got = _outcome(lambda: spec.quotient(qalg, proj))
+        want = reference_quotient(spec, qalg, proj)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            qspec, lattice = got
+            assert qspec.algebra is qalg
+            assert (qspec.generators, lattice) == want
+
+
+def test_construction_and_quotient_skip_the_fraction_path(bundled, monkeypatch):
+    projections = {key: _projections(spec.algebra) for key, spec in bundled.items()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction path used")
+
+    for owner, name in ((NilLieAlgebra, "cbh"), (NilLieAlgebra, "is_ideal"), (IntLattice, "member")):
+        monkeypatch.setattr(owner, name, forbidden)
+    for key, spec in bundled.items():
+        rebuilt = LatticeSpec(spec.algebra, spec.generators, name=spec.name)
+        for qalg, proj in projections[key]:
+            rebuilt.quotient(qalg, proj)

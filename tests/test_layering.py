@@ -86,3 +86,16 @@ def test_matrix_core_imports_no_polynomial_rings():
     for names, _ in imports:
         for ring in ("nilspec.exactnum.poly", "nilspec.exactnum.quadext"):
             assert not _refers_to(names, ring), names
+
+
+def test_only_lattices_constructs_lattice_specs():
+    # Other modules get a spec from LatticeSpec.from_json or LatticeSpec.quotient,
+    # so each projected lattice is built and validated in one place.
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "lattices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "LatticeSpec", (path.name, node.lineno)

@@ -316,7 +316,7 @@ def shell_lattices(pair_root):
     out = []
     for side in ("1", "2"):
         spec = LatticeSpec(alg, lattice_gens(f"{pair_root}.{side}"))
-        _, lat = spec.quotient()
+        _, lat = spec.quotient(*alg.quotient(alg.derived(alg.step - 1)))
         out.append(lat)
     return alg, out
 

@@ -323,3 +323,9 @@ def test_moore_wolf_cache_matches_fresh_load(monkeypatch):
         fresh = getattr(load(example_id), side)
         assert fresh is not spec
         assert moore_wolf_multiplicity(fresh, tau) == got
+
+
+def test_quotient_data_specs_live_on_the_quotient_algebra():
+    for x in registry.EXAMPLE_IDS:
+        qalg, _, _, (qspec1, _), (qspec2, _) = load(x).pair().quotient_data()
+        assert qspec1.algebra is qalg and qspec2.algebra is qalg
