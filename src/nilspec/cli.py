@@ -127,11 +127,17 @@ def _pair_from_files(args):
     pair = Pair("files", alg, metric, spec1, spec2)
     try:
         # What the certifiers project; a lattice they cannot project is bad input.
-        pair.quotient_data()
+        qdim = pair.quotient_data()[0].dim
         spec1.center_intersection()
         spec2.center_intersection()
     except _BAD_FILE as exc:
         raise InputError(f"cannot project the lattices of {path1} and {path2}: {exc}") from exc
+    for atom in witness.atoms() if witness else ():
+        if len(atom.matrix) != qdim or any(len(row) != qdim for row in atom.matrix):
+            raise InputError(
+                f"{args.witness}: witness {atom.name or atom.kind!r} is not a "
+                f"{qdim}x{qdim} matrix on the quotient algebra"
+            )
     return pair, witness
 
 
@@ -275,14 +281,21 @@ def cmd_distinguish(args) -> int:
         lines.append(f"{args.target}: inconclusive")
     if args.pi is not None:
         report["numeric_check"] = _numeric_cross_check(record, report, args.pi)
-        lines.append(f"numeric oracle at pi={args.pi}: {report['numeric_check']['ok']}")
+        check = report["numeric_check"]
+        lines.append(f"numeric oracle at pi={args.pi}: {check['ok'] if check['count'] else 'nothing checked'}")
     _emit(args, report, lines)
     return 0
 
 
 def _numeric_cross_check(record, report, pi_value: float) -> dict:
-    """Float eigenvalue check of the exact verdicts (oracle only)."""
+    """Float eigenvalue check of the exact verdicts (oracle only).
+
+    ``ok`` is None when nothing was checked, as for representation-equivalent
+    pairs, which carry no eigenvalue candidate.
+    """
     lam = record.eigen_candidate
+    if lam is None:
+        return {"ok": None, "count": 0}
     p = complex(pi_value)
     lam_val = lam.a.eval_complex(p) + lam.b.eval_complex(p) * cmath.sqrt(lam.q.eval_complex(p))
     checks = []
@@ -296,10 +309,12 @@ def _numeric_cross_check(record, report, pi_value: float) -> dict:
             near = min(abs(x - lam_val) for x in spec)
             agrees = (near < 1e-6) == row["det_zero"]
             checks.append({"tau": row["tau"], "agrees": agrees})
-    return {"ok": all(c["agrees"] for c in checks), "count": len(checks)}
+    return {"ok": all(c["agrees"] for c in checks) if checks else None, "count": len(checks)}
 
 
 def cmd_table1(args) -> int:
+    for example_id in args.ids:
+        _load_record(example_id)
     rows = table_one(args.ids or EXAMPLE_IDS)
     if args.json:
         print(json.dumps(rows, indent=2))

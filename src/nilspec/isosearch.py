@@ -24,19 +24,21 @@ from math import lcm
 from .exactnum import IntLattice, integer_kernel, solve_integer
 from .exactnum.matrix import invert_rational, mat_mul
 from .lattices import LatticeSpec, maps_onto
-from .liealg import NilLieAlgebra, Subspace
-from .vecops import basis_vec, clear_denominators
+from .liealg import NilLieAlgebra
+from .vecops import clear_denominators
 
 
 class SearchSpaceExceeded(RuntimeError):
     pass
 
 
+PROBE_CEILING = 60_000  # enumeration ceiling of one bilinear probe column
+
+
 @dataclass
 class SearchBudget:
     bound: int = 4
     node_ceiling: int = 200_000
-    probe_ceiling: int = 60_000
 
 
 @dataclass
@@ -66,25 +68,6 @@ def canonical_subspaces(algebra: NilLieAlgebra):
     return out
 
 
-def _full_subspace(algebra):
-    return Subspace(algebra.dim, [basis_vec(algebra.dim, i) for i in range(algebra.dim)])
-
-
-def _ambient_brackets(algebra: NilLieAlgebra):
-    """The structure tensor in both orders: ([(k, m, a, c)], den), [e_k, e_m]_a = c/den."""
-    entries, den = algebra.structure_tensor()
-    return [t for i, j, a, c in entries for t in ((i, j, a, c), (j, i, a, -c))], den
-
-
-def _bracket_int(terms, x, y):
-    """Numerators of [x, y] for integer x, y and the terms of _ambient_brackets."""
-    out = [0] * len(x)
-    for k, m, a, c in terms:
-        if x[k] and y[m]:
-            out[a] += c * x[k] * y[m]
-    return out
-
-
 def _as_fractions(u, den):
     return tuple(Fraction(x, den) for x in u)
 
@@ -98,7 +81,7 @@ class _Column:
     ``tensor_den``: entry m lists the nonzero (a, j, c).
     """
 
-    def __init__(self, index, gen, subspace, lattice, box, spec2, brackets):
+    def __init__(self, index, gen, subspace, lattice, box, spec2):
         self.index = index
         self.subspace = subspace
         self.lattice = lattice
@@ -111,14 +94,14 @@ class _Column:
         gnum, gden = clear_denominators(gen)
         self._gen_den = gden
         self._gen_scaled = [g * self.den for g in gnum]
-        self._brackets = brackets
-        terms, bden = brackets
+        self.algebra = spec2.algebra
         self.tensor = [[] for _ in range(lattice.ambient)]
-        for k, m, a, c in terms:
-            for j, b in enumerate(self.basis):
-                if b[k]:
-                    self.tensor[m].append((a, j, b[k] * c))
-        self.tensor_den = bden * self.den
+        for k, terms in enumerate(self.algebra.ad_lists()):
+            for m, a, c in terms:
+                for j, b in enumerate(self.basis):
+                    if b[k]:
+                        self.tensor[m].append((a, j, b[k] * c))
+        self.tensor_den = self.algebra.structure_tensor()[1] * self.den
 
     def sort_key(self, u):
         """Nearest to the generator itself first, then by descending coordinates."""
@@ -130,10 +113,9 @@ class _Column:
 
     def satisfies(self, u, constraints):
         """Whether [u, u_j] = rhs holds for every constraint of _solve_column_system."""
-        terms, bden = self._brackets
         for (uj, dj), (rhs, dr) in constraints:
-            scale = bden * self.den * dj
-            got = _bracket_int(terms, u, uj)
+            scale = self.tensor_den * dj
+            got = self.algebra.bracket_int(u, uj)
             if any(x * dr != r * scale for x, r in zip(got, rhs)):
                 return False
         return True
@@ -150,17 +132,16 @@ class _Column:
 def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: SearchBudget):
     subs = canonical_subspaces(algebra)
     center = algebra.center()
-    brackets = _ambient_brackets(algebra)
     cols = []
     for i, gen in enumerate(spec1.generators):
-        constraint = _full_subspace(algebra)
+        constraint = algebra.derived(0)
         for sub in subs:
             if sub.contains(gen):
                 constraint = constraint.intersection(sub)
         lattice = spec2.log_cover_lattice(constraint)
         norm1 = sum(abs(x) for x in gen)
         box = Fraction(budget.bound) * norm1
-        col = _Column(i, gen, constraint, lattice, box, spec2, brackets)
+        col = _Column(i, gen, constraint, lattice, box, spec2)
         col.central = center.contains(gen)
         cols.append(col)
     return cols
@@ -280,11 +261,8 @@ def _image(coords, assigned, cols):
 def _bracket_coords(spec1: LatticeSpec):
     """[v_i, v_j] in generator-basis coordinates, as (ints, den), for i != j."""
     n = spec1.algebra.dim
-    gens = spec1.generators
     return {
-        (i, j): clear_denominators(
-            spec1.generator_coordinates(spec1.algebra.bracket(gens[i], gens[j]))
-        )
+        (i, j): clear_denominators(spec1.gen_algebra.basis_bracket(i, j))
         for i in range(n)
         for j in range(n)
         if i != j
@@ -373,7 +351,7 @@ def bounded_lattice_isomorphism_search(
             den = cols[first].den
             probe_counter = [0]
             try:
-                for u in cols[first].all_candidates(budget.probe_ceiling, probe_counter):
+                for u in cols[first].all_candidates(PROBE_CEILING, probe_counter):
                     if _solve_column_system(cols[second], [((u, den), target)]) is not None:
                         killed = False
                         break

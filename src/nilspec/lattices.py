@@ -5,18 +5,20 @@ element factors uniquely as exp(t_1 v_1)...exp(t_n v_n), and membership is
 integrality of all t_i.  Each generator tail must span an ideal, which makes
 the peeling in `malcev_coordinates` triangular.
 
-The peel runs on Python integers in generator coordinates.  Each spec
-compiles two integer tables, each over one common denominator: the inverse
-change of basis, and the structure constants [v_a, v_b] in generator
-coordinates.  A vector c then loses its leading generator t = c_i through the
+The peel runs on Python integers in generator coordinates, on the tables of
+``gen_algebra``, the spec's algebra in generator coordinates (one
+``NilLieAlgebra.in_basis``), plus the inverse change of basis over one
+denominator.  A vector c loses its leading generator t = c_i through the
 step-3 group law, c <- c - t v_i - (t/2) ad_i(c) + (t^2 ad_i^2(c) +
 t [c, ad_i(c)]) / 12, and because [g, tail_i] lies in tail_{i+1} the next
-coordinate is read off directly.  Numerators and the denominator are reduced
-by their gcd after every generator; Fractions appear only in the results.
-Validation reads the same table: the tails are ideals when no [v_a, v_b], a < b,
-has a v_k with k < b, the basis is adapted when each exp(v_i) exp(v_j) peels to
-integers, and `quotient`, the one constructor of projected lattices, reads
-Z-span closure off the projected spec's table.
+coordinate is read off directly.  This step stays specialised rather than
+calling ``cbh_int``: it brackets with v_i alone and reuses ad_i(c), and
+membership tests are the search's main cost.  Numerators and denominator
+are reduced by their gcd after every generator.  Validation reads the same
+tables: the tails are ideals when no [v_a, v_b], a < b, has a v_k with
+k < b, the basis is adapted when each exp(v_i) exp(v_j) peels to integers,
+and `quotient`, the one constructor of projected lattices, reads Z-span
+closure off the projected spec's tables.
 """
 
 from __future__ import annotations
@@ -53,49 +55,22 @@ class LatticeSpec:
         except ValueError:
             raise ValueError("generators are linearly dependent") from None
         self._to_gen, self._to_gen_den = clear_rows(to_gen)
-        self._compile_structure_constants()
+        self.gen_algebra = algebra.in_basis(
+            gens, self.generator_coordinates, [f"v{i}" for i in range(1, n + 1)]
+        )
         self._check_tails()
         self._validate_adapted()
 
     def _check_tails(self):
         # [v_a, v_b] with a v_k below b breaks every tail starting in k+1..b.
-        low = [k for _, b, k, _ in self._brackets if k < b]
+        low = [k for _, b, k, _ in self.gen_algebra.structure_tensor()[0] if k < b]
         if low:
             raise ValueError(f"generator tail starting at {min(low) + 1} is not an ideal")
-
-    def _compile_structure_constants(self):
-        """Integer [v_a, v_b] in generator coordinates, over one denominator.
-
-        ``_ad[i]`` lists (b, k, c) with [v_i, v_b] having c at v_k, and
-        ``_brackets`` lists (a, b, k, c) for a < b; both are over ``_struct_den``.
-        """
-        n = self.algebra.dim
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        scaled = [
-            self._gen_coords_int(
-                *clear_denominators(self.algebra.bracket(self.generators[a], self.generators[b]))
-            )
-            for a, b in pairs
-        ]
-        nums, den = clear_denominators(
-            Fraction(x, d) for coords, d in scaled for x in coords
-        )
-        self._struct_den = den
-        self._brackets = [
-            (a, b, k, nums[p * n + k])
-            for p, (a, b) in enumerate(pairs)
-            for k in range(n)
-            if nums[p * n + k]
-        ]
-        self._ad = [[] for _ in range(n)]
-        for a, b, k, c in self._brackets:
-            self._ad[a].append((b, k, c))
-            self._ad[b].append((a, k, -c))
 
     def _validate_adapted(self):
         if self.algebra.step > 3:
             raise ValueError("group law implemented only through step 3")
-        den = 12 * self._struct_den**2
+        den = 12 * self.gen_algebra.structure_tensor()[1] ** 2
         for i, j in permutations(range(self.algebra.dim), 2):
             if any(t % d for t, d in self._peel(self._product_int(i, j)[1], den)):
                 raise ValueError("generator products leave the lattice: not an adapted basis")
@@ -114,31 +89,11 @@ class LatticeSpec:
 
     # -- group arithmetic in log coordinates ------------------------------------
 
-    def _ad_int(self, i, x):
-        out = [0] * len(x)
-        for b, k, c in self._ad[i]:
-            if x[b]:
-                out[k] += c * x[b]
-        return out
-
-    def _bracket_int(self, x, y):
-        out = [0] * len(x)
-        for a, b, k, c in self._brackets:
-            f = x[a] * y[b] - x[b] * y[a]
-            if f:
-                out[k] += c * f
-        return out
-
     def _product_int(self, i, j):
-        """B = [v_i, v_j] over sd and log(exp v_i exp v_j) = v_i + v_j + B/2 +
-        ([v_i, B] - [v_j, B]) / 12 over 12 sd^2, both in generator coordinates."""
-        sd = self._struct_den
-        brk = self._ad_int(i, [int(k == j) for k in range(len(self._ad))])
-        pairs = zip(brk, self._ad_int(i, brk), self._ad_int(j, brk))
-        prod = [6 * sd * b + x - y for b, x, y in pairs]
-        prod[i] += 12 * sd * sd
-        prod[j] += 12 * sd * sd
-        return brk, prod
+        """[v_i, v_j] over sd and log(exp v_i exp v_j) over 12 sd^2, in generator
+        coordinates; sd is ``gen_algebra``'s structure-constant denominator."""
+        unit_i, unit_j = ([int(k == m) for k in range(self.algebra.dim)] for m in (i, j))
+        return self.gen_algebra.bracket_int(unit_i, unit_j), self.gen_algebra.cbh_int(unit_i, unit_j)
 
     def _peel(self, num, den):
         """Yield each Malcev coordinate of num / den as (numerator, denominator).
@@ -151,18 +106,19 @@ class LatticeSpec:
         g = gcd(den, *num)
         num = [x // g for x in num]
         den //= g
-        sd = self._struct_den
+        ad, bracket = self.gen_algebra.ad_int, self.gen_algebra.bracket_int
+        sd = self.gen_algebra.structure_tensor()[1]
         for i in range(len(num)):
             t = num[i]
             yield t, den
             if not t:
                 continue
             num[i] = 0
-            adc = self._ad_int(i, num)  # ad_i(c) * sd * den
+            adc = ad(i, num)  # ad_i(c) * sd * den
             if any(adc):
-                ad2c = self._ad_int(i, adc)  # ad_i^2(c) * sd^2 * den
+                ad2c = ad(i, adc)  # ad_i^2(c) * sd^2 * den
                 # [c, ad_i(c)] * sd^2 * den^2 is brk + t * ad2c, since c = c' + t v_i.
-                brk = self._bracket_int(num, adc)
+                brk = bracket(num, adc)
                 keep = 12 * sd * sd * den * den
                 half = 6 * sd * den * t
                 num = [
@@ -230,7 +186,7 @@ class LatticeSpec:
             raise ValueError("projected generators do not form a basis")
         spec = LatticeSpec(quot_alg, surviving, name=f"{self.name}~" if self.name else "")
         # The Z-span is the set of integer generator coordinates of spec.
-        sd = spec._struct_den
+        sd = spec.gen_algebra.structure_tensor()[1]
         for a, b in product(range(quot_alg.dim), repeat=2):
             brk, prod = spec._product_int(a, b)
             if any(x % (12 * sd * sd) for x in prod):

@@ -6,29 +6,35 @@ checks used by the certification layer.  Vectors are tuples of Fractions in
 the structure basis; linear maps are row-major matrices sending coordinate
 columns to coordinate columns.
 
-The structure constants are also compiled, on first use, into an integer
-tensor over one common denominator (``NilLieAlgebra.structure_tensor``).
-For a vector or functional with cleared denominators, ``ad(x)`` and the
-form ``tau([e_i, e_j])`` are then one integer contraction each, scaled by a
-positive integer.  The rank conditions behind the sampled checks (strict
+The structure constants are also compiled, at construction, into an
+integer tensor over one common denominator den (``structure_tensor``) and
+per-index ad lists: the package's one integer structure-constant kernel.  On vectors
+with cleared denominators, ``bracket_int`` and ``ad_int`` are den times the
+bracket and ``cbh_int`` is the step-3 group law; ``cbh`` and
+``is_automorphism`` keep their rational interfaces and run on them.
+``in_basis`` writes the algebra in another basis or on quotient
+representatives, for ``quotient`` and for a lattice's generator basis.
+``ad_scaled`` and ``form_scaled`` give ad(x) and tau([e_i, e_j]) as integer
+matrices, on which the rank conditions behind the sampled checks (strict
 nonsingularity ``z in ad(X)g``, almost-innerness ``phi(X) - X in [g, X]``,
-coadjoint orbits) and the center and centralizers are decided on those
-integer matrices by fraction-free elimination (``bareiss_echelon`` on ints):
-a vector lies in the column span of ``A`` exactly when appending it adds no
-pivot, and a positive rescaling of ``A`` or of the vector changes neither.
+coadjoint orbits) and the center and centralizers are decided by
+fraction-free elimination (``bareiss_echelon`` on ints): a vector lies in
+the column span of ``A`` exactly when appending it adds no pivot, and a
+positive rescaling of ``A`` or of the vector changes neither.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .exactnum import rat_from_str, rat_to_str
 from .exactnum.matrix import (
+    bareiss_det,
     bareiss_echelon,
-    invert_rational,
     mat_vec,
     rank_and_kernel,
     rref,
@@ -142,7 +148,16 @@ class NilLieAlgebra:
         self._table = table
         self._series = None
         self._center = None
-        self._tensor = None
+        den = lcm(1, *(c.denominator for terms in table.values() for _, c in terms))
+        self._entries = tuple(
+            (i, j, k, int(c * den)) for (i, j), terms in sorted(table.items()) for k, c in terms
+        )
+        self._den = den
+        ad = [[] for _ in range(dim)]
+        for i, j, k, c in self._entries:
+            ad[i].append((j, k, c))
+            ad[j].append((i, k, -c))
+        self._ad = tuple(tuple(terms) for terms in ad)
 
     # -- construction helpers -------------------------------------------------
 
@@ -199,17 +214,45 @@ class NilLieAlgebra:
 
         den > 0, and entries lists (i, j, k, c) with i < j for the nonzero
         entries C[i][j][k] = c of the tensor antisymmetric in i, j with
-        [e_i, e_j] = sum_k C[i][j][k] e_k / den.  Compiled on first use.
+        [e_i, e_j] = sum_k C[i][j][k] e_k / den.
         """
-        if self._tensor is None:
-            den = lcm(1, *(c.denominator for terms in self._table.values() for _, c in terms))
-            entries = tuple(
-                (i, j, k, int(c * den))
-                for (i, j), terms in sorted(self._table.items())
-                for k, c in terms
-            )
-            self._tensor = (entries, den)
-        return self._tensor
+        return self._entries, self._den
+
+    def ad_lists(self):
+        """Per index i, the (j, k, c) with c the e_k entry of den * [e_i, e_j]."""
+        return self._ad
+
+    def ad_int(self, i, x):
+        """den * [e_i, x] for an integer vector x."""
+        out = [0] * self.dim
+        for j, k, c in self._ad[i]:
+            if x[j]:
+                out[k] += c * x[j]
+        return out
+
+    def bracket_int(self, x, y):
+        """den * [x, y] for integer vectors x and y."""
+        out = [0] * self.dim
+        for i, j, k, c in self._entries:
+            f = x[i] * y[j] - x[j] * y[i]
+            if f:
+                out[k] += c * f
+        return out
+
+    def cbh_int(self, x, y, d=1):
+        """12 den^2 d^3 log(exp(x/d) exp(y/d)) for integer x, y and a positive integer d.
+
+        The step-3 group law x + y + [x, y]/2 + ([x, [x, y]] + [y, [y, x]])/12
+        over one denominator; both triple brackets are read off B = den [x, y].
+        The caller checks that the algebra has step at most three.
+        """
+        b = self.bracket_int(x, y)
+        keep = 12 * self._den**2 * d * d
+        half = 6 * self._den * d
+        return [
+            keep * (p + q) + half * r + s - t
+            for p, q, r, s, t in zip(x, y, b, self.bracket_int(x, b), self.bracket_int(y, b))
+        ]
 
     def ad_scaled(self, x):
         """den * ad(x) as an integer matrix, for an integer vector x.
@@ -329,15 +372,25 @@ class NilLieAlgebra:
             for j in range(self.dim)
         ]
         proj_matrix = [[proj[j][i] for j in range(self.dim)] for i in range(qdim)]
+        quot = self.in_basis(
+            [basis_vec(self.dim, m) for m in keep], project, [self.names[m] for m in keep]
+        )
+        return quot, proj_matrix
+
+    def in_basis(self, vectors, coordinates, names) -> "NilLieAlgebra":
+        """The algebra on ``vectors`` whose bracket [u_a, u_b] is read by ``coordinates``.
+
+        A change of basis when coordinates inverts the basis; the quotient
+        bracket when vectors are representatives and coordinates projects.
+        """
         brackets = {}
-        for a in range(qdim):
-            for b in range(a + 1, qdim):
-                img = project(self.basis_bracket(keep[a], keep[b]))
+        for a in range(len(vectors)):
+            for b in range(a + 1, len(vectors)):
+                img = coordinates(self.bracket(vectors[a], vectors[b]))
                 terms = [(k, c) for k, c in enumerate(img) if c != 0]
                 if terms:
                     brackets[(a, b)] = terms
-        names = [self.names[m] for m in keep]
-        return NilLieAlgebra(qdim, names, brackets), proj_matrix
+        return NilLieAlgebra(len(vectors), names, brackets)
 
     # -- validation -------------------------------------------------------------
 
@@ -377,33 +430,34 @@ class NilLieAlgebra:
     # -- group law ---------------------------------------------------------------
 
     def cbh(self, x, y) -> tuple:
-        """log(exp x . exp y) for algebras of step at most three."""
+        """log(exp x . exp y) for algebras of step at most three, by ``cbh_int``."""
         if self.step > 3:
             raise ValueError("group law implemented only through step 3")
-        xy = self.bracket(x, y)
-        out = vadd(vadd(x, y), vscale(Fraction(1, 2), xy))
-        t1 = self.bracket(x, xy)
-        t2 = self.bracket(y, self.bracket(y, x))
-        out = vadd(out, vscale(Fraction(1, 12), vadd(t1, t2)))
-        return out
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise ValueError("vector dimension mismatch")
+        nums, d = clear_denominators((*x, *y))
+        scale = 12 * self._den**2 * d**3
+        return tuple(Fraction(v, scale) for v in self.cbh_int(nums[:n], nums[n:], d))
 
     # -- maps ---------------------------------------------------------------------
 
     def is_automorphism(self, m) -> bool:
-        try:
-            invert_rational(m)
-        except ValueError:
-            raise ValueError("map is singular") from None
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = mat_vec(m, self.basis_bracket(i, j))
-                rhs = self.bracket(
-                    vec(mat_vec(m, basis_vec(n, i))), vec(mat_vec(m, basis_vec(n, j)))
-                )
-                if tuple(lhs) != tuple(rhs):
-                    return False
-        return True
+        """Whether m[e_i, e_j] = [m e_i, m e_j] for all i < j; a singular m raises ValueError.
+
+        With m = M / d cleared and C_ij = den [e_i, e_j], that is the integer
+        identity d M C_ij = den [M e_i, M e_j].
+        """
+        rows, d = clear_rows(m)
+        if bareiss_det(rows) == 0:
+            raise ValueError("map is singular")
+        cols = [list(c) for c in zip(*rows)]
+        unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        return all(
+            [d * sum(a * b for a, b in zip(row, self.bracket_int(unit[i], unit[j]))) for row in rows]
+            == self.bracket_int(cols[i], cols[j])
+            for i, j in combinations(range(self.dim), 2)
+        )
 
 
 @dataclass
@@ -422,9 +476,7 @@ class SampledVerdict:
     ok: bool
     checked: int
     counterexample: tuple | None = None
-    witness: tuple | None = None
     seed: int = DEFAULT_SEED
-    notes: list = field(default_factory=list)
 
 
 def _structured_vectors(dim: int):
@@ -502,9 +554,7 @@ def is_almost_inner_2step(
 
     In a 2-step algebra Ad(exp A) X = X + [A, X], so phi is almost inner
     exactly when phi(X) - X lies in [g, X] = ad(X)g for every X; each
-    sample is decided by an integer rank test.  The witness is a single
-    conjugator for every X when one exists, otherwise an A with
-    [A, X] = phi(X) - X for the last sample X with phi(X) != X.
+    sample is decided by an integer rank test.
     """
     if algebra.step > 2:
         raise ValueError("almost-inner criterion implemented only for step <= 2")
@@ -517,27 +567,13 @@ def is_almost_inner_2step(
     pts = _structured_vectors(n)
     pts += [sample_vector(rng, n) for _ in range(n_samples)]
     checked = 0
-    last = None
     for x in pts:
         xs = clear_denominators(x)[0]
         target = [sum(a * b for a, b in zip(row, xs)) for row in shift]
-        if any(target):
-            if _first_outside_span(algebra.ad_scaled(xs), [target]) is not None:
-                return SampledVerdict(
-                    ok=False, checked=checked, counterexample=(x,), seed=seed
-                )
-            last = x
+        if any(target) and _first_outside_span(algebra.ad_scaled(xs), [target]) is not None:
+            return SampledVerdict(ok=False, checked=checked, counterexample=(x,), seed=seed)
         checked += 1
-    verdict = SampledVerdict(ok=True, checked=checked, seed=seed)
-    global_witness = find_inner_witness(algebra, m)
-    if global_witness is not None:
-        verdict.witness = global_witness
-        verdict.notes.append("inner: single conjugator works for every sample")
-    elif last is not None:
-        # [A, x] = -ad(x) A.
-        neg = [[-v for v in row] for row in algebra.ad_matrix(last)]
-        verdict.witness = tuple(solve_rational(neg, list(vsub(vec(mat_vec(m, last)), last)))[0])
-    return verdict
+    return SampledVerdict(ok=True, checked=checked, seed=seed)
 
 
 def coadjoint_orbit_equal_2step(algebra: NilLieAlgebra, tau1, tau2) -> bool:

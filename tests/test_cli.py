@@ -320,3 +320,39 @@ def test_table1_single_row(capsys):
     assert rows[0]["same_one_form_spectrum"].startswith("distinct")
     assert "no isomorphism within bound" in rows[0]["isomorphic_fundamental_groups"]
     assert rows[0]["same_length_spectrum"] == "out of scope"
+
+
+@pytest.mark.parametrize("example_id", ["I", "II"])
+def test_numeric_oracle_on_pairs_without_a_candidate(example_id, capsys):
+    code, out, err = invoke(capsys, "--json", "distinguish", example_id, "--pi", "3.14")
+    assert code == 0
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["verdict"] == "one_form_isospectral"
+    assert report["numeric_check"] == {"ok": None, "count": 0}
+    code, out, _ = invoke(capsys, "distinguish", example_id, "--pi", "3.14")
+    assert code == 0
+    assert "nothing checked" in out and "True" not in out
+
+
+@pytest.mark.parametrize("ids", [["VI"], ["II", "VI"]])
+def test_table1_rejects_unknown_ids(ids, capsys):
+    code, out, err = invoke(capsys, "table1", *ids)
+    assert code == 2
+    assert out == ""
+    assert "unknown example id: 'VI'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", "0"], ["0", "1"]], [["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]],
+    ids=["2x2", "ragged"],
+)
+def test_witness_of_the_wrong_shape_is_input_error(matrix, tmp_path, capsys):
+    files = _write_files(tmp_path, "II")
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"kind": "almost_inner", "name": "bad", "matrix": matrix}))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert code == 2
+    assert out == ""
+    assert "w.json" in err and "4x4" in err and "internal error" not in err

@@ -22,7 +22,6 @@ from nilspec.liealg import (
     SampledVerdict,
     _structured_vectors,
     coadjoint_orbit_equal_2step,
-    find_inner_witness,
     is_almost_inner_2step,
     is_strictly_nonsingular_sampled,
     sample_vector,
@@ -70,26 +69,16 @@ def _reference_almost_inner(algebra, m, n_samples, seed):
     pts = _structured_vectors(algebra.dim)
     pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
     checked = 0
-    last_witness = None
     for x in pts:
         target = vsub(vec(mat_vec(m, x)), x)
         if is_zero_vec(target):
             checked += 1
             continue
         neg = [[-v for v in row] for row in algebra.ad_matrix(x)]
-        sol = solve_rational(neg, list(target))
-        if sol is None:
+        if solve_rational(neg, list(target)) is None:
             return SampledVerdict(ok=False, checked=checked, counterexample=(x,), seed=seed)
-        last_witness = (x, tuple(sol[0]))
         checked += 1
-    verdict = SampledVerdict(ok=True, checked=checked, seed=seed)
-    global_witness = find_inner_witness(algebra, m)
-    if global_witness is not None:
-        verdict.witness = global_witness
-        verdict.notes.append("inner: single conjugator works for every sample")
-    elif last_witness is not None:
-        verdict.witness = last_witness[1]
-    return verdict
+    return SampledVerdict(ok=True, checked=checked, seed=seed)
 
 
 def _reference_orbit_equal(algebra, tau1, tau2):
@@ -191,7 +180,7 @@ def two_step_algebras(draw):
 
 
 def _verdict_fields(v):
-    return (v.ok, v.checked, v.counterexample, v.witness, v.notes)
+    return (v.ok, v.checked, v.counterexample)
 
 
 # -- strict nonsingularity -----------------------------------------------------------

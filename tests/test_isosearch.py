@@ -6,6 +6,7 @@ import pytest
 from nilspec.exactnum import integer_kernel, solve_integer
 from nilspec.exactnum.matrix import mat_vec
 from nilspec.isosearch import (
+    PROBE_CEILING,
     SearchBudget,
     _bracket_coords,
     _central_assignments,
@@ -123,7 +124,7 @@ def test_probe_contraction_matches_fraction_probe(example_id, stride):
     checked = feasible = 0
     for (first, second), column_targets in targets.items():
         den, second_den = cols[first].den, cols[second].den
-        candidates = cols[first].all_candidates(budget.probe_ceiling, [0])
+        candidates = cols[first].all_candidates(PROBE_CEILING, [0])
         for t, u in enumerate(candidates[::stride]):
             rhs, rhs_den = column_targets[t % len(column_targets)]
             fast = _solve_column_system(cols[second], [((u, den), (rhs, rhs_den))])

@@ -15,6 +15,7 @@ from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
+from fraction_references import reference_cbh
 
 F = Fraction
 
@@ -225,7 +226,11 @@ def test_maps_onto_checks_both_directions():
 
 
 def reference_malcev_coordinates(spec, g_log):
-    """The Fraction peel: t_i by the inverse change of basis, then cbh(-t_i v_i, w)."""
+    """The Fraction peel: t_i by the inverse change of basis, then cbh(-t_i v_i, w).
+
+    The group law is ``reference_cbh``, so the peel is independent of the
+    integer kernel that ``LatticeSpec`` and ``NilLieAlgebra.cbh`` run on.
+    """
     n = spec.algebra.dim
     to_gen = invert_rational([[spec.generators[j][i] for j in range(n)] for i in range(n)])
     w = tuple(F(x) for x in g_log)
@@ -234,7 +239,7 @@ def reference_malcev_coordinates(spec, g_log):
         t = sum(to_gen[i][k] * w[k] for k in range(n))
         coords.append(t)
         if t:
-            w = spec.algebra.cbh(vscale(-t, spec.generators[i]), w)
+            w = reference_cbh(spec.algebra, vscale(-t, spec.generators[i]), w)
     assert is_zero_vec(w)
     return coords
 
@@ -321,7 +326,7 @@ def reference_construction_error(algebra, gens):
     for i in range(n):
         for j in range(n):
             if i != j:
-                coords = reference_malcev_coordinates(basis, algebra.cbh(gens[i], gens[j]))
+                coords = reference_malcev_coordinates(basis, reference_cbh(algebra, gens[i], gens[j]))
                 if any(t.denominator != 1 for t in coords):
                     return "generator products leave the lattice: not an adapted basis"
     return None
@@ -343,7 +348,7 @@ def reference_quotient(spec, qalg, proj):
     lattice = IntLattice(qalg.dim, surviving)
     for a in surviving:
         for b in surviving:
-            if not lattice.member(qalg.cbh(a, b)):
+            if not lattice.member(reference_cbh(qalg, a, b)):
                 return "projected span is not closed under the group law"
             if not lattice.member(qalg.bracket(a, b)):
                 return "projected span is not bracket-closed"

@@ -199,7 +199,6 @@ def test_almost_inner_quotients(dim7, dim5):
     phi7 = quotient_map_extend(6, {(5, 3): F(1, 2)})
     verdict = is_almost_inner_2step(quot7, phi7, n_samples=150)
     assert verdict.ok
-    assert verdict.witness is not None
     assert find_inner_witness(quot7, phi7) is None  # almost inner, not inner
 
     quot5, _ = dim5.quotient(dim5.derived(2))
@@ -220,7 +219,7 @@ def test_almost_inner_identity(dim7):
     quot, _ = dim7.quotient(dim7.derived(2))
     verdict = is_almost_inner_2step(quot, identity(6), n_samples=20)
     assert verdict.ok
-    assert verdict.witness == vzero(6)
+    assert verdict.counterexample is None
 
 
 def test_almost_inner_rejects_3step(dim7):
