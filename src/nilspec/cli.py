@@ -147,6 +147,15 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def cmd_certify(args) -> int:
+    # Every input names one pair; nothing given is dropped unread.
+    if args.witness and not args.files:
+        raise InputError("--witness is read only with --files")
+    if args.target and args.files:
+        raise InputError(f"give an example id or --files, not both (got {args.target!r})")
+    if args.target and args.replay:
+        raise InputError(f"--replay reads the pair from the certificate; drop {args.target!r}")
+    if not (args.target or args.files or args.replay):
+        raise InputError("certify needs an example id, --files or --replay")
     if args.replay:
         saved = _read_json(args.replay)
         if not isinstance(saved, dict) or not {"pair", "kind"} <= saved.keys():

@@ -2,7 +2,9 @@
 
 Lattices are stored as generator rows in an ambient Q^n.  The canonical form
 is a row-style Hermite normal form of the denominator-cleared matrix, so
-lattice equality is literal equality of canonical data.
+lattice equality is literal equality of canonical data.  Membership and
+integer feasibility reduce against a Hermite form (``_in_span``); the Smith
+form, with both transforms, serves solutions and kernel bases.
 """
 
 from __future__ import annotations
@@ -76,6 +78,31 @@ def hnf(rows):
                 for k in range(ncols):
                     basis[r][k] -= q * basis[i][k]
     return basis
+
+
+def _in_span(rows, vec) -> bool:
+    """Whether the integer vector vec lies in the Z-span of the HNF rows."""
+    for row in rows:
+        j = next(i for i, x in enumerate(row) if x)
+        if vec[j] == 0:
+            continue
+        if vec[j] % row[j]:
+            return False
+        q = vec[j] // row[j]
+        vec = [a - q * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+def integer_solvable(mat, rhs) -> bool:
+    """Whether mat.x = rhs has a solution x in Z^n, for integer mat and rhs.
+
+    Feasibility only, on a Hermite form: rhs must lie in the Z-span of the
+    columns of mat, which is the row lattice of hnf(mat^T) (Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, 2.4.3).  Use
+    ``solve_integer`` for the solution itself.
+    """
+    nc = len(mat[0]) if mat else 0
+    return _in_span(hnf([[row[j] for row in mat] for j in range(nc)]), rhs)
 
 
 def snf(mat):
@@ -242,16 +269,14 @@ class IntLattice:
         vec = [Fraction(x) * self.den for x in v]
         if any(x.denominator != 1 for x in vec):
             return False
-        vec = [int(x) for x in vec]
-        for row in self.rows:
-            j = next(i for i, x in enumerate(row) if x)
-            if vec[j] == 0:
-                continue
-            if vec[j] % row[j]:
-                return False
-            q = vec[j] // row[j]
-            vec = [a - q * b for a, b in zip(vec, row)]
-        return not any(vec)
+        return _in_span(self.rows, [int(x) for x in vec])
+
+    def member_scaled(self, num, den) -> bool:
+        """Membership of num / den, for integers num over a positive den."""
+        vec = [x * self.den for x in num]
+        if any(x % den for x in vec):
+            return False
+        return _in_span(self.rows, [x // den for x in vec])
 
     def __eq__(self, other):
         if not isinstance(other, IntLattice):

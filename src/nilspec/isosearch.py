@@ -7,7 +7,11 @@ generators); canonically defined ideals restrict each column, accumulated
 bracket relations become exact integer linear systems, and bilinear
 relations between two undetermined columns are probed for global
 infeasibility first, which is what makes exhaustion cheap when no
-isomorphism exists.
+isomorphism exists.  Both build their systems with one row contraction
+(`_column_rows`).  The probe only asks whether a system has an integer
+solution, which a Hermite-form span test decides (`integer_solvable`); the
+depth-first search needs a solution and the kernel, so it solves by Smith
+form (`_solve_column_system`).
 
 A negative outcome means precisely: no automorphism maps the first lattice
 onto the second while sending each generator v_i to a point of the log-cover
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import IntLattice, integer_kernel, solve_integer
+from .exactnum import IntLattice, integer_kernel, integer_solvable, solve_integer
 from .exactnum.matrix import invert_rational, mat_mul
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra
@@ -57,19 +61,16 @@ def canonical_subspaces(algebra: NilLieAlgebra):
     base.append(algebra.center())
     for k in range(1, algebra.step):
         base.append(algebra.centralizer(algebra.derived(k)))
+    # Intersection is symmetric and a cap a = a: each unordered pair once.
     closure = list(base)
-    for a in base:
-        for b in base:
+    for i, a in enumerate(base):
+        for b in base[i + 1 :]:
             closure.append(a.intersection(b))
     out = []
     for sub in closure:
         if 0 < sub.dim < algebra.dim and sub not in out:
             out.append(sub)
     return out
-
-
-def _as_fractions(u, den):
-    return tuple(Fraction(x, den) for x in u)
 
 
 class _Column:
@@ -132,13 +133,16 @@ class _Column:
 def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: SearchBudget):
     subs = canonical_subspaces(algebra)
     center = algebra.center()
+    covers = {}
     cols = []
     for i, gen in enumerate(spec1.generators):
         constraint = algebra.derived(0)
         for sub in subs:
             if sub.contains(gen):
                 constraint = constraint.intersection(sub)
-        lattice = spec2.log_cover_lattice(constraint)
+        if constraint not in covers:
+            covers[constraint] = spec2.log_cover_lattice(constraint)
+        lattice = covers[constraint]
         norm1 = sum(abs(x) for x in gen)
         box = Fraction(budget.bound) * norm1
         col = _Column(i, gen, constraint, lattice, box, spec2)
@@ -147,13 +151,44 @@ def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: Search
     return cols
 
 
+def _column_rows(col: _Column, constraints):
+    """The system [x, u_j] = rhs_j in the column lattice's coordinates, on ints.
+
+    Each constraint is ((u_j, u_den), (rhs, rhs_den)) of integer vectors over
+    their denominators.  The rows are one contraction of the column's probe
+    tensor with u_j; every row and target is scaled to one common
+    denominator, which leaves the integer solutions unchanged.  Returns
+    (rows, targets): one row per constraint and ambient coordinate, one
+    column per lattice basis vector.
+    """
+    k = len(col.basis)
+    n = col.lattice.ambient
+    scale = lcm(
+        *(col.tensor_den * du for (_u, du), _rhs in constraints),
+        *(dr for _u, (_rhs, dr) in constraints),
+    )
+    int_rows = []
+    int_rhs = []
+    for (u, du), (rhs, dr) in constraints:
+        f = scale // (col.tensor_den * du)
+        rows = [[0] * k for _ in range(n)]
+        for m, x in enumerate(u):
+            if x:
+                fx = f * x
+                for a, j, c in col.tensor[m]:
+                    rows[a][j] += c * fx
+        int_rows.extend(rows)
+        g = scale // dr
+        int_rhs.extend(g * r for r in rhs)
+    return int_rows, int_rhs
+
+
 def _solve_column_system(col: _Column, constraints):
     """Integer solutions x of [x, u_j] = rhs_j with x in the column lattice.
 
-    Each constraint is ((u_j, u_den), (rhs, rhs_den)) of integer vectors over
-    their denominators.  The system in lattice coordinates is one contraction
-    of the column's probe tensor with u_j; every row and target is scaled to
-    one common denominator, which leaves the integer solutions unchanged.
+    The system comes from `_column_rows` and is solved by Smith form, since
+    the search needs a particular solution and a kernel basis; the probe,
+    which needs feasibility alone, passes the system to `integer_solvable`.
     Returns None when infeasible, else (u0, directions): the particular
     solution and the images of a kernel basis, integer vectors over col.den.
     """
@@ -165,23 +200,7 @@ def _solve_column_system(col: _Column, constraints):
             return (0,) * n, []
         return None
     if constraints:
-        scale = lcm(
-            *(col.tensor_den * du for (_u, du), _rhs in constraints),
-            *(dr for _u, (_rhs, dr) in constraints),
-        )
-        int_rows = []
-        int_rhs = []
-        for (u, du), (rhs, dr) in constraints:
-            f = scale // (col.tensor_den * du)
-            rows = [[0] * k for _ in range(n)]
-            for m, x in enumerate(u):
-                if x:
-                    fx = f * x
-                    for a, j, c in col.tensor[m]:
-                        rows[a][j] += c * fx
-            int_rows.extend(rows)
-            g = scale // dr
-            int_rhs.extend(g * r for r in rhs)
+        int_rows, int_rhs = _column_rows(col, constraints)
         x0 = solve_integer(int_rows, int_rhs)
         if x0 is None:
             return None
@@ -200,7 +219,10 @@ def _enumerate_affine(u0, directions, box, ceiling, counter):
     """All points u0 + sum z_r directions[r] with every |coordinate| <= box.
 
     Points are integer vectors; box may be a Fraction.  The search radius of
-    each z_r comes from the Gram inverse, once per call.
+    each z_r comes from the Gram inverse, once per call.  A coordinate that
+    no later direction touches is final once z_r is chosen, so each level
+    only runs z over the range that keeps those coordinates in the box; for
+    echelon directions (a lattice's Hermite basis) that prunes every level.
     """
     ambient = len(u0)
     limit = int(box)
@@ -225,17 +247,26 @@ def _enumerate_affine(u0, directions, box, ceiling, counter):
     for r in range(f):
         total = sum(abs(pinv[r][m]) * (box + abs(u0[m])) for m in range(ambient))
         radius.append(int(total) + 1)
+    last = [max((r for r, d in enumerate(directions) if d[m]), default=0) for m in range(ambient)]
+    settled = [[m for m in range(ambient) if last[m] == r] for r in range(f)]
 
     def rec(r, partial):
         if r == f:
-            if all(-limit <= x <= limit for x in partial):
-                counter[0] += 1
-                if counter[0] > ceiling:
-                    raise SearchSpaceExceeded("node ceiling exceeded")
-                yield tuple(partial)
+            counter[0] += 1
+            if counter[0] > ceiling:
+                raise SearchSpaceExceeded("node ceiling exceeded")
+            yield tuple(partial)
             return
         d = directions[r]
-        for z in range(-radius[r], radius[r] + 1):
+        low, high = -radius[r], radius[r]
+        for m in settled[r]:
+            if d[m]:
+                # The z with |p + z dm| <= limit, after flipping signs to dm > 0.
+                p, dm = (partial[m], d[m]) if d[m] > 0 else (-partial[m], -d[m])
+                low, high = max(low, -((limit + p) // dm)), min(high, (limit - p) // dm)
+            elif abs(partial[m]) > limit:
+                return
+        for z in range(low, high + 1):
             if z == 0:
                 nxt = partial
             else:
@@ -296,14 +327,14 @@ def _central_assignments(cols, spec2, budget, counter):
 
     def rec(idx, chosen):
         if idx == len(central_cols):
-            images = [_as_fractions(u, cols[i].den) for i, u in chosen.items()]
+            images = [[Fraction(x, cols[i].den) for x in u] for i, u in chosen.items()]
             if IntLattice(spec2.algebra.dim, images) == target:
                 out.append(dict(chosen))
             return
         col = central_cols[idx]
         cands = col.all_candidates(budget.node_ceiling, counter)
         for u in cands:
-            if not target.member(_as_fractions(u, col.den)):
+            if not target.member_scaled(u, col.den):
                 continue
             chosen[col.index] = u
             rec(idx + 1, chosen)
@@ -352,7 +383,7 @@ def bounded_lattice_isomorphism_search(
             probe_counter = [0]
             try:
                 for u in cols[first].all_candidates(PROBE_CEILING, probe_counter):
-                    if _solve_column_system(cols[second], [((u, den), target)]) is not None:
+                    if integer_solvable(*_column_rows(cols[second], [((u, den), target)])):
                         killed = False
                         break
             except SearchSpaceExceeded:

@@ -175,6 +175,32 @@ def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
     assert "not a certificate" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # --witness is read only with --files, so a missing file went unnoticed.
+        (["certify", "II", "--witness", "no-such-witness.json"], "--witness"),
+        (["certify", "--replay", "{cert}", "--witness", "no-such-witness.json"], "--witness"),
+        (["certify", "I", "{files}"], "--files"),
+        (["certify", "I", "--replay", "{cert}"], "--replay"),
+        (["certify"], "--files"),
+    ],
+    ids=["witness-without-files", "witness-with-bundled-replay", "target-and-files",
+         "target-and-replay", "no-pair"],
+)
+def test_certify_inputs_it_would_not_read_are_input_errors(argv, flag, tmp_path, capsys):
+    files = _write_files(tmp_path, "II")[:5]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"pair": "II", "kind": "rep_equivalence"}))
+    expanded = []
+    for arg in argv:
+        expanded += files if arg == "{files}" else [arg.format(cert=cert)]
+    code, out, err = invoke(capsys, *expanded)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "internal error" not in err
+
+
 def test_internal_failure_exits_4(monkeypatch, capsys):
     def inexact(matrix, lam):
         raise ArithmeticError("inexact division in det_at")

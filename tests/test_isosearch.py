@@ -1,26 +1,86 @@
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nilspec.exactnum import integer_kernel, solve_integer
-from nilspec.exactnum.matrix import mat_vec
+from nilspec.exactnum import hnf, integer_kernel, integer_solvable, solve_integer
+from nilspec.exactnum.matrix import invert_rational, mat_vec
 from nilspec.isosearch import (
     PROBE_CEILING,
     SearchBudget,
     _bracket_coords,
     _central_assignments,
     _column_data,
+    _column_rows,
+    _enumerate_affine,
     _image,
     _probe_pairs,
     _solve_column_system,
     bounded_lattice_isomorphism_search,
     canonical_subspaces,
 )
-from nilspec.registry import load
+from nilspec.lattices import LatticeSpec
+from nilspec.liealg import NilLieAlgebra
+from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.vecops import basis_vec, clear_denominators, vdot
 
 F = Fraction
+
+
+def _all_pairs_closure(algebra):
+    """canonical_subspaces by the plain double loop over ordered pairs."""
+    base = [algebra.derived(k) for k in range(1, algebra.step)]
+    base.append(algebra.center())
+    base += [algebra.centralizer(algebra.derived(k)) for k in range(1, algebra.step)]
+    closure = base + [a.intersection(b) for a in base for b in base]
+    out = []
+    for sub in closure:
+        if 0 < sub.dim < algebra.dim and sub not in out:
+            out.append(sub)
+    return out
+
+
+def _filiform_heisenberg_line():
+    """f4 + h3 + R: its center and derived algebra meet in a further ideal."""
+    one = Fraction(1)
+    brackets = {(0, 1): [(2, one)], (0, 2): [(3, one)], (4, 5): [(6, one)]}
+    return NilLieAlgebra(8, ["X1", "X2", "X3", "X4", "Y1", "Y2", "Z", "A"], brackets)
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS + ("f4+h3+R",))
+def test_canonical_subspaces_match_all_ordered_pairs(example_id):
+    if example_id in EXAMPLE_IDS:
+        algebra = load(example_id).algebra
+    else:
+        algebra = _filiform_heisenberg_line()
+        # The bundled algebras' base ideals are nested; here an intersection
+        # (span of X4 and Z) is new.
+        assert len(canonical_subspaces(algebra)) == 5
+    assert canonical_subspaces(algebra) == _all_pairs_closure(algebra)
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_column_data_builds_one_log_cover_per_constraint(example_id, monkeypatch):
+    record = load(example_id)
+    built = []
+    original = LatticeSpec.log_cover_lattice
+
+    def counting(self, subspace):
+        built.append(subspace)
+        return original(self, subspace)
+
+    monkeypatch.setattr(LatticeSpec, "log_cover_lattice", counting)
+    cols = _column_data(record.algebra, record.spec1, record.spec2, SearchBudget(bound=1))
+    constraints = [c.subspace for c in cols]
+    assert len(built) == len(set(built)) == len(set(constraints))
+    assert set(built) == set(constraints)
+    for col in cols:
+        assert col.lattice == original(record.spec2, col.subspace)
+    # Generators sharing a constraint share its lattice.
+    assert len(set(constraints)) < len(cols)
 
 
 def test_canonical_subspaces_dim7():
@@ -127,11 +187,14 @@ def test_probe_contraction_matches_fraction_probe(example_id, stride):
         candidates = cols[first].all_candidates(PROBE_CEILING, [0])
         for t, u in enumerate(candidates[::stride]):
             rhs, rhs_den = column_targets[t % len(column_targets)]
-            fast = _solve_column_system(cols[second], [((u, den), (rhs, rhs_den))])
+            constraints = [((u, den), (rhs, rhs_den))]
+            fast = _solve_column_system(cols[second], constraints)
             u_frac = tuple(F(x, den) for x in u)
             target = [F(r, rhs_den) for r in rhs]
             slow = _reference_probe(algebra, cols[second].lattice, u_frac, target)
             assert (fast is None) == (slow is None)
+            # The probe's Hermite span test gives the same verdict.
+            assert integer_solvable(*_column_rows(cols[second], constraints)) == (slow is not None)
             if fast is not None:
                 u0, directions = fast
                 assert tuple(F(x, second_den) for x in u0) == slow[0]
@@ -160,3 +223,49 @@ def test_candidate_filter_matches_fraction_bracket():
                 assert col.satisfies(u, [constraint]) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@st.composite
+def affine_boxes(draw):
+    """u0, up to three independent integer directions in Z^4, and a box."""
+    n = draw(st.integers(1, 4))
+    f = draw(st.integers(0, min(3, n)))
+    entry = st.integers(-3, 3)
+    directions = [[draw(entry) for _ in range(n)] for _ in range(f)]
+    if draw(st.booleans()):
+        # Echelon directions, as a lattice's Hermite basis: every level prunes.
+        directions = hnf(directions)
+    if directions:
+        gram = [[sum(a * b for a, b in zip(d, e)) for e in directions] for d in directions]
+        try:
+            invert_rational(gram)
+        except ValueError:
+            directions = []
+    u0 = [draw(st.integers(-4, 4)) for _ in range(n)]
+    box = F(draw(st.integers(0, 12)), draw(st.integers(1, 3)))
+    return u0, directions, box
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=affine_boxes())
+@example(case=([4, 0], [[0, 1]], F(3)))  # a coordinate no direction moves is out of the box
+def test_pruned_enumeration_matches_the_full_z_box(case):
+    # Reference: every z in the Gram-inverse radius box, z_0 outermost, kept
+    # when the point lies in the box, which is the unpruned enumeration.
+    u0, directions, box = case
+    f, n = len(directions), len(u0)
+    radius = []
+    if f:
+        gram = [[sum(a * b for a, b in zip(d, e)) for e in directions] for d in directions]
+        ginv = invert_rational(gram)
+        for r in range(f):
+            pinv = [sum(ginv[r][s] * directions[s][m] for s in range(f)) for m in range(n)]
+            radius.append(int(sum(abs(p) * (box + abs(u0[m])) for m, p in enumerate(pinv))) + 1)
+    expected = []
+    for z in product(*(range(-b, b + 1) for b in radius)):
+        u = tuple(u0[m] + sum(z[r] * directions[r][m] for r in range(f)) for m in range(n))
+        if all(abs(x) <= box for x in u):
+            expected.append(u)
+    counter = [0]
+    assert list(_enumerate_affine(u0, directions, box, 10**6, counter)) == expected
+    assert counter == [len(expected)]
