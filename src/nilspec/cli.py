@@ -175,9 +175,10 @@ def cmd_certify(args) -> int:
         if saved["kind"] == "isospectral":
             if iso_witness is None:
                 raise InputError("replaying an isospectral certificate needs --witness")
-            fresh = certify_isospectral(pair, iso_witness, seed=args.seed)
+            certify, witness = certify_isospectral, iso_witness
         else:
-            fresh = certify_rep_equivalent(pair, rep_witness, seed=args.seed)
+            certify, witness = certify_rep_equivalent, rep_witness
+        fresh = certify(pair, witness, n_samples=args.samples, seed=args.seed)
         same = fresh.to_json() == saved
         payload = {"replay_matches": same, "certificate": fresh.to_json()}
         _emit(args, payload, [f"replay: {'identical verdicts' if same else 'MISMATCH'}"])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
@@ -217,11 +217,12 @@ class LatticeSpec:
         for _ in range(6):
             basis = [tuple(b) for b in lattice.basis_vectors()]
             extra = []
-            for a in basis:
-                for b in basis:
-                    for v in (self.algebra.cbh(a, b), self.algebra.bracket(a, b)):
-                        if not lattice.member(v):
-                            extra.append(v)
+            # Unordered pairs suffice: cbh(b, a) = cbh(a, b) - [a, b] through
+            # step 3, cbh(a, a) = 2a and [a, a] = 0.
+            for a, b in combinations(basis, 2):
+                for v in (self.algebra.cbh(a, b), self.algebra.bracket(a, b)):
+                    if not lattice.member(v):
+                        extra.append(v)
             if not extra:
                 return lattice
             lattice = IntLattice(self.algebra.dim, basis + extra)

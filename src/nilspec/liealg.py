@@ -6,12 +6,14 @@ checks used by the certification layer.  Vectors are tuples of Fractions in
 the structure basis; linear maps are row-major matrices sending coordinate
 columns to coordinate columns.
 
-The structure constants are also compiled, at construction, into an
-integer tensor over one common denominator den (``structure_tensor``) and
-per-index ad lists: the package's one integer structure-constant kernel.  On vectors
-with cleared denominators, ``bracket_int`` and ``ad_int`` are den times the
-bracket and ``cbh_int`` is the step-3 group law; ``cbh`` and
-``is_automorphism`` keep their rational interfaces and run on them.
+The structure constants are held once, as an integer tensor over one
+common denominator den (``structure_tensor``) with per-index ad lists,
+compiled at construction: the package's one integer structure-constant
+kernel.  On vectors with cleared denominators, ``bracket_int`` and
+``ad_int`` are den times the bracket and ``cbh_int`` is the step-3 group
+law.  The rational methods (``bracket``, ``basis_bracket``, ``cbh``,
+``is_automorphism``, ``to_json``) keep their interfaces and convert at the
+boundary; ``validate`` checks the Jacobi identity on integer unit vectors.
 ``in_basis`` writes the algebra in another basis or on quotient
 representatives, for ``quotient`` and for a lattice's generator basis.
 ``ad_scaled`` and ``form_scaled`` give ad(x) and tau([e_i, e_j]) as integer
@@ -133,25 +135,27 @@ class NilLieAlgebra:
     """Lie algebra given by rational structure constants on a fixed basis."""
 
     def __init__(self, dim: int, names, brackets):
-        """brackets: mapping (i, j) with i < j to a list of (k, Fraction)."""
+        """brackets: mapping (i, j) with i < j to a list of (k, rational)."""
         self.dim = dim
         self.names = list(names)
         if len(self.names) != dim:
             raise ValueError("need one name per basis vector")
-        table = {}
-        for (i, j), terms in brackets.items():
+        entries = []
+        for (i, j), terms in sorted(brackets.items()):
             if not 0 <= i < j < dim:
                 raise ValueError(f"bad bracket index pair ({i}, {j})")
-            cleaned = [(k, Fraction(c)) for k, c in terms if Fraction(c) != 0]
-            if cleaned:
-                table[(i, j)] = tuple(cleaned)
-        self._table = table
+            for k, c in terms:
+                if not 0 <= k < dim:
+                    raise ValueError(
+                        f"bracket ({i}, {j}) has a term at index {k}, outside 0..{dim - 1}"
+                    )
+                c = Fraction(c)
+                if c:
+                    entries.append((i, j, k, c))
         self._series = None
         self._center = None
-        den = lcm(1, *(c.denominator for terms in table.values() for _, c in terms))
-        self._entries = tuple(
-            (i, j, k, int(c * den)) for (i, j), terms in sorted(table.items()) for k, c in terms
-        )
+        den = lcm(1, *(c.denominator for *_, c in entries))
+        self._entries = tuple((i, j, k, int(c * den)) for i, j, k, c in entries)
         self._den = den
         ad = [[] for _ in range(dim)]
         for i, j, k, c in self._entries:
@@ -165,47 +169,36 @@ class NilLieAlgebra:
     def from_json(data: dict) -> "NilLieAlgebra":
         brackets = {}
         for i, j, terms in data["brackets"]:
+            if (i, j) in brackets:
+                raise ValueError(f"bracket ({i}, {j}) is listed twice")
             brackets[(i, j)] = [(k, rat_from_str(c)) for k, c in terms]
         return NilLieAlgebra(data["dim"], data["names"], brackets)
 
     def to_json(self) -> dict:
         out = []
-        for (i, j), terms in sorted(self._table.items()):
-            out.append([i, j, [[k, rat_to_str(c)] for k, c in terms]])
+        for i, j, k, c in self._entries:
+            if not out or out[-1][:2] != [i, j]:
+                out.append([i, j, []])
+            out[-1][2].append([k, rat_to_str(Fraction(c, self._den))])
         return {"dim": self.dim, "names": self.names, "brackets": out}
 
     # -- bracket and series ----------------------------------------------------
 
     def basis_bracket(self, i: int, j: int) -> tuple:
-        out = vzero(self.dim)
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        terms = self._table.get((i, j))
-        if not terms:
-            return out
-        lst = list(out)
-        for k, c in terms:
-            lst[k] += sign * c
-        return tuple(lst)
+        out = [0] * self.dim
+        for b, k, c in self._ad[i]:
+            if b == j:
+                out[k] += c
+        return tuple(Fraction(v, self._den) for v in out)
 
     def bracket(self, x, y) -> tuple:
-        if len(x) != self.dim or len(y) != self.dim:
+        """[x, y] for rational vectors, by ``bracket_int`` on cleared denominators."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
             raise ValueError("vector dimension mismatch")
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self._table.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, c in terms:
-                    out[k] += f * c
-        return tuple(out)
-
-    def ad_matrix(self, x):
-        """Matrix of ad(x): columns are [x, e_j]."""
-        cols = [self.bracket(x, basis_vec(self.dim, j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        nums, d = clear_denominators((*x, *y))
+        scale = self._den * d * d
+        return tuple(Fraction(v, scale) for v in self.bracket_int(nums[:n], nums[n:]))
 
     # -- integer structure tensor ------------------------------------------------
 
@@ -395,21 +388,14 @@ class NilLieAlgebra:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
+        # den^2 times each Jacobi sum, on integer unit vectors: the same zeros.
+        unit = [[int(a == b) for b in range(self.dim)] for a in range(self.dim)]
+        br = self.bracket_int
         violations = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
-                    s = vadd(
-                        vadd(
-                            self.bracket(self.bracket(ei, ej), ek),
-                            self.bracket(self.bracket(ej, ek), ei),
-                        ),
-                        self.bracket(self.bracket(ek, ei), ej),
-                    )
-                    if not is_zero_vec(s):
-                        violations.append((i, j, k))
+        for i, j, k in combinations(range(self.dim), 3):
+            a, b, c = unit[i], unit[j], unit[k]
+            if any(map(sum, zip(br(br(a, b), c), br(br(b, c), a), br(br(c, a), b)))):
+                violations.append((i, j, k))
         nilpotent = True
         step = None
         series = None
@@ -533,13 +519,14 @@ def is_strictly_nonsingular_sampled(
 def find_inner_witness(algebra: NilLieAlgebra, m):
     """Solve [A, e_j] = m(e_j) - e_j for a single A, if possible (step <= 2)."""
     n = algebra.dim
+    den = algebra.structure_tensor()[1]
     stacked = []
     rhs = []
     for j in range(n):
         ej = basis_vec(n, j)
-        adj = algebra.ad_matrix(ej)
-        # [A, e_j] = -ad(e_j) A.
-        stacked.extend([[-x for x in row] for row in adj])
+        # [A, e_j] = -ad(e_j) A, and ad_scaled(e_j) is den ad(e_j).
+        adj = algebra.ad_scaled([int(k == j) for k in range(n)])
+        stacked.extend([Fraction(-x, den) for x in row] for row in adj)
         rhs.extend(vsub(vec(mat_vec(m, ej)), ej))
     sol = solve_rational(stacked, rhs)
     if sol is None:

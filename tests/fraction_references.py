@@ -1,9 +1,13 @@
 """The Fraction implementations the integer structure-constant kernel replaced.
 
 Kept as test references, independent of ``NilLieAlgebra``'s integer tables:
-they read only the rational bracket table through ``bracket`` and
-``basis_bracket``.
+they read the structure constants as Fractions off ``algebra.to_json()``.
 
+- ``reference_bracket`` and ``reference_ad_matrix``: the Fraction bracket
+  loop ``NilLieAlgebra`` used to run over its own Fraction table, and ad(x)
+  with columns [x, e_j].
+- ``reference_jacobi_violations``: the Jacobi check ``validate`` used to run
+  on that bracket.
 - ``reference_structure_table``: the table ``LatticeSpec`` used to compile for
   itself, [v_a, v_b] in generator coordinates over one denominator.
 - ``reference_product_int``: its hand-expanded product formula on that table.
@@ -12,9 +16,55 @@ they read only the rational bracket table through ``bracket`` and
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
+from nilspec.exactnum import rat_from_str
 from nilspec.exactnum.matrix import invert_rational, mat_vec
-from nilspec.vecops import basis_vec, clear_denominators, vadd, vec, vscale
+from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale
+
+
+@lru_cache(maxsize=None)
+def reference_table(algebra):
+    """((i, j), ((k, c), ...)) for each listed pair, c a Fraction, read off ``to_json``."""
+    return tuple(
+        ((i, j), tuple((k, rat_from_str(c)) for k, c in terms))
+        for i, j, terms in algebra.to_json()["brackets"]
+    )
+
+
+def reference_bracket(algebra, x, y):
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise ValueError("vector dimension mismatch")
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), terms in reference_table(algebra):
+        f = x[i] * y[j] - x[j] * y[i]
+        if f:
+            for k, c in terms:
+                out[k] += f * c
+    return tuple(out)
+
+
+def reference_ad_matrix(algebra, x):
+    """Matrix of ad(x): columns are [x, e_j]."""
+    n = algebra.dim
+    cols = [reference_bracket(algebra, x, basis_vec(n, j)) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def reference_jacobi_violations(algebra):
+    n = algebra.dim
+
+    def br(x, y):
+        return reference_bracket(algebra, x, y)
+
+    violations = []
+    for i, j, k in combinations(range(n), 3):
+        ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
+        s = vadd(vadd(br(br(ei, ej), ek), br(br(ej, ek), ei)), br(br(ek, ei), ej))
+        if not is_zero_vec(s):
+            violations.append((i, j, k))
+    return violations
 
 
 def reference_structure_table(algebra, gens):
@@ -22,7 +72,7 @@ def reference_structure_table(algebra, gens):
     n = algebra.dim
     to_gen = invert_rational([[g[i] for g in gens] for i in range(n)])
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    coords = [mat_vec(to_gen, algebra.bracket(gens[a], gens[b])) for a, b in pairs]
+    coords = [mat_vec(to_gen, reference_bracket(algebra, gens[a], gens[b])) for a, b in pairs]
     nums, den = clear_denominators(x for c in coords for x in c)
     table = [
         (a, b, k, nums[p * n + k])
@@ -58,10 +108,10 @@ def reference_cbh(algebra, x, y):
     """log(exp x . exp y) for algebras of step at most three."""
     if algebra.step > 3:
         raise ValueError("group law implemented only through step 3")
-    xy = algebra.bracket(x, y)
+    xy = reference_bracket(algebra, x, y)
     out = vadd(vadd(x, y), vscale(Fraction(1, 2), xy))
-    t1 = algebra.bracket(x, xy)
-    t2 = algebra.bracket(y, algebra.bracket(y, x))
+    t1 = reference_bracket(algebra, x, xy)
+    t2 = reference_bracket(algebra, y, reference_bracket(algebra, y, x))
     return vadd(out, vscale(Fraction(1, 12), vadd(t1, t2)))
 
 
@@ -73,9 +123,9 @@ def reference_is_automorphism(algebra, m):
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = mat_vec(m, algebra.basis_bracket(i, j))
-            rhs = algebra.bracket(
-                vec(mat_vec(m, basis_vec(n, i))), vec(mat_vec(m, basis_vec(n, j)))
+            lhs = mat_vec(m, reference_bracket(algebra, basis_vec(n, i), basis_vec(n, j)))
+            rhs = reference_bracket(
+                algebra, vec(mat_vec(m, basis_vec(n, i))), vec(mat_vec(m, basis_vec(n, j)))
             )
             if tuple(lhs) != tuple(rhs):
                 return False

@@ -47,6 +47,26 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        # -1 used to be read as the last basis vector, 3 as an IndexError.
+        ([[0, 1, [[-1, "1"]]]], "bracket (0, 1) has a term at index -1, outside 0..2"),
+        ([[0, 1, [[3, "1"]]]], "bracket (0, 1) has a term at index 3, outside 0..2"),
+        # The second listing used to replace the first silently.
+        ([[0, 1, [[2, "1"]]], [0, 1, [[2, "2"]]]], "bracket (0, 1) is listed twice"),
+    ],
+    ids=["negative_index", "index_past_dim", "repeated_pair"],
+)
+def test_validate_rejects_misreadable_brackets(brackets, message, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3, "names": ["a", "b", "c"], "brackets": brackets}))
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "alg.json" in err and message in err
+
+
 def test_certify_positive_and_negative(capsys):
     code, out, _ = invoke(capsys, "certify", "I")
     assert code == 0
@@ -221,6 +241,22 @@ def test_certify_replay_roundtrip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "certify", "--replay", str(cert_path))
     assert code == 0
     assert "identical verdicts" in out
+
+
+@pytest.mark.parametrize("kind", ["isospectral", "rep_equivalence"])
+def test_certify_replay_reads_samples(kind, tmp_path, capsys):
+    code, out, _ = invoke(capsys, "--json", "--samples", "50", "certify", "I")
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(out)[kind]))
+    replay = ["certify", "--replay", str(cert_path)]
+    code, out, _ = invoke(capsys, "--json", "--samples", "50", *replay)
+    assert code == 0
+    assert json.loads(out)["replay_matches"] is True
+    # Replayed with the default 200 samples, the sampled counts differ.
+    code, out, _ = invoke(capsys, "--json", *replay)
+    assert code == 1
+    assert json.loads(out)["replay_matches"] is False
 
 
 def test_distinguish_examples(capsys):

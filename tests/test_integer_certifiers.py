@@ -37,6 +37,7 @@ from nilspec.repspec import (
 from nilspec.vecops import basis_vec, is_zero_vec, vdot, vec, vsub
 
 from conftest import build_heisenberg_plus_line
+from fraction_references import reference_ad_matrix, reference_table
 
 F = Fraction
 
@@ -54,7 +55,7 @@ def _reference_strictly_nonsingular(algebra, n_samples, seed):
     for x in pts:
         if center.contains(x):
             continue
-        adx = algebra.ad_matrix(x)
+        adx = reference_ad_matrix(algebra, x)
         for z in zbasis:
             if solve_rational(adx, list(z)) is None:
                 return SampledVerdict(
@@ -74,7 +75,7 @@ def _reference_almost_inner(algebra, m, n_samples, seed):
         if is_zero_vec(target):
             checked += 1
             continue
-        neg = [[-v for v in row] for row in algebra.ad_matrix(x)]
+        neg = [[-v for v in row] for row in reference_ad_matrix(algebra, x)]
         if solve_rational(neg, list(target)) is None:
             return SampledVerdict(ok=False, checked=checked, counterexample=(x,), seed=seed)
         checked += 1
@@ -85,7 +86,7 @@ def _reference_orbit_equal(algebra, tau1, tau2):
     n = algebra.dim
     cols = []
     for a in range(n):
-        ada = algebra.ad_matrix(basis_vec(n, a))
+        ada = reference_ad_matrix(algebra, basis_vec(n, a))
         cols.append([sum(F(tau1[k]) * ada[k][j] for k in range(n)) for j in range(n)])
     matrix = [[cols[a][j] for a in range(n)] for j in range(n)]
     return solve_rational(matrix, list(vsub(vec(tau2), vec(tau1)))) is not None
@@ -265,7 +266,7 @@ def test_almost_inner_matches_on_fractional_constants(data, seed, n_samples):
     # 1 + N with N from the first layer into the last: an automorphism.  N is
     # ad(A) (inner), a random map (usually not almost inner), or their sum.
     inner = data.draw(st.lists(rationals, min_size=n, max_size=n))
-    ad = alg.ad_matrix(tuple(inner))
+    ad = reference_ad_matrix(alg, tuple(inner))
     kind = data.draw(st.sampled_from(["inner", "random", "sum"]))
     m = identity(n)
     for k in range(a, n):
@@ -286,7 +287,7 @@ def test_orbit_equality_matches_fraction_path(data):
     tau1 = data.draw(st.lists(sparse_rationals, min_size=n, max_size=n))
     shift = data.draw(st.lists(rationals, min_size=n, max_size=n))
     # tau1 o ad(A) stays in the orbit; a random step usually leaves it.
-    ad = alg.ad_matrix(tuple(shift))
+    ad = reference_ad_matrix(alg, tuple(shift))
     along = [sum(F(tau1[k]) * ad[k][j] for k in range(n)) for j in range(n)]
     off = data.draw(st.lists(sparse_rationals, min_size=n, max_size=n))
     for step in (along, off):
@@ -331,7 +332,7 @@ def _rescaled(algebra, lattice, s):
     """
     brackets = {
         (i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in terms]
-        for (i, j), terms in algebra._table.items()
+        for (i, j), terms in reference_table(algebra)
     }
     scaled = NilLieAlgebra(algebra.dim, algebra.names, brackets)
     gens = [[x / s[k] for k, x in enumerate(v)] for v in lattice.basis_vectors()]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilspec.exactnum import hnf, integer_kernel, integer_solvable, solve_integer
+from nilspec.exactnum import IntLattice, hnf, integer_kernel, integer_solvable, solve_integer
 from nilspec.exactnum.matrix import invert_rational, mat_vec
 from nilspec.isosearch import (
     PROBE_CEILING,
@@ -23,9 +23,11 @@ from nilspec.isosearch import (
     canonical_subspaces,
 )
 from nilspec.lattices import LatticeSpec
-from nilspec.liealg import NilLieAlgebra
+from nilspec.liealg import NilLieAlgebra, Subspace
 from nilspec.registry import EXAMPLE_IDS, load
-from nilspec.vecops import basis_vec, clear_denominators, vdot
+from nilspec.vecops import basis_vec, clear_denominators, vadd, vdot
+
+from test_lattices import BUNDLED_SPECS, perturbed
 
 F = Fraction
 
@@ -60,6 +62,74 @@ def test_canonical_subspaces_match_all_ordered_pairs(example_id):
         # (span of X4 and Z) is new.
         assert len(canonical_subspaces(algebra)) == 5
     assert canonical_subspaces(algebra) == _all_pairs_closure(algebra)
+
+
+def _ordered_pairs_log_cover(spec, subspace):
+    """log_cover_lattice with the saturation run over all ordered basis pairs."""
+    algebra = spec.algebra
+    if not algebra.is_ideal(subspace):
+        raise ValueError("subspace is not an ideal")
+    inside = [g for g in spec.generators if subspace.contains(g)]
+    outside = [g for g in spec.generators if not subspace.contains(g)]
+    if outside:
+        quot_alg, proj = algebra.quotient(subspace)
+        images = [tuple(mat_vec(proj, g)) for g in outside]
+        if Subspace(quot_alg.dim, images).dim != len(outside):
+            raise ValueError("generators do not split along the subspace")
+    lattice = IntLattice(algebra.dim, inside)
+    for _ in range(6):
+        basis = [tuple(b) for b in lattice.basis_vectors()]
+        extra = []
+        for a in basis:
+            for b in basis:
+                for v in (algebra.cbh(a, b), algebra.bracket(a, b)):
+                    if not lattice.member(v):
+                        extra.append(v)
+        if not extra:
+            return lattice
+        lattice = IntLattice(algebra.dim, basis + extra)
+    raise ValueError("log cover did not stabilize")
+
+
+def _cover_outcome(cover, spec, subspace):
+    try:
+        return cover(spec, subspace)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_covers_match(spec):
+    n, gens = spec.algebra.dim, spec.generators
+    # The search's ideals, the generator tails, and two that raise: a line
+    # through the first generator (no ideal), and [g, g] plus v_1 + v_2, an
+    # ideal (it contains [g, g]) that v_1 and v_2 do not split along.
+    derived = spec.algebra.derived(1).basis()
+    subspaces = canonical_subspaces(spec.algebra) + [Subspace(n, gens[k:]) for k in range(n)]
+    subspaces += [Subspace(n, gens[:1]), Subspace(n, derived + [vadd(gens[0], gens[1])])]
+    outcomes = []
+    for sub in subspaces:
+        got = _cover_outcome(LatticeSpec.log_cover_lattice, spec, sub)
+        assert got == _cover_outcome(_ordered_pairs_log_cover, spec, sub)
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+def test_log_cover_matches_the_ordered_pair_saturation(root, side):
+    outcomes = _assert_covers_match(getattr(load(root), side))
+    assert any(isinstance(o, IntLattice) for o in outcomes)
+
+
+@pytest.mark.parametrize("root, side", BUNDLED_SPECS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_log_cover_matches_on_perturbed_specs(root, side, data):
+    bundled = getattr(load(root), side)
+    try:
+        spec = LatticeSpec(bundled.algebra, data.draw(perturbed(bundled.generators)))
+    except ValueError:
+        return
+    _assert_covers_match(spec)
 
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)

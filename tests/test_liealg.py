@@ -18,6 +18,8 @@ from nilspec.liealg import (
 from nilspec.exactnum.matrix import identity, mat_vec, rref
 from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale, vsub, vzero
 
+from fraction_references import reference_ad_matrix
+
 F = Fraction
 
 
@@ -273,7 +275,7 @@ def singular_locus_sampled(algebra, n_samples=300, seed=DEFAULT_SEED):
     pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
 
     def ad_rank(x):
-        _, pivots = rref(algebra.ad_matrix(x))
+        _, pivots = rref(reference_ad_matrix(algebra, x))
         return len(pivots)
 
     generic = max(ad_rank(x) for x in pts)

@@ -4,26 +4,39 @@ The generator-basis table a ``LatticeSpec`` reads off ``gen_algebra``, its
 ``_product_int``, ``NilLieAlgebra.cbh`` and ``NilLieAlgebra.is_automorphism``
 must agree with the Fraction code they replaced (``fraction_references``), on
 the ten bundled specs, their projected quotient specs, and randomly
-perturbed generator sets.
+perturbed generator sets.  ``bracket``, ``basis_bracket`` and ``validate``'s
+Jacobi check must agree with the Fraction bracket loop, and ``to_json`` with
+the structure constants the algebra was built from, on the bundled,
+quotient and generator-basis algebras and on random algebras with
+fractional constants, Jacobi identity or not.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilspec.exactnum import rat_from_str
 from nilspec.exactnum.matrix import identity, invert_rational, mat_mul, mat_vec
 from nilspec.lattices import LatticeSpec
+from nilspec.liealg import NilLieAlgebra
 from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.vecops import basis_vec
 
 from fraction_references import (
+    reference_ad_matrix,
+    reference_bracket,
     reference_cbh,
     reference_is_automorphism,
+    reference_jacobi_violations,
     reference_product_int,
     reference_structure_table,
+    reference_table,
 )
 from test_lattices import BUNDLED_SPECS, _projections, perturbed
 
@@ -119,7 +132,7 @@ def test_integer_bracket_and_group_law_match_the_fraction_ones(name, data):
 def _exp_ad(algebra, x):
     """exp(ad x) = sum_k ad(x)^k / k!, an inner automorphism; ad(x)^step = 0."""
     n = algebra.dim
-    ad = algebra.ad_matrix(x)
+    ad = reference_ad_matrix(algebra, x)
     total, term = identity(n), identity(n)
     for k in range(1, algebra.step):
         term = [[v / k for v in row] for row in mat_mul(term, ad)]
@@ -170,3 +183,82 @@ def test_is_automorphism_matches_the_fraction_check(name, data):
         outcomes.append(got)
     assert outcomes[:2] == [True, True]
     assert outcomes[-2:] == ["map is singular", "map is singular"]
+
+
+# -- the rational bracket, Jacobi check and JSON -----------------------------------
+
+DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "nilspec" / "data"
+
+
+def test_to_json_matches_the_bundled_file():
+    raw = json.loads((DATA_DIR / "algebras.json").read_text())
+    for data in raw.values():
+        expected = tuple(
+            ((i, j), tuple((k, rat_from_str(c)) for k, c in terms))
+            for i, j, terms in data["brackets"]
+        )
+        assert reference_table(NilLieAlgebra.from_json(data)) == expected
+
+
+def _assert_rational_api_matches(algebra, x, y):
+    n = algebra.dim
+    assert algebra.bracket(x, y) == reference_bracket(algebra, x, y)
+    for i in range(n):
+        for j in range(n):
+            expected = reference_bracket(algebra, basis_vec(n, i), basis_vec(n, j))
+            assert algebra.basis_bracket(i, j) == expected
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_bracket_and_jacobi_check_match_the_fraction_loop(name, data):
+    algebra = _algebras()[name]
+    vectors = st.lists(RATIONALS, min_size=algebra.dim, max_size=algebra.dim)
+    _assert_rational_api_matches(algebra, tuple(data.draw(vectors)), tuple(data.draw(vectors)))
+    assert algebra.validate().jacobi_violations == reference_jacobi_violations(algebra) == []
+
+
+@st.composite
+def random_brackets(draw):
+    """(dim, {(i, j): [(k, c)]}): random pairs and terms, zeros and repeated k included."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)), max_size=8))
+    brackets = {}
+    for i, j in pairs:
+        if i < j:
+            term = st.tuples(st.integers(0, n - 1), st.one_of(st.just(F(0)), RATIONALS))
+            brackets[(i, j)] = draw(st.lists(term, max_size=3))
+    return n, brackets
+
+
+@st.composite
+def rescaled_bundled(draw):
+    """A bundled algebra in the basis f_i = s_i e_i: fractional constants, Jacobi holds."""
+    algebra = draw(st.sampled_from([load(root).algebra for root in EXAMPLE_IDS]))
+    n = algebra.dim
+    s = draw(st.lists(RATIONALS.filter(bool), min_size=n, max_size=n))
+    brackets = {
+        (i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in terms]
+        for (i, j), terms in reference_table(algebra)
+    }
+    return n, brackets
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.one_of(random_brackets(), rescaled_bundled()), data=st.data())
+def test_random_algebras_match_the_fraction_loop(drawn, data):
+    n, brackets = drawn
+    algebra = NilLieAlgebra(n, [f"e{i}" for i in range(n)], brackets)
+    # to_json lists the nonzero terms as given, pairs in order.
+    expected = []
+    for pair, terms in sorted(brackets.items()):
+        kept = tuple((k, F(c)) for k, c in terms if c)
+        if kept:
+            expected.append((pair, kept))
+    assert reference_table(algebra) == tuple(expected)
+    vectors = st.lists(RATIONALS, min_size=n, max_size=n)
+    _assert_rational_api_matches(algebra, tuple(data.draw(vectors)), tuple(data.draw(vectors)))
+    report = algebra.validate()
+    assert report.jacobi_violations == reference_jacobi_violations(algebra)
+    assert report.jacobi_ok == (not report.jacobi_violations)
