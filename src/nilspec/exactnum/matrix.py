@@ -3,8 +3,10 @@
 Matrices are lists of row lists.  Fraction-free (Bareiss) elimination keeps
 every intermediate value inside the ring.  On plain Python ints it stays on
 ints: exact division is floor division that raises ``ArithmeticError`` on a
-remainder, and the starting pivot is the int 1.  ``cofactor_det`` and
-``pfaffian`` need no division, so they serve any commutative ring.
+remainder, and the starting pivot is the int 1.  ``bareiss_echelon`` checks
+that once per call, not per entry: mixed input goes through ``_exact_div``.
+``cofactor_det`` and ``pfaffian`` need no division, so they serve any
+commutative ring.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def bareiss_echelon(m):
     if nr == 0 or nc == 0:
         return rows, [], Fraction(1) if nr == nc else None
     prev = _one_like(rows[0][0])
+    ints = all(type(x) is int for row in rows for x in row)
     pivot_cols = []
     sign_flip = False
     r = 0
@@ -77,11 +80,20 @@ def bareiss_echelon(m):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             sign_flip = not sign_flip
-        piv = rows[r][c]
+        pivot_row = rows[r]
+        piv = pivot_row[c]
         for i in range(r + 1, nr):
-            head = rows[i][c]
+            row = rows[i]
+            head = row[c]
             for j in range(c, nc):
-                rows[i][j] = _exact_div(piv * rows[i][j] - head * rows[r][j], prev)
+                x = piv * row[j] - head * pivot_row[j]
+                if ints:
+                    q, rem = divmod(x, prev)
+                    if rem:
+                        raise ArithmeticError(f"inexact integer division {x} / {prev}")
+                    row[j] = q
+                else:
+                    row[j] = _exact_div(x, prev)
         prev = piv
         pivot_cols.append(c)
         r += 1

@@ -3,7 +3,8 @@
 A metric is a choice of orthonormal frame E_1..E_n given by columns in the
 structure basis.  All geometric data is computed in that frame: connection
 coefficients from the Koszul formula, and the Laplacian on invariant
-one-forms as the exact Gram matrix of the exterior derivative.
+one-forms as the exact Gram matrix of the exterior derivative.  Each table
+is built once per metric, on first use, and kept as nested tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Metric:
         except ValueError:
             raise ValueError("frame columns are dependent") from None
         self.matrix = matrix
-        self._frame_brackets = None
+        self._frame_brackets = self._connection = self._laplacian = None
 
     @staticmethod
     def standard(algebra: NilLieAlgebra) -> "Metric":
@@ -113,40 +114,26 @@ class ConnectionTable:
         n = metric.algebra.dim
         c = metric.frame_brackets()
         half = Fraction(1, 2)
-        self.gamma = [
-            [
-                [half * (c[k][i][j] + c[k][j][i] + c[i][j][k]) for k in range(n)]
+        self.gamma = tuple(
+            tuple(
+                tuple(half * (c[k][i][j] + c[k][j][i] + c[i][j][k]) for k in range(n))
                 for j in range(n)
-            ]
+            )
             for i in range(n)
-        ]
-
-    def nabla(self, i: int, j: int):
-        """Frame coordinates of nabla_{E_i} E_j (equally of nabla_{E_i} eps_j)."""
-        return tuple(self.gamma[i][j])
-
-    def check_identities(self) -> bool:
-        """Metric compatibility and torsion-freeness, exactly."""
-        n = self.metric.algebra.dim
-        c = self.metric.frame_brackets()
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.gamma[i][j][k] + self.gamma[i][k][j] != 0:
-                        return False
-                    if self.gamma[i][j][k] - self.gamma[j][i][k] != c[i][j][k]:
-                        return False
-        return True
+        )
 
 
 def koszul_connection(algebra: NilLieAlgebra, metric: Metric) -> ConnectionTable:
+    """The metric's connection table, built on first use."""
     if metric.algebra is not algebra:
         raise ValueError("metric belongs to a different algebra")
-    return ConnectionTable(metric)
+    if metric._connection is None:
+        metric._connection = ConnectionTable(metric)
+    return metric._connection
 
 
 def laplacian_on_invariant_oneforms(algebra: NilLieAlgebra, metric: Metric):
-    """Matrix of delta d on invariant one-forms in the dual frame.
+    """Matrix of delta d on invariant one-forms in the dual frame, built on first use.
 
     d eps_m (E_i, E_j) = -eps_m([E_i, E_j]); the codifferential of every
     invariant one-form vanishes, so the Laplacian is the Gram matrix of d
@@ -154,33 +141,16 @@ def laplacian_on_invariant_oneforms(algebra: NilLieAlgebra, metric: Metric):
     """
     if metric.algebra is not algebra:
         raise ValueError("metric belongs to a different algebra")
-    n = algebra.dim
-    c = metric.frame_brackets()
-    out = [[F0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(n):
-                if c[i][j][l] == 0:
-                    continue
-                for m in range(n):
-                    out[l][m] += c[i][j][l] * c[i][j][m]
-    return out
-
-
-def nabla_chart(algebra: NilLieAlgebra, metric: Metric, directions=None, covectors=None):
-    """Chart of nabla_{E_i} eps_m as sparse coefficient lists.
-
-    Returns {(i, m): [(k, coeff), ...]} restricted to the requested frame
-    indices; defaults cover the whole frame.
-    """
-    table = koszul_connection(algebra, metric)
-    n = algebra.dim
-    directions = list(range(n)) if directions is None else list(directions)
-    covectors = list(range(n)) if covectors is None else list(covectors)
-    chart = {}
-    for i in directions:
-        for m in covectors:
-            coeffs = table.nabla(i, m)
-            chart[(i, m)] = [(k, coeffs[k]) for k in range(n) if coeffs[k] != 0]
-    return chart
-
+    if metric._laplacian is None:
+        n = algebra.dim
+        c = metric.frame_brackets()
+        out = [[F0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for l in range(n):
+                    if c[i][j][l] == 0:
+                        continue
+                    for m in range(n):
+                        out[l][m] += c[i][j][l] * c[i][j][m]
+        metric._laplacian = tuple(map(tuple, out))
+    return metric._laplacian

@@ -28,8 +28,13 @@ distinct points determine them; r = n gives the determinant.
 `nullity_at` uses the same points for the rank over the fraction field.  A
 nonzero r-minor has weight at most r w <= n w, so its two parts cannot both
 vanish at all of the first floor(n w) + 1 good points: at one of them the
-evaluated matrix keeps rank r.  The rank is the largest rank seen there,
-and the kernel follows by Cramer's rule from interpolated minors.
+evaluated matrix keeps rank r.  The rank is the largest rank seen there.
+This is the eigenvalue test: evaluation is a ring homomorphism, so the
+first full-rank point proves det(E - lambda I) nonzero and ends it; `det_at`
+confirms the characters of positive nullity.  The kernel follows by
+Cramer's rule from interpolated minors, all of them at a point from one
+fraction-free Gauss-Jordan elimination, at good points where the chosen
+maximal minor is nonzero.
 """
 
 from __future__ import annotations
@@ -42,13 +47,13 @@ from math import isqrt, lcm
 
 from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
 from .exactnum.matrix import mat_vec, solve_rational
-from .exactnum.poly import POLY_ONE
 from .exactnum.quadext import QuadExtElem
 from .exactnum.scalars import GaussRat, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, NilLieAlgebra
 from .repspec import (
     _sample_sector_functional,
+    _sector_kernel,
     certify_rep_equivalent,
     moore_wolf_multiplicity,
     orbit_pairing_report,
@@ -154,8 +159,14 @@ def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
 
     The full-size minor, by evaluation and interpolation (module docstring).
     """
-    full = list(range(matrix.dim))
-    (det,) = _ShiftedAtPoints(matrix, lam).minors([(full, full)])
+    shifted = _ShiftedAtPoints(matrix, lam)
+    n = matrix.dim
+    xs, values = [], []
+    for p0, d, m in islice(shifted.points(), shifted.needed(n)):
+        _, cols, minors = _echelon_quadratic(m, d)
+        xs.append(p0)
+        values.append(minors[0] if len(cols) == n else (0, 0, 0, 0))
+    det = shifted.interpolate(xs, values, n)
     return det, det.is_zero()
 
 
@@ -187,10 +198,14 @@ class _ShiftedAtPoints:
             0,
         )
 
-    def points(self, r: int):
-        """(p0, d, rows) at the first floor(r w) + 1 good points, which determine every
-        r-minor: d = sigma^2 at p0 and rows = L (E - lambda I) there, as (ar, ai, br, bi)."""
-        for p0, d in islice(_good_points(self.sigma_sq), r * self.two_w // 2 + 1):
+    def needed(self, r: int) -> int:
+        """floor(r w) + 1: this many distinct points determine every r-minor."""
+        return r * self.two_w // 2 + 1
+
+    def points(self):
+        """(p0, d, rows) at the good points in order: d = sigma^2 at p0 and
+        rows = L (E - lambda I) there, as (ar, ai, br, bi)."""
+        for p0, d in _good_points(self.sigma_sq):
             ar, ai = _eval_gauss(self.a_int, p0)
             br, bi = _eval_gauss(self.b_int, p0)
             rows = [
@@ -200,26 +215,13 @@ class _ShiftedAtPoints:
             ]
             yield p0, d, rows
 
-    def minors(self, minors):
-        """Exact minors det((E - lambda I)[rows][:, cols]) for (rows, cols) pairs of one size."""
-        r = len(minors[0][0])
-        xs, values = [], []
-        for p0, d, m in self.points(r):
-            xs.append(p0)
-            values.append(
-                [_echelon_quadratic([[m[i][j] for j in cols] for i in rows], d)[2]
-                 for rows, cols in minors]
-            )
-        # A minor of L (E - lambda I) is L^r (A + B s) = L^r A + (L^r B / c) sigma.
+    def interpolate(self, xs, values, r):
+        """The r-minor A + B s from its values L^r A + (L^r B / c) sigma at the nodes xs."""
         den = self.scale**r
-        out = []
-        for k in range(len(minors)):
-            re_a, im_a, re_b, im_b = (
-                _interpolate(xs, [v[k][part] for v in values]) for part in range(4)
-            )
-            a, b = _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
-            out.append(self.lam.with_parts(a, b))
-        return out
+        re_a, im_a, re_b, im_b = (_interpolate(xs, [v[part] for v in values]) for part in range(4))
+        return self.lam.with_parts(
+            _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
+        )
 
 
 def _gauss_poly(re, im, num, den):
@@ -267,25 +269,29 @@ def _qmul(x, y, d):
     )
 
 
-def _echelon_quadratic(rows, d):
-    """Fraction-free echelon of a square matrix over Z[i][t]/(t^2 - d), d not a square in Q(i).
+def _echelon_quadratic(rows, d, jordan=False):
+    """Fraction-free echelon over Z[i][t]/(t^2 - d), d not a square in Q(i).
 
-    Returns (pivot_rows, pivot_cols, det): the minor on the original rows
-    pivot_rows and columns pivot_cols is nonzero of size the rank, and det is
-    zero below full rank.  The ring is a domain inside Q(i)(sqrt d): dividing
-    by the previous pivot x means multiplying by its conjugate (t -> -t)
-    times the Gaussian conjugate of its norm N(x) = x conj_t(x), then
-    dividing by |N(x)|^2.  Every such division is exact by Sylvester's
-    identity; a remainder is an arithmetic error.  Overwrites ``rows``.
+    Returns (pivot_rows, pivot_cols, minors): the minor M on the original
+    rows pivot_rows and columns pivot_cols is nonzero of size the rank r.
+    If every row is a pivot row, minors starts with det M, rows in input
+    order (the determinant of a square input).  With ``jordan`` the column
+    above each pivot is cleared too, and then for each other column j come
+    det M with its k-th column replaced by column j, k < r.  The ring is a
+    domain inside Q(i)(sqrt d): dividing by the previous pivot x means
+    multiplying by its conjugate (t -> -t) times the Gaussian conjugate of
+    its norm N(x) = x conj_t(x), then dividing by |N(x)|^2.  Every such
+    division is exact by Sylvester's identity, above the pivot too (Bareiss
+    1968); a remainder is an arithmetic error.  Overwrites ``rows``.
     """
-    n = len(rows)
-    order = list(range(n))
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    order = list(range(nrows))
     pivot_cols = []
     negate = False
     inv, norm, pk = None, 1, (1, 0, 0, 0)
-    for k in range(n):
+    for k in range(ncols):
         r = len(pivot_cols)
-        pr = next((i for i in range(r, n) if any(rows[i][k])), None)
+        pr = next((i for i in range(r, nrows) if any(rows[i][k])), None)
         if pr is None:
             continue
         if pr != r:
@@ -294,10 +300,10 @@ def _echelon_quadratic(rows, d):
             negate = not negate
         piv = rows[r]
         pk = piv[k]
-        for i in range(r + 1, n):
+        for i in chain(range(r) if jordan else (), range(r + 1, nrows)):
             row = rows[i]
             head = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, ncols):
                 x = _qmul(pk, row[j], d)
                 y = _qmul(head, piv[j], d)
                 x = (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
@@ -318,10 +324,12 @@ def _echelon_quadratic(rows, d):
         ni = 2 * (cr * ci - d * er * ei)
         inv = _qmul((cr, ci, -er, -ei), (nr, -ni, 0, 0), d)
         norm = nr * nr + ni * ni
-    # At full rank the last pivot is the determinant, up to the row swaps' sign.
     rank = len(pivot_cols)
-    det = tuple(-v if negate else v for v in pk) if rank == n else (0, 0, 0, 0)
-    return order[:rank], pivot_cols, det
+    # These are the minors of the rows in their final order; the swaps' sign restores the input order.
+    minors = [pk] + [rows[i][j] for j in range(ncols) if jordan and j not in pivot_cols for i in range(rank)]
+    if negate:
+        minors = [tuple(-v for v in x) for x in minors]
+    return order[:rank], pivot_cols, minors
 
 
 def _interpolate(xs, ys):
@@ -364,31 +372,42 @@ def nullity_at(matrix: CharacterMatrix, lam: QuadExtElem):
     """Exact nullity of E - lambda I with a kernel basis over the extension.
 
     The rank is the largest at the first floor(n w) + 1 good points (module
-    docstring).  Each column f outside the nonzero maximal minor M found
-    there gives one kernel vector by Cramer's rule: det M at f, minus det M
-    with its k-th column replaced by column f at M's k-th column, zero
-    elsewhere.  Each entry is one interpolated minor.
+    docstring); the first full-rank point ends the search with nullity 0.
+    Each column f outside the nonzero maximal minor M found there gives one
+    kernel vector by Cramer's rule: det M at f, minus det M with its k-th
+    column replaced by column f at M's k-th column, zero elsewhere.  Each
+    entry is one minor, interpolated through its values at the first
+    floor(r w) + 1 good points where det M is nonzero; one Gauss-Jordan
+    elimination (``_echelon_quadratic`` with ``jordan``) gives all of them
+    at a point.
     """
     shifted = _ShiftedAtPoints(matrix, lam)
     n = matrix.dim
     rows, cols = [], []
-    for _, d, m in shifted.points(n):
+    for _, d, m in islice(shifted.points(), shifted.needed(n)):
         rows, cols = max((rows, cols), _echelon_quadratic(m, d)[:2], key=lambda rc: len(rc[1]))
         if len(cols) == n:
             return 0, []
     free = [f for f in range(n) if f not in cols]
     rank = len(cols)
-    minors = [(rows, cols)] + [
-        (rows, cols[:k] + [f] + cols[k + 1 :]) for f in free for k in range(rank)
-    ]
-    values = shifted.minors(minors)
+    xs, values = [], []
+    for p0, d, m in shifted.points():
+        # Columns cols, then free: the pivots are the first rank columns
+        # exactly where det M is nonzero at p0.
+        _, pivots, minors = _echelon_quadratic([[m[i][j] for j in cols + free] for i in rows], d, True)
+        if pivots == list(range(rank)):
+            xs.append(p0)
+            values.append(minors)
+            if len(xs) == shifted.needed(rank):
+                break
+    minors = [shifted.interpolate(xs, [v[k] for v in values], rank) for k in range(len(values[0]))]
     zero = lam.with_parts(UniPoly(), UniPoly())
     kernel = []
     for i, f in enumerate(free):
         vec = [zero] * n
-        vec[f] = values[0]
+        vec[f] = minors[0]
         for k, c in enumerate(cols):
-            vec[c] = -values[1 + i * rank + k]
+            vec[c] = -minors[1 + i * rank + k]
         kernel.append(vec)
     return n - rank, kernel
 
@@ -478,17 +497,6 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
 # -- eigenvalue candidates ------------------------------------------------------
 
 
-def plain_candidate(poly_coeffs) -> QuadExtElem:
-    """Candidate a(p) + 0*s; the modulus is irrelevant and kept minimal."""
-    return QuadExtElem(UniPoly(poly_coeffs), UniPoly(), UniPoly([0, 1]))
-
-
-def sqrt_candidate(q_coeffs) -> QuadExtElem:
-    """Candidate q(p) + s with s^2 = q(p)."""
-    q = UniPoly(q_coeffs)
-    return QuadExtElem(q, POLY_ONE, q)
-
-
 def candidate_to_json(lam: QuadExtElem) -> dict:
     def poly_json(p: UniPoly):
         return [[rat_to_str(c.re), rat_to_str(c.im)] for c in p.coeffs]
@@ -557,12 +565,14 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
         for tau in shell:
             wave = CharacterWave(algebra, metric, tau)
             e = assemble_E(algebra, metric, wave)
-            _, is_eig = det_at(e, lam)
-            nullity, _ = nullity_at(e, lam) if is_eig else (0, [])
+            # The rank pass is the eigenvalue test; det_at confirms a positive nullity.
+            nullity, _ = nullity_at(e, lam)
+            if nullity and not det_at(e, lam)[1]:
+                raise AssertionError("positive nullity at a nonzero determinant")
             rows.append(
                 {
                     "tau": [rat_to_str(t) for t in tau],
-                    "det_zero": is_eig,
+                    "det_zero": nullity > 0,
                     "nullity": nullity,
                 }
             )
@@ -590,12 +600,11 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
             sector_checks[label] = {"mode": "moore_wolf", "ok": ok}
         elif mode == "pesce_equal":
             rng = random.Random(seed)
+            kernel = _sector_kernel(record.sector_flag, label, qalg, proj)
             checked = 0
             ok = True
             while checked < n_samples:
-                tau_q = _sample_sector_functional(
-                    pair, record.sector_flag, label, rng, qalg, proj
-                )
+                tau_q = _sample_sector_functional(pair, record.sector_flag, label, rng, proj, kernel)
                 if tau_q is None:
                     ok = False
                     break

@@ -539,9 +539,10 @@ def orbit_pairing_report(
     section, _ = solve_rational(proj, identity(qalg.dim))
     phi_q = mat_mul(proj, mat_mul(phi_full, section))
     rng = random.Random(seed)
+    kernel = _sector_kernel(sector, sector_label, qalg, proj)
     checked = 0
     while checked < n_samples:
-        tau_q = _sample_sector_functional(pair, sector, sector_label, rng, qalg, proj)
+        tau_q = _sample_sector_functional(pair, sector, sector_label, rng, proj, kernel)
         if tau_q is None:
             break
         tau_phi = tuple(
@@ -592,27 +593,32 @@ def _lift_through(proj, tau_q, dim):
     )
 
 
-def _sample_sector_functional(pair, sector, sector_label, rng, qalg, proj):
-    """Random quotient functional whose lift lies in the named sector.
-
-    Vanishing on the deeper chain subspaces is linear, so sample inside that
-    solution space, then scale to make the sector's central values integral
-    (occurrence-relevant) and nonzero.
-    """
+def _sector_kernel(sector, sector_label, qalg, proj):
+    """Basis of the quotient functionals vanishing on the chain step before the
+    named sector, or None when the sector lies past the chain."""
     idx = sector.labels.index(sector_label)
     if idx >= len(sector.chain):
         return None
     constraints = [list(mat_vec(proj, b)) for b in (sector.chain[idx - 1].basis() if idx > 0 else [])]
-    if constraints:
-        _, kernel = solve_rational(
-            constraints, [Fraction(0)] * len(constraints)
-        )
-    else:
-        kernel = identity(qalg.dim)
+    if not constraints:
+        return identity(qalg.dim)
+    return solve_rational(constraints, [Fraction(0)] * len(constraints))[1]
+
+
+def _sample_sector_functional(pair, sector, sector_label, rng, proj, kernel):
+    """Random quotient functional whose lift lies in the named sector.
+
+    Vanishing on the deeper chain subspaces is linear, so sample inside that
+    solution space (``kernel``, from ``_sector_kernel``), then scale to make
+    the sector's central values integral (occurrence-relevant) and nonzero.
+    """
+    if kernel is None:
+        return None
+    idx = sector.labels.index(sector_label)
     for _ in range(60):
         tau_q = tuple(
             sum(sample_fraction(rng) * Fraction(k[a]) for k in kernel)
-            for a in range(qalg.dim)
+            for a in range(len(proj))
         )
         lift = _lift_through(proj, tau_q, pair.algebra.dim)
         vals = [vdot(lift, b) for b in sector.chain[idx].basis()]

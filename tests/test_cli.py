@@ -232,6 +232,17 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
     assert err == "internal error: ArithmeticError: inexact division in det_at\n"
 
 
+def test_nullity_determinant_disagreement_exits_4(monkeypatch, capsys):
+    def nonzero(matrix, lam):
+        return lam, False
+
+    monkeypatch.setattr(oneform, "det_at", nonzero)
+    code, out, err = invoke(capsys, "--json", "distinguish", "III")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: AssertionError: positive nullity at a nonzero determinant\n"
+
+
 def test_certify_replay_roundtrip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "--json", "certify", "II")
     assert code == 0

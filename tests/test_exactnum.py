@@ -292,6 +292,29 @@ def test_bareiss_rank_on_ints_matches_rref(m):
     assert len(pivots) == len(rref(m)[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=int_matrices(), data=st.data())
+def test_bareiss_int_path_matches_fraction_and_mixed_input(m, data):
+    as_fractions = [[Fraction(x) for x in row] for row in m]
+    # Mixed: some entries Fractions, the rest ints, so the int path is off.
+    mixed = [[Fraction(x) if data.draw(st.booleans()) else x for x in row] for row in m]
+    mixed[0][0] = Fraction(mixed[0][0])
+    want = bareiss_echelon(m)
+    assert bareiss_echelon(as_fractions) == want
+    assert bareiss_echelon(mixed) == want
+
+
+def test_bareiss_int_path_raises_on_a_remainder(monkeypatch):
+    # Integer Bareiss never divides inexactly, so a divmod that always
+    # reports a remainder stands in for an inexact division.
+    from nilspec.exactnum import matrix
+
+    monkeypatch.setattr(matrix, "divmod", lambda x, y: (x // y, 1), raising=False)
+    with pytest.raises(ArithmeticError, match=r"^inexact integer division 0 / 1$"):
+        bareiss_echelon([[1, 0], [0, 1]])
+    assert bareiss_echelon([[Fraction(1), 0], [0, 1]])[2] == 1
+
+
 @given(q=st.integers(-10**6, 10**6), d=st.integers(2, 10**4), r=st.integers(1, 10**4))
 def test_inexact_integer_division_raises(q, d, r):
     r %= d

@@ -6,12 +6,13 @@ from nilspec.geometry import (
     Metric,
     koszul_connection,
     laplacian_on_invariant_oneforms,
-    nabla_chart,
 )
 from nilspec.exactnum import bareiss_det
 from nilspec.liealg import NilLieAlgebra
+from nilspec.registry import EXAMPLE_IDS, load
 
 from conftest import build_dim5, build_dim7
+from oneform_references import connection_identities_hold, nabla_chart
 
 F = Fraction
 H = F(1, 2)
@@ -108,7 +109,7 @@ def test_connection_identities_all_metrics():
         (alg7, metric_v(alg7)),
     ):
         table = koszul_connection(alg, metric)
-        assert table.check_identities()
+        assert connection_identities_hold(table)
 
 
 def test_chart_standard_dim7():
@@ -142,7 +143,7 @@ def test_invariant_laplacian_dim7():
     expected[4][4] = F(2)
     expected[5][5] = F(1)
     expected[6][6] = F(3)
-    assert lap == expected
+    assert lap == tuple(map(tuple, expected))
 
 
 def test_invariant_laplacian_dim5():
@@ -151,7 +152,7 @@ def test_invariant_laplacian_dim5():
     expected = [[F(0)] * 5 for _ in range(5)]
     expected[3][3] = F(1)
     expected[4][4] = F(2)
-    assert lap == expected
+    assert lap == tuple(map(tuple, expected))
 
 
 def test_invariant_laplacian_frame_metric():
@@ -162,14 +163,14 @@ def test_invariant_laplacian_frame_metric():
     expected[5][5] = F(1)
     expected[5][6] = expected[6][5] = F(1, 4)
     expected[6][6] = F(3) + F(1, 256) + F(3, 16)
-    assert lap == expected
+    assert lap == tuple(map(tuple, expected))
 
 
 def test_laplacian_symmetric_psd():
     alg = build_dim7()
     for metric in (Metric.standard(alg), metric_v(alg)):
         lap = laplacian_on_invariant_oneforms(alg, metric)
-        assert lap == [list(col) for col in zip(*lap)]
+        assert lap == tuple(zip(*lap))
         for k in range(1, 8):
             minor = [row[:k] for row in lap[:k]]
             assert bareiss_det(minor) >= 0
@@ -212,3 +213,38 @@ def test_frame_brackets_are_computed_once():
     assert isinstance(c, tuple)
     assert all(isinstance(row, tuple) and all(isinstance(v, tuple) for v in row) for row in c)
     assert metric.frame_brackets() is c
+
+
+def _fresh_tables(metric):
+    """Koszul coefficients and invariant Laplacian from the frame brackets,
+    uncached, as nested tuples (a tuple never equals a list)."""
+    c = metric.frame_brackets()
+    n = len(c)
+    gamma = tuple(
+        tuple(tuple((c[k][i][j] + c[k][j][i] + c[i][j][k]) / 2 for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lap = tuple(
+        tuple(sum((c[i][j][l] * c[i][j][m] for i, j in pairs), F(0)) for m in range(n)) for l in range(n)
+    )
+    return gamma, lap
+
+
+@pytest.mark.parametrize("root", EXAMPLE_IDS + ("two metrics on one algebra",))
+def test_connection_and_laplacian_are_built_once_per_metric(root):
+    if root in EXAMPLE_IDS:
+        record = load(root)
+        metrics = [record.metric, record.pair().quotient_data()[2], Metric.standard(record.algebra)]
+    else:
+        alg = build_dim7()
+        metrics = [Metric.standard(alg), metric_v(alg)]
+    for metric in metrics:
+        alg = metric.algebra
+        table = koszul_connection(alg, metric)
+        lap = laplacian_on_invariant_oneforms(alg, metric)
+        assert koszul_connection(alg, metric) is table
+        assert laplacian_on_invariant_oneforms(alg, metric) is lap
+        assert table.metric is metric
+        assert (table.gamma, lap) == _fresh_tables(metric)
+        assert connection_identities_hold(table)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from itertools import islice
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,15 +22,16 @@ from nilspec.oneform import (
     enumerate_shell,
     leading_pi_coefficient,
     nullity_at,
+    _echelon_quadratic,
+    _ShiftedAtPoints,
     numeric_spectrum,
-    plain_candidate,
     s2_values_up_to,
-    sqrt_candidate,
 )
 from nilspec.registry import load
 from nilspec.vecops import basis_vec, vzero
 
 from conftest import build_dim5, build_dim7, lattice_gens
+from oneform_references import plain_candidate, reference_nullity_at, sqrt_candidate
 from test_geometry import metric_v
 
 F = Fraction
@@ -451,11 +453,15 @@ def _reference_rank(m):
 
 
 def _check_nullity(matrix, lam):
-    """nullity_at against _reference_rank; its kernel is exact and independent."""
+    """nullity_at against _reference_rank; its kernel is exact and independent,
+    equal to the per-minor Cramer construction, and the nullity is positive
+    exactly where det_at finds det(E - lambda I) = 0."""
     n = matrix.dim
     m = _shifted(matrix, lam)
     nullity, kernel = nullity_at(matrix, lam)
     assert nullity == n - _reference_rank(m)
+    assert (nullity > 0) == det_at(matrix, lam)[1]
+    assert (nullity, kernel) == reference_nullity_at(matrix, lam)
     assert len(kernel) == nullity
     for vec in kernel:
         for row in m:
@@ -637,3 +643,52 @@ def test_nullity_at_matches_minors_on_shells(root):
             e = assemble_E(algebra, metric, CharacterWave(algebra, metric, tau))
             total += _check_nullity(e, lam)
     assert total == 2
+
+
+# -- the fast paths against their references ------------------------------------
+
+
+def _poly(*coeffs):
+    return UniPoly([GaussRat(F(c)) for c in coeffs])
+
+
+# For plain_candidate([0]) the first good points are p = 2, -2, 3, -3, ...
+# (d = p must not be zero or a square).
+LAM_ZERO = plain_candidate([0])
+
+
+def test_cramer_minors_skip_a_point_where_the_minor_vanishes():
+    # Rank 1; the 1 x 1 minor p + 2 chosen at p = 2 vanishes at p = -2, the
+    # second good point, where its row is (0, 1).
+    matrix = SimpleNamespace(dim=2, entries=[[_poly(2, 1), _poly(1)]] * 2)
+    shifted = _ShiftedAtPoints(matrix, LAM_ZERO)
+    points = list(islice(shifted.points(), 3))
+    assert [p0 for p0, _, _ in points] == [2, -2, 3]
+    _, d, m = points[1]
+    assert _echelon_quadratic([m[0]], d, True)[1] == [1]
+    nullity, kernel = nullity_at(matrix, LAM_ZERO)
+    assert nullity == 1
+    assert (nullity, kernel) == reference_nullity_at(matrix, LAM_ZERO)
+    assert [v.a for v in kernel[0]] == [_poly(-1), _poly(2, 1)]
+
+
+def test_cramer_minors_carry_the_row_swap_sign():
+    # Rank 2, third row the sum of the first two.  The leading entry p + 2 is
+    # nonzero at p = 2, where rows 0 and 1 are chosen, and zero at p = -2,
+    # where the elimination must swap them.
+    entries = [
+        [_poly(2, 1), _poly(1), _poly(3, 1)],
+        [_poly(1), _poly(), _poly(1)],
+        [_poly(3, 1), _poly(1), _poly(4, 1)],
+    ]
+    matrix = SimpleNamespace(dim=3, entries=entries)
+    nullity, kernel = nullity_at(matrix, LAM_ZERO)
+    assert nullity == 1
+    assert (nullity, kernel) == reference_nullity_at(matrix, LAM_ZERO)
+    # det [[p + 2, 1], [1, 0]] = -1; the kernel vector is (1, 1, -1) times it.
+    assert [v.a for v in kernel[0]] == [_poly(1), _poly(1), _poly(-1)]
+    shifted = _ShiftedAtPoints(matrix, LAM_ZERO)
+    (_, d, m), = islice((pt for pt in shifted.points() if pt[0] == -2), 1)
+    rows = [m[0], m[1]]
+    assert not any(rows[0][0])
+    assert _echelon_quadratic(rows, d, True)[2][0] == (-1, 0, 0, 0)
