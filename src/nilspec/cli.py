@@ -5,7 +5,8 @@ search-iso.  Exit code 0 on success, 1 on a valid-but-negative verdict
 (for example "not representation equivalent"), 2 on input errors, 3 when
 search-iso hits its node ceiling before a verdict, and 4 when an internal
 invariant fails (an exact division with a remainder, a failed consistency
-check): that is a bug or corrupt bundled data, never a verdict.
+check) or any other exception escapes: that is a bug or corrupt bundled
+data, never a verdict.
 """
 
 from __future__ import annotations
@@ -444,8 +445,9 @@ def run(argv) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, ArithmeticError, AssertionError) as exc:
-        # Input is checked where it is read, so anything else is a failed invariant.
+    except Exception as exc:
+        # Input is checked where it is read, so anything else is a failed invariant;
+        # exit 1 is a valid negative verdict, so no internal failure may reach it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

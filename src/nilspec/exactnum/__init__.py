@@ -19,13 +19,12 @@ from .intlattice import (
     hnf,
     integer_kernel,
     integer_solvable,
-    smith_diagonal,
     snf,
     solve_integer,
 )
 from .poly import POLY_ONE, POLY_P, POLY_ZERO, UniPoly
 from .qforms import enumerate_on_shell, enumerate_up_to
-from .quadext import ModulusMismatch, QuadExtElem, quadext_zero_test
+from .quadext import ModulusMismatch, QuadExtElem
 from .scalars import (
     GAUSS_I,
     GAUSS_ONE,
@@ -62,12 +61,10 @@ __all__ = [
     "mat_vec",
     "perfect_square_root",
     "pfaffian",
-    "quadext_zero_test",
     "rank_and_kernel",
     "rat_from_str",
     "rat_to_str",
     "rref",
-    "smith_diagonal",
     "snf",
     "solve_integer",
     "solve_rational",

@@ -3,8 +3,10 @@
 Lattices are stored as generator rows in an ambient Q^n.  The canonical form
 is a row-style Hermite normal form of the denominator-cleared matrix, so
 lattice equality is literal equality of canonical data.  Membership and
-integer feasibility reduce against a Hermite form (``_in_span``); the Smith
-form, with both transforms, serves solutions and kernel bases.
+integer feasibility reduce against a Hermite form (``_in_span``), and the
+Hermite form of [A^T | I] gives a kernel basis and a complement
+(``_kernel_split``).  The Smith form, with both transforms, serves only the
+particular solution of ``solve_integer``.
 """
 
 from __future__ import annotations
@@ -188,19 +190,17 @@ def snf(mat):
     return m, u, v
 
 
-def smith_diagonal(mat):
-    s, _, _ = snf(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-
-
 def _kernel_split(mat, nc):
-    """Z-bases (kernel of mat, complement) of Z^nc: columns of the SNF's v."""
-    if not mat:
-        return [[int(i == j) for j in range(nc)] for i in range(nc)], []
-    s, _, v = snf(mat)
-    rank = sum(1 for i in range(min(len(mat), nc)) if s[i][i])
-    cols = [[v[r][j] for r in range(nc)] for j in range(nc)]
-    return cols[rank:], cols[:rank]
+    """Z-bases (kernel of mat, complement) of Z^nc, from one Hermite form.
+
+    hnf([mat^T | I]) is T [mat^T | I] for a unimodular T, so its right
+    halves are a basis of Z^nc; the rows whose mat^T half is zero are a
+    kernel basis, the others a complement (Cohen 1993, 2.4).  Euclid's
+    quotients, and so T, are the same for every positive multiple of mat.
+    """
+    nr = len(mat)
+    rows = hnf([[row[j] for row in mat] + [int(i == j) for i in range(nc)] for j in range(nc)])
+    return [r[nr:] for r in rows if not any(r[:nr])], [r[nr:] for r in rows if any(r[:nr])]
 
 
 def integer_kernel(mat):

@@ -89,12 +89,3 @@ class QuadExtElem:
             return repr(self.a)
         return f"({self.a!r}) + ({self.b!r})*s"
 
-
-def quadext_zero_test(x: QuadExtElem) -> bool:
-    """True iff every coefficient of both component polynomials vanishes.
-
-    An expression rational in p and s that evaluates to zero at a
-    transcendental value of p must vanish identically, so this componentwise
-    test decides the analytic statement exactly.
-    """
-    return x.is_zero()

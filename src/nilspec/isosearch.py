@@ -10,8 +10,8 @@ infeasibility first, which is what makes exhaustion cheap when no
 isomorphism exists.  Both build their systems with one row contraction
 (`_column_rows`).  The probe only asks whether a system has an integer
 solution, which a Hermite-form span test decides (`integer_solvable`); the
-depth-first search needs a solution and the kernel, so it solves by Smith
-form (`_solve_column_system`).
+depth-first search needs a solution and the kernel (`_solve_column_system`):
+the solution comes from the Smith form, the kernel from a Hermite form.
 
 A negative outcome means precisely: no automorphism maps the first lattice
 onto the second while sending each generator v_i to a point of the log-cover
@@ -186,9 +186,9 @@ def _column_rows(col: _Column, constraints):
 def _solve_column_system(col: _Column, constraints):
     """Integer solutions x of [x, u_j] = rhs_j with x in the column lattice.
 
-    The system comes from `_column_rows` and is solved by Smith form, since
-    the search needs a particular solution and a kernel basis; the probe,
-    which needs feasibility alone, passes the system to `integer_solvable`.
+    The system comes from `_column_rows`; the search needs a particular
+    solution (`solve_integer`) and a kernel basis (`integer_kernel`), while
+    the probe, which needs feasibility alone, asks `integer_solvable`.
     Returns None when infeasible, else (u0, directions): the particular
     solution and the images of a kernel basis, integer vectors over col.den.
     """

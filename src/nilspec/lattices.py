@@ -208,12 +208,11 @@ class LatticeSpec:
             raise ValueError("subspace is not an ideal")
         inside = [g for g in self.generators if subspace.contains(g)]
         outside = [g for g in self.generators if not subspace.contains(g)]
-        if outside:
-            quot_alg, proj = self.algebra.quotient(subspace)
-            images = [tuple(mat_vec(proj, g)) for g in outside]
-            if Subspace(quot_alg.dim, images).dim != len(outside):
-                raise ValueError("generators do not split along the subspace")
-        lattice = IntLattice(self.algebra.dim, inside)
+        # Independent in g/S exactly when they add their number to dim S.
+        n = self.algebra.dim
+        if Subspace(n, [*subspace.rows, *outside]).dim != subspace.dim + len(outside):
+            raise ValueError("generators do not split along the subspace")
+        lattice = IntLattice(n, inside)
         for _ in range(6):
             basis = [tuple(b) for b in lattice.basis_vectors()]
             extra = []
@@ -225,7 +224,7 @@ class LatticeSpec:
                         extra.append(v)
             if not extra:
                 return lattice
-            lattice = IntLattice(self.algebra.dim, basis + extra)
+            lattice = IntLattice(n, basis + extra)
         raise ValueError("log cover did not stabilize")
 
     # -- serialization ----------------------------------------------------------

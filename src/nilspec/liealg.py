@@ -49,9 +49,7 @@ from .vecops import (
     is_zero_vec,
     vadd,
     vec,
-    vscale,
     vsub,
-    vzero,
 )
 
 DEFAULT_SEED = 1729
@@ -71,27 +69,37 @@ def sample_vector(rng: random.Random, dim: int) -> tuple:
 
 
 class Subspace:
-    """Subspace of Q^n in canonical reduced row form."""
+    """Subspace of Q^n in canonical reduced row form.
 
-    __slots__ = ("ambient", "rows")
+    ``rows`` is the reduced row echelon basis and ``pivots`` its pivot
+    columns, so equal subspaces have equal rows.  The echelon form is the
+    one place that reduces (``reduce``, ``contains``), projects onto the
+    quotient Q^n / S (``projection``) and intersects (``intersection``).
+    """
+
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int, vectors):
         self.ambient = ambient
-        rows, _ = rref([list(v) for v in vectors] or [[Fraction(0)] * ambient])
+        rows, pivots = rref([list(v) for v in vectors] or [[Fraction(0)] * ambient])
         self.rows = tuple(tuple(r) for r in rows)
+        self.pivots = tuple(pivots)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v) -> bool:
+    def reduce(self, v) -> tuple:
+        """v minus the vector of the subspace that agrees with it at every pivot."""
         work = list(v)
-        for row in self.rows:
-            p = next(i for i, x in enumerate(row) if x)
-            if work[p]:
-                f = work[p]
+        for row, p in zip(self.rows, self.pivots):
+            f = work[p]
+            if f:
                 work = [a - f * b for a, b in zip(work, row)]
-        return is_zero_vec(work)
+        return tuple(work)
+
+    def contains(self, v) -> bool:
+        return is_zero_vec(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -99,25 +107,24 @@ class Subspace:
     def basis(self):
         return [tuple(r) for r in self.rows]
 
+    def projection(self):
+        """Matrix of ``reduce`` read at the non-pivot coordinates: Q^n onto Q^n / S."""
+        cols = [self.reduce(basis_vec(self.ambient, j)) for j in range(self.ambient)]
+        return [[col[m] for col in cols] for m in range(self.ambient) if m not in self.pivots]
+
     def intersection(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
+        """A cap B from one reduced form of [A | A; B | 0] (Zassenhaus).
+
+        The row space is {(xA + yB, xA)}; its rows with a pivot in the right
+        half span the vectors with xA + yB = 0, whose right halves xA = -yB
+        span A cap B.
+        """
+        n = self.ambient
+        if n != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        if not self.rows or not other.rows:
-            return Subspace(self.ambient, [])
-        # v = x.A = y.B: kernel of [A^T | -B^T].
-        cols = []
-        for k in range(self.ambient):
-            cols.append(
-                [row[k] for row in self.rows] + [-row[k] for row in other.rows]
-            )
-        _, kernel = solve_rational(cols, [Fraction(0)] * self.ambient)
-        vecs = []
-        for kv in kernel:
-            v = vzero(self.ambient)
-            for c, row in zip(kv[: len(self.rows)], self.rows):
-                v = vadd(v, vscale(c, row))
-            vecs.append(v)
-        return Subspace(self.ambient, vecs)
+        zero = [Fraction(0)] * n
+        rows, pivots = rref([[*a, *a] for a in self.rows] + [[*b, *zero] for b in other.rows])
+        return Subspace(n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -345,30 +352,20 @@ class NilLieAlgebra:
         )
 
     def quotient(self, ideal: Subspace):
-        """Quotient algebra by an ideal plus the projection matrix."""
+        """Quotient algebra by an ideal plus the projection matrix.
+
+        The quotient's basis is the images of the e_m off the ideal's pivots.
+        """
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        rows, pivots = rref([list(r) for r in ideal.rows] or [[Fraction(0)] * self.dim])
-        keep = [m for m in range(self.dim) if m not in pivots]
-        qdim = len(keep)
-
-        def project(v):
-            work = list(v)
-            for row, p in zip(rows, pivots):
-                if work[p]:
-                    f = work[p]
-                    work = [a - f * b for a, b in zip(work, row)]
-            return tuple(work[m] for m in keep)
-
-        proj = [
-            list(project(basis_vec(self.dim, j)))
-            for j in range(self.dim)
-        ]
-        proj_matrix = [[proj[j][i] for j in range(self.dim)] for i in range(qdim)]
+        keep = [m for m in range(self.dim) if m not in ideal.pivots]
+        proj = ideal.projection()
         quot = self.in_basis(
-            [basis_vec(self.dim, m) for m in keep], project, [self.names[m] for m in keep]
+            [basis_vec(self.dim, m) for m in keep],
+            lambda v: mat_vec(proj, v),
+            [self.names[m] for m in keep],
         )
-        return quot, proj_matrix
+        return quot, proj
 
     def in_basis(self, vectors, coordinates, names) -> "NilLieAlgebra":
         """The algebra on ``vectors`` whose bracket [u_a, u_b] is read by ``coordinates``.

@@ -443,9 +443,8 @@ def character_dual_data(algebra: NilLieAlgebra, metric: Metric, log_lattice: Int
     occurring for the lattice are exactly the integer-valued ones on the
     projected logs, i.e. the dual lattice downstairs.
     """
-    derived = algebra.derived(1)
-    ab_alg, proj = algebra.quotient(derived)
-    d = ab_alg.dim
+    proj = algebra.derived(1).projection()
+    d = len(proj)
     projected = IntLattice(d, [mat_vec(proj, b) for b in log_lattice.basis_vectors()])
     if projected.rank != d:
         raise ValueError("projected lattice is not full rank")
@@ -521,7 +520,7 @@ def central_dual_generator(spec) -> tuple:
     if len(basis) != 1:
         raise ValueError("central dual generator needs a rank-one center")
     b = basis[0]
-    pivots = [next(i for i, x in enumerate(r) if x) for r in central.center.rows]
+    pivots = central.center.pivots
     tau = [Fraction(0)] * spec.algebra.dim
     # Supported on the center, pairing to 1: solve on the pivot coordinates.
     sol = solve_rational([[b[m] for m in pivots]], [Fraction(1)])

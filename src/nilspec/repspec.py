@@ -160,7 +160,7 @@ def pesce_occurrence_and_multiplicity(
 
 def _off_center(algebra: NilLieAlgebra) -> tuple:
     """The coordinates that are not pivots of the center's reduced rows."""
-    pivots = {next(i for i, x in enumerate(r) if x) for r in algebra.center().rows}
+    pivots = algebra.center().pivots
     return tuple(m for m in range(algebra.dim) if m not in pivots)
 
 

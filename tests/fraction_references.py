@@ -13,6 +13,15 @@ they read the structure constants as Fractions off ``algebra.to_json()``.
 - ``reference_product_int``: its hand-expanded product formula on that table.
 - ``reference_cbh``: the step-3 group law over Fractions.
 - ``reference_is_automorphism``: m[e_i, e_j] == [m e_i, m e_j] over Fractions.
+
+And the subspace routines ``Subspace`` replaced with its own echelon form:
+
+- ``reference_intersection``: A cap B from the rational kernel of
+  [A^T | -B^T], recombined over A's rows.
+- ``reference_quotient``: ``NilLieAlgebra.quotient`` with its second reduced
+  form of the ideal and its own reduction loop.
+- ``reference_splits``: ``LatticeSpec.log_cover_lattice``'s split check,
+  through the quotient algebra's projection.
 """
 
 from fractions import Fraction
@@ -20,8 +29,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from nilspec.exactnum import rat_from_str
-from nilspec.exactnum.matrix import invert_rational, mat_vec
-from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale
+from nilspec.exactnum.matrix import invert_rational, mat_vec, rref, solve_rational
+from nilspec.liealg import Subspace
+from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale, vzero
 
 
 @lru_cache(maxsize=None)
@@ -130,3 +140,54 @@ def reference_is_automorphism(algebra, m):
             if tuple(lhs) != tuple(rhs):
                 return False
     return True
+
+
+def reference_intersection(a, b):
+    if a.ambient != b.ambient:
+        raise ValueError("ambient dimension mismatch")
+    if not a.rows or not b.rows:
+        return Subspace(a.ambient, [])
+    # v = x.A = y.B: kernel of [A^T | -B^T].
+    cols = [[row[k] for row in a.rows] + [-row[k] for row in b.rows] for k in range(a.ambient)]
+    _, kernel = solve_rational(cols, [Fraction(0)] * a.ambient)
+    vecs = []
+    for kv in kernel:
+        v = vzero(a.ambient)
+        for c, row in zip(kv[: len(a.rows)], a.rows):
+            v = vadd(v, vscale(c, row))
+        vecs.append(v)
+    return Subspace(a.ambient, vecs)
+
+
+def reference_quotient(algebra, ideal):
+    """(quotient algebra, projection matrix) by an ideal."""
+    if not algebra.is_ideal(ideal):
+        raise ValueError("subspace is not an ideal")
+    n = algebra.dim
+    rows, pivots = rref([list(r) for r in ideal.rows] or [[Fraction(0)] * n])
+    keep = [m for m in range(n) if m not in pivots]
+
+    def project(v):
+        work = list(v)
+        for row, p in zip(rows, pivots):
+            if work[p]:
+                f = work[p]
+                work = [a - f * b for a, b in zip(work, row)]
+        return tuple(work[m] for m in keep)
+
+    proj = [list(project(basis_vec(n, j))) for j in range(n)]
+    proj_matrix = [[proj[j][i] for j in range(n)] for i in range(len(keep))]
+    quot = algebra.in_basis(
+        [basis_vec(n, m) for m in keep], project, [algebra.names[m] for m in keep]
+    )
+    return quot, proj_matrix
+
+
+def reference_splits(algebra, subspace, generators):
+    """Whether the generators outside an ideal stay independent modulo it."""
+    outside = [g for g in generators if not subspace.contains(g)]
+    if not outside:
+        return True
+    quot_alg, proj = reference_quotient(algebra, subspace)
+    images = [tuple(mat_vec(proj, g)) for g in outside]
+    return Subspace(quot_alg.dim, images).dim == len(outside)

@@ -232,6 +232,20 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
     assert err == "internal error: ArithmeticError: inexact division in det_at\n"
 
 
+@pytest.mark.parametrize("command, target", [("distinguish", "distinguish_pair"), ("certify", "certify_rep_equivalent")])
+@pytest.mark.parametrize("error", [TypeError, IndexError, AttributeError])
+def test_any_unexpected_exception_exits_4(monkeypatch, capsys, command, target, error):
+    # Exit 1 is a valid negative verdict, so no internal failure may end there.
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = invoke(capsys, "--json", command, "III")
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {error.__name__}: injected\n"
+
+
 def test_nullity_determinant_disagreement_exits_4(monkeypatch, capsys):
     def nonzero(matrix, lam):
         return lam, False

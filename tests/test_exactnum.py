@@ -25,13 +25,12 @@ from nilspec.exactnum import (
     integer_solvable,
     perfect_square_root,
     pfaffian,
-    quadext_zero_test,
     rank_and_kernel,
     rref,
-    smith_diagonal,
     snf,
     solve_integer,
 )
+from nilspec.exactnum.intlattice import _kernel_split
 from nilspec.exactnum.matrix import _exact_div, bareiss_echelon, transpose
 
 Q17 = UniPoly([Fraction(1), 0, Fraction(17, 4)])  # (17/4)p^2 + 1
@@ -101,9 +100,9 @@ def test_quadext_ring_axioms():
 
 def test_quadext_zero_test_and_modulus_guard():
     zero = QuadExtElem(UniPoly(), UniPoly(), Q17)
-    assert quadext_zero_test(zero)
+    assert zero.is_zero()
     p2 = UniPoly.monomial(1, 2)
-    assert quadext_zero_test(QuadExtElem(p2 - p2, UniPoly(), Q17))
+    assert QuadExtElem(p2 - p2, UniPoly(), Q17).is_zero()
     x = QuadExtElem(UniPoly.const(1), UniPoly(), Q17)
     other = QuadExtElem(UniPoly.const(1), UniPoly(), UniPoly([0, 1]))
     from nilspec.exactnum import ModulusMismatch
@@ -255,8 +254,12 @@ def test_enumerate_on_shell_diag():
 
 
 def test_smith_diagonal_example():
-    assert smith_diagonal([[2, 0], [0, 4]]) == [2, 4]
-    assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
+    def diagonal(m):
+        s = snf(m)[0]
+        return [s[i][i] for i in range(min(len(s), len(s[0])))]
+
+    assert diagonal([[2, 0], [0, 4]]) == [2, 4]
+    assert diagonal([[0, 0], [0, 0]]) == [0, 0]
 
 
 # -- the integer elimination core ----------------------------------------------
@@ -384,6 +387,24 @@ def test_integer_solvable_decides_the_snf_blowup_matrix_quickly():
     assert float(done.stdout) < 0.1
 
 
+def test_intersect_kernel_splits_the_snf_blowup_matrix_quickly():
+    # The kernel split reads a Hermite form, so the matrix snf cannot finish
+    # splits Z^6 at once; timed in a child process.
+    code = (
+        "from nilspec.exactnum import IntLattice\n"
+        "from nilspec.exactnum.matrix import identity\n"
+        f"m = {SNF_BLOWUP!r}\n"
+        "kernel, compl = IntLattice(6, identity(6)).intersect_kernel(m)\n"
+        "assert (len(kernel), len(compl)) == (2, 4)\n"
+        "assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=3)
+    except subprocess.TimeoutExpired:
+        pytest.fail("intersect_kernel did not return within 3 s")
+
+
 # -- Hermite forms: canonical data and the span test -------------------------------
 
 
@@ -501,6 +522,24 @@ def test_hnf_is_canonical_under_unimodular_row_changes(system, data):
     assert hnf(rows) == h
     assert hnf(h) == h
     assert len(h) == len(rref(m)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=int_systems(), scale=st.integers(2, 7))
+def test_kernel_split_is_a_unimodular_kernel_and_complement(system, scale):
+    m = system[0]
+    nc = len(m[0])
+    kernel, compl = _kernel_split(m, nc)
+    # Together the rows are a basis of Z^nc: a unimodular transform.
+    assert bareiss_det(kernel + compl) in (1, -1)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)
+    assert len(kernel) == nc - len(bareiss_echelon(m)[1])
+    assert integer_kernel(m) == kernel
+    # Euclid's quotients, and so the transform, ignore a positive scale.
+    scaled = [[scale * x for x in row] for row in m]
+    assert _kernel_split(scaled, nc) == (kernel, compl)
+    lat = IntLattice(nc, [[Fraction(x, scale) for x in row] for row in identity(nc)])
+    assert lat.intersect_kernel(scaled) == lat.intersect_kernel(m)
 
 
 @settings(max_examples=150, deadline=None)

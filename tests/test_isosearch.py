@@ -27,6 +27,7 @@ from nilspec.liealg import NilLieAlgebra, Subspace
 from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.vecops import basis_vec, clear_denominators, vadd, vdot
 
+from fraction_references import reference_splits
 from test_lattices import BUNDLED_SPECS, perturbed
 
 F = Fraction
@@ -70,12 +71,8 @@ def _ordered_pairs_log_cover(spec, subspace):
     if not algebra.is_ideal(subspace):
         raise ValueError("subspace is not an ideal")
     inside = [g for g in spec.generators if subspace.contains(g)]
-    outside = [g for g in spec.generators if not subspace.contains(g)]
-    if outside:
-        quot_alg, proj = algebra.quotient(subspace)
-        images = [tuple(mat_vec(proj, g)) for g in outside]
-        if Subspace(quot_alg.dim, images).dim != len(outside):
-            raise ValueError("generators do not split along the subspace")
+    if not reference_splits(algebra, subspace, spec.generators):
+        raise ValueError("generators do not split along the subspace")
     lattice = IntLattice(algebra.dim, inside)
     for _ in range(6):
         basis = [tuple(b) for b in lattice.basis_vectors()]

@@ -101,13 +101,45 @@ def test_only_lattices_constructs_lattice_specs():
                 assert name != "LatticeSpec", (path.name, node.lineno)
 
 
+def _callers(target):
+    """(file name, enclosing class and def names) of each call to ``target`` in the package."""
+    out = set()
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == target:
+                    out.add((path.name, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(path, child, scope + (child.name,))
+            else:
+                visit(path, child, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def test_only_subspace_reduces_rational_rows():
+    # Subspace keeps the reduced form and its pivots, so reduction, projection
+    # and intersection read them there instead of eliminating again.
+    for name, scope in _callers("rref"):
+        assert name == "matrix.py" or (name, scope[:1]) == ("liealg.py", ("Subspace",)), (name, scope)
+
+
+def test_only_solve_integer_calls_snf():
+    # Kernels and complements come from the Hermite form; the Smith form is
+    # left only for the depth-first step's particular solution.
+    assert _callers("snf") == {("intlattice.py", ("solve_integer",))}
+
+
 # Public functions with no caller in the package, each used only by tests.
 # The list only shrinks: move a helper into tests/ or give it a caller.
 # leading_pi_coefficient and s2_values_up_to serve tests/test_acceptance.py.
 UNCALLED_ALLOWED = {
-    ("nilspec.exactnum.intlattice", "smith_diagonal"),
     ("nilspec.exactnum.matrix", "cofactor_det"),
-    ("nilspec.exactnum.quadext", "quadext_zero_test"),
     ("nilspec.oneform", "leading_pi_coefficient"),
     ("nilspec.oneform", "s2_values_up_to"),
     ("nilspec.repspec", "is_square_integrable"),
