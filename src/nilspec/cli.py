@@ -30,22 +30,9 @@ from .isosearch import (
 )
 from .lattices import LatticeSpec
 from .liealg import DEFAULT_SEED, NilLieAlgebra
-from .oneform import (
-    CharacterWave,
-    assemble_E,
-    central_dual_generator,
-    distinguish_pair,
-    enumerate_shell,
-    numeric_spectrum,
-)
-from .registry import EXAMPLE_IDS, _parse_witness, load, table_one
-from .repspec import (
-    Pair,
-    certify_isospectral,
-    certify_rep_equivalent,
-    moore_wolf_multiplicity,
-    pesce_occurrence_and_multiplicity,
-)
+from .oneform import CharacterWave, assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
+from .registry import EXAMPLE_IDS, load, parse_witness, table_one
+from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
 
 
 class InputError(Exception):
@@ -124,7 +111,7 @@ def _pair_from_files(args):
     metric = _parse_file(metric_path, Metric.from_json, alg)
     spec1 = _parse_file(path1, LatticeSpec.from_json, alg, "file.1")
     spec2 = _parse_file(path2, LatticeSpec.from_json, alg, "file.2")
-    witness = _parse_file(args.witness, _parse_witness) if args.witness else None
+    witness = _parse_file(args.witness, parse_witness) if args.witness else None
     pair = Pair("files", alg, metric, spec1, spec2)
     try:
         # What the certifiers project; a lattice they cannot project is bad input.
@@ -157,22 +144,22 @@ def cmd_certify(args) -> int:
         raise InputError(f"--replay reads the pair from the certificate; drop {args.target!r}")
     if not (args.target or args.files or args.replay):
         raise InputError("certify needs an example id, --files or --replay")
+    saved = _read_json(args.replay) if args.replay else None
+    if args.replay and (not isinstance(saved, dict) or not {"pair", "kind"} <= saved.keys()):
+        raise InputError(f"{args.replay} is not a certificate: needs 'pair' and 'kind'")
+    if args.files:
+        pair, iso_witness = _pair_from_files(args)
+        rep_witness = iso_witness
+    elif args.replay and saved["pair"] == "files":
+        raise InputError(
+            "certificate was made with --files; replay it with the same "
+            "--files ALGEBRA METRIC LAT1 LAT2 (and --witness)"
+        )
+    else:
+        record = _load_record(saved["pair"].split(".")[0] if args.replay else args.target)
+        pair = record.pair()
+        iso_witness, rep_witness = record.quotient_witness, record.rep_equivalent_witness
     if args.replay:
-        saved = _read_json(args.replay)
-        if not isinstance(saved, dict) or not {"pair", "kind"} <= saved.keys():
-            raise InputError(f"{args.replay} is not a certificate: needs 'pair' and 'kind'")
-        if args.files:
-            pair, iso_witness = _pair_from_files(args)
-            rep_witness = iso_witness
-        elif saved["pair"] == "files":
-            raise InputError(
-                "certificate was made with --files; replay it with the same "
-                "--files ALGEBRA METRIC LAT1 LAT2 (and --witness)"
-            )
-        else:
-            record = _load_record(saved["pair"].split(".")[0])
-            pair = record.pair()
-            iso_witness, rep_witness = record.quotient_witness, record.rep_equivalent_witness
         if saved["kind"] == "isospectral":
             if iso_witness is None:
                 raise InputError("replaying an isospectral certificate needs --witness")
@@ -185,19 +172,12 @@ def cmd_certify(args) -> int:
         _emit(args, payload, [f"replay: {'identical verdicts' if same else 'MISMATCH'}"])
         return 0 if same else 1
 
-    if args.files:
-        pair, witness = _pair_from_files(args)
-        iso_cert = certify_isospectral(pair, witness, n_samples=args.samples, seed=args.seed) if witness else None
-        cor = certify_rep_equivalent(pair, witness, n_samples=args.samples, seed=args.seed)
-    else:
-        record = _load_record(args.target)
-        pair = record.pair()
-        iso_cert = certify_isospectral(
-            pair, record.quotient_witness, n_samples=args.samples, seed=args.seed
-        )
-        cor = certify_rep_equivalent(
-            pair, record.rep_equivalent_witness, n_samples=args.samples, seed=args.seed
-        )
+    iso_cert = (
+        certify_isospectral(pair, iso_witness, n_samples=args.samples, seed=args.seed)
+        if iso_witness
+        else None
+    )
+    cor = certify_rep_equivalent(pair, rep_witness, n_samples=args.samples, seed=args.seed)
     payload = {
         "isospectral": iso_cert.to_json() if iso_cert else None,
         "rep_equivalence": cor.to_json(),
@@ -221,6 +201,11 @@ def cmd_certify(args) -> int:
     return 0 if rep_yes else 1
 
 
+def _multiplicity_row(records) -> dict:
+    r1, r2 = (r.to_json() for r in records)
+    return {"tau": r1["tau"], "lattice1": r1, "lattice2": r2}
+
+
 def cmd_multiplicities(args) -> int:
     _require_positive("--range", args.range)
     record = _load_record(args.target)
@@ -230,34 +215,22 @@ def cmd_multiplicities(args) -> int:
         raise InputError(
             f"unknown sector {args.sector!r}; choose from {flag.labels}"
         )
-    rows = []
     idx = flag.labels.index(args.sector)
+    cs = [c for c in range(-args.range, args.range + 1) if c]
     if idx == 0:
         gen = central_dual_generator(record.spec1)
-        for c in range(-args.range, args.range + 1):
-            if c == 0:
-                continue
-            tau = tuple(Fraction(c) * t for t in gen)
-            r1 = moore_wolf_multiplicity(record.spec1, tau)
-            r2 = moore_wolf_multiplicity(record.spec2, tau)
-            rows.append({"tau": r1.to_json()["tau"], "lattice1": r1.to_json(), "lattice2": r2.to_json()})
+        rows = [_multiplicity_row(pair.moore_wolf(tuple(Fraction(c) * t for t in gen))) for c in cs]
     elif idx < len(flag.chain):
-        qalg, proj, _, (_, qlat1), (_, qlat2) = pair.quotient_data()
+        proj = pair.quotient_data()[1]
         # Dual direction of the sector's own central coordinate.
-        fresh = flag.chain[idx].basis()
-        news = [b for b in fresh if not flag.chain[idx - 1].contains(b)] if idx else fresh
-        direction = mat_vec(proj, news[0])
-        for c in range(-args.range, args.range + 1):
-            if c == 0:
-                continue
-            tau = tuple(
-                Fraction(c) if direction[m] != 0 else Fraction(0)
-                for m in range(qalg.dim)
-            )
-            r1 = pesce_occurrence_and_multiplicity(qalg, qlat1, tau)
-            r2 = pesce_occurrence_and_multiplicity(qalg, qlat2, tau)
-            rows.append({"tau": r1.to_json()["tau"], "lattice1": r1.to_json(), "lattice2": r2.to_json()})
+        new = next(b for b in flag.chain[idx].basis() if not flag.chain[idx - 1].contains(b))
+        support = [x != 0 for x in mat_vec(proj, new)]
+        rows = [
+            _multiplicity_row(pair.pesce(tuple(Fraction(c if s else 0) for s in support)))
+            for c in cs
+        ]
     else:
+        rows = []
         for side, spec in (("lattice1", record.spec1), ("lattice2", record.spec2)):
             lat = IntLattice(record.algebra.dim, spec.generators)
             shell_rows = []

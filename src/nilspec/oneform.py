@@ -39,26 +39,18 @@ maximal minor is nonzero.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import isqrt, lcm
 
 from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
-from .exactnum.matrix import mat_vec, solve_rational
+from .exactnum.matrix import mat_vec
 from .exactnum.quadext import QuadExtElem
 from .exactnum.scalars import GaussRat, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, NilLieAlgebra
-from .repspec import (
-    _sample_sector_functional,
-    _sector_kernel,
-    certify_rep_equivalent,
-    moore_wolf_multiplicity,
-    orbit_pairing_report,
-    pesce_occurrence_and_multiplicity,
-)
+from .repspec import certify_rep_equivalent, sector_check
 from .vecops import clear_denominators
 
 
@@ -510,33 +502,14 @@ def candidate_to_json(lam: QuadExtElem) -> dict:
 # -- pairwise verdicts ------------------------------------------------------------
 
 
-def central_dual_generator(spec) -> tuple:
-    """Covector supported on the center pairing to 1 with the central lattice.
-
-    Only implemented for rank-one centers, which covers the bundled data.
-    """
-    central = spec.center_intersection()
-    basis = central.lattice.basis_vectors()
-    if len(basis) != 1:
-        raise ValueError("central dual generator needs a rank-one center")
-    b = basis[0]
-    pivots = central.center.pivots
-    tau = [Fraction(0)] * spec.algebra.dim
-    # Supported on the center, pairing to 1: solve on the pivot coordinates.
-    sol = solve_rational([[b[m] for m in pivots]], [Fraction(1)])
-    for m, v in zip(pivots, sol[0]):
-        tau[m] = v
-    return tuple(tau)
-
-
 def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> dict:
     """One-form comparison report for a loaded ``registry.ExampleRecord``.
 
     Representation-equivalent pairs are reported as equal on one-forms.  For
     the rest, the character sector is compared exactly: shells at the
     example's S^2 target, determinant and nullity at the candidate
-    eigenvalue, and the resulting multiplicities; the remaining sectors are
-    covered by the representation-level facts configured per example.
+    eigenvalue, and the resulting multiplicities.  Each remaining sector is
+    compared by ``repspec.sector_check`` in the mode configured per example.
     """
     seed = DEFAULT_SEED if seed is None else seed
     pair = record.pair()
@@ -582,55 +555,15 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
     out["per_tau"] = {"lattice1": per_tau[0], "lattice2": per_tau[1]}
     out["character_multiplicities"] = {"lattice1": mults[0], "lattice2": mults[1]}
 
-    sector_checks = {}
-    qalg, proj, _, (qspec1, qlat1), (qspec2, qlat2) = pair.quotient_data()
-    sectors_ok = True
-    for label, mode in sorted(record.sector_modes.items()):
-        if mode == "moore_wolf":
-            gen1 = central_dual_generator(record.spec1)
-            ok = True
-            for c in (1, -1, 2, -2, 3, -3):
-                tau = tuple(Fraction(c) * t for t in gen1)
-                r1 = moore_wolf_multiplicity(record.spec1, tau)
-                r2 = moore_wolf_multiplicity(record.spec2, tau)
-                if (r1.occurs, r1.multiplicity) != (r2.occurs, r2.multiplicity):
-                    ok = False
-                    break
-            sector_checks[label] = {"mode": "moore_wolf", "ok": ok}
-        elif mode == "pesce_equal":
-            rng = random.Random(seed)
-            kernel = _sector_kernel(record.sector_flag, label, qalg, proj)
-            checked = 0
-            ok = True
-            while checked < n_samples:
-                tau_q = _sample_sector_functional(pair, record.sector_flag, label, rng, proj, kernel)
-                if tau_q is None:
-                    ok = False
-                    break
-                r1 = pesce_occurrence_and_multiplicity(qalg, qlat1, tau_q)
-                r2 = pesce_occurrence_and_multiplicity(qalg, qlat2, tau_q)
-                if (r1.occurs, r1.multiplicity) != (r2.occurs, r2.multiplicity):
-                    ok = False
-                    break
-                checked += 1
-            sector_checks[label] = {
-                "mode": "pesce_equal",
-                "ok": ok and checked >= 1,
-                "checked": checked,
-                "note": "verified_on_sample",
-            }
-        elif mode == "pairing":
-            report = orbit_pairing_report(
-                pair, record.sector_flag, label, record.pairing_map,
-                n_samples=n_samples, seed=seed,
-            )
-            sector_checks[label] = {"mode": "pairing", **report}
-        else:
-            raise ValueError(f"unknown sector mode {mode!r}")
-        sectors_ok = sectors_ok and sector_checks[label]["ok"]
-    out["sector_checks"] = sector_checks
+    out["sector_checks"] = {
+        label: sector_check(
+            pair, record.sector_flag, label, mode, record.pairing_map, n_samples, seed
+        )
+        for label, mode in sorted(record.sector_modes.items())
+    }
     out["seed"] = seed
 
+    sectors_ok = all(check["ok"] for check in out["sector_checks"].values())
     if sectors_ok and mults[0] != mults[1]:
         out["verdict"] = "not_one_form_isospectral"
     else:

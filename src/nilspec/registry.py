@@ -23,7 +23,7 @@ from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomor
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
 from .oneform import distinguish_pair
-from .repspec import Pair, SectorFlag, Witness, certify_isospectral, certify_rep_equivalent
+from .repspec import Pair, SectorFlag, Witness, certify_isospectral
 
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
 
@@ -40,11 +40,11 @@ def _parse_matrix(rows):
     return [[rat_from_str(x) for x in row] for row in rows]
 
 
-def _parse_witness(data: dict) -> Witness:
+def parse_witness(data: dict) -> Witness:
     if data["kind"] == "composite":
         return Witness(
             kind="composite",
-            factors=[_parse_witness(f) for f in data["factors"]],
+            factors=[parse_witness(f) for f in data["factors"]],
             name=data.get("name", ""),
         )
     return Witness(
@@ -114,9 +114,9 @@ def load(example_id: str) -> ExampleRecord:
         metric=metric,
         spec1=spec1,
         spec2=spec2,
-        quotient_witness=_parse_witness(data["quotient_witness"]),
+        quotient_witness=parse_witness(data["quotient_witness"]),
         rep_equivalent_witness=(
-            _parse_witness(data["rep_equivalent_witness"])
+            parse_witness(data["rep_equivalent_witness"])
             if data.get("rep_equivalent_witness")
             else None
         ),
@@ -146,19 +146,17 @@ def table_one(ids=EXAMPLE_IDS) -> list:
     rows = []
     for example_id in ids:
         record = load(example_id)
-        pair = record.pair()
-        iso_cert = certify_isospectral(pair, record.quotient_witness)
-        cor = certify_rep_equivalent(pair, record.rep_equivalent_witness)
-        rep_equivalent = cor.kind == "rep_equivalent" and cor.ok
+        iso_cert = certify_isospectral(record.pair(), record.quotient_witness)
+        # one_form_isospectral is distinguish_pair's verdict exactly when the
+        # pair is certified representation equivalent.
+        verdict = distinguish_pair(record)["verdict"]
+        rep_equivalent = verdict == "one_form_isospectral"
         if rep_equivalent:
             one_form = "equal (representation equivalent)"
+        elif verdict == "not_one_form_isospectral":
+            one_form = "distinct (one-form spectra differ)"
         else:
-            report = distinguish_pair(record)
-            one_form = (
-                "distinct (one-form spectra differ)"
-                if report["verdict"] == "not_one_form_isospectral"
-                else report["verdict"]
-            )
+            one_form = verdict
         if record.iso_witness is not None:
             ok = record.algebra.is_automorphism(record.iso_witness) and maps_onto(
                 record.iso_witness, record.spec1, record.spec2

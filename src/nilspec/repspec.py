@@ -4,8 +4,12 @@ Occurrence and multiplicity of induced representations in the quasi-regular
 representation of a nilmanifold are computed exactly: for 2-step quotients
 from the skew form tau([.,.]) on a lattice basis (square root of its
 determinant), and for central functionals from a Pfaffian normalized by a
-Z-basis of the quotient log lattice.  Certificates bundle every verified
-claim so a verdict can be replayed check by check.
+Z-basis of the quotient log lattice.  ``Pair.pesce`` and ``Pair.moore_wolf``
+give both lattices' records for one functional, and ``sector_check`` is the
+sector layer: the one place that compares a sector's multiplicities on the
+two lattices, exactly on central functionals or on functionals sampled in
+the sector.  Certificates bundle every verified claim so a verdict can be
+replayed check by check.
 
 Both multiplicities run on integers.  With tau = t / dt cleared,
 ``NilLieAlgebra.form_scaled(t)`` is S * tau([e_i, e_j]) for S = den * dt,
@@ -25,7 +29,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactnum import IntLattice, perfect_square_root, pfaffian
-from .exactnum.matrix import bareiss_det, identity, mat_mul, mat_vec, solve_rational
+from .exactnum.matrix import bareiss_det, identity, mat_mul, mat_vec, solve_rational, transpose
 from .exactnum.scalars import rat_to_str
 from .geometry import Metric
 from .lattices import LatticeSpec, maps_onto, quotient_covolume
@@ -103,6 +107,18 @@ class Pair:
             q1, q2 = self.spec1.quotient(qalg, proj), self.spec2.quotient(qalg, proj)
             self._quotient = (qalg, proj, qmetric, q1, q2)
         return self._quotient
+
+    def pesce(self, tau) -> tuple:
+        """Both projected lattices' records for a functional on the 2-step quotient."""
+        qalg, _, _, (_, qlat1), (_, qlat2) = self.quotient_data()
+        return (
+            pesce_occurrence_and_multiplicity(qalg, qlat1, tau),
+            pesce_occurrence_and_multiplicity(qalg, qlat2, tau),
+        )
+
+    def moore_wolf(self, tau) -> tuple:
+        """Both lattices' records for a central functional."""
+        return moore_wolf_multiplicity(self.spec1, tau), moore_wolf_multiplicity(self.spec2, tau)
 
 
 # -- multiplicities -------------------------------------------------------------
@@ -237,6 +253,25 @@ def moore_wolf_multiplicity(spec: LatticeSpec, tau) -> MultiplicityRecord:
         multiplicity=abs(pf) if occurs else Fraction(0),
         method="moore_wolf",
     )
+
+
+def central_dual_generator(spec: LatticeSpec) -> tuple:
+    """Covector supported on the center pairing to 1 with the central lattice.
+
+    Only implemented for rank-one centers, which covers the bundled data.
+    """
+    central = spec.center_intersection()
+    basis = central.lattice.basis_vectors()
+    if len(basis) != 1:
+        raise ValueError("central dual generator needs a rank-one center")
+    b = basis[0]
+    pivots = central.center.pivots
+    tau = [Fraction(0)] * spec.algebra.dim
+    # Supported on the center, pairing to 1: solve on the pivot coordinates.
+    sol = solve_rational([[b[m] for m in pivots]], [Fraction(1)])
+    for m, v in zip(pivots, sol[0]):
+        tau[m] = v
+    return tuple(tau)
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -430,8 +465,7 @@ def find_occurrence_mismatch(pair: Pair):
     Deterministic scan over functionals with at most two nonzero dual
     coordinates from a small grid; returns (tau, record1, record2) or None.
     """
-    qalg, _, _, (qspec1, qlat1), (qspec2, qlat2) = pair.quotient_data()
-    n = qalg.dim
+    n = pair.quotient_data()[0].dim
 
     def candidates():
         for i in range(n):
@@ -448,8 +482,7 @@ def find_occurrence_mismatch(pair: Pair):
                         yield tuple(t)
 
     for tau in candidates():
-        r1 = pesce_occurrence_and_multiplicity(qalg, qlat1, tau)
-        r2 = pesce_occurrence_and_multiplicity(qalg, qlat2, tau)
+        r1, r2 = pair.pesce(tau)
         if r1.occurs != r2.occurs:
             return tau, r1, r2
     return None
@@ -535,97 +568,111 @@ def orbit_pairing_report(
         raise ValueError("pairing map is not an automorphism")
     if not is_isometry(pair.metric, phi_full):
         raise ValueError("pairing map is not an isometry")
-    qalg, proj, _, (qspec1, qlat1), (qspec2, qlat2) = pair.quotient_data()
+    qalg, proj = pair.quotient_data()[:2]
     section, _ = solve_rational(proj, identity(qalg.dim))
-    phi_q = mat_mul(proj, mat_mul(phi_full, section))
-    rng = random.Random(seed)
-    kernel = _sector_kernel(sector, sector_label, qalg, proj)
+    phi_t = transpose(mat_mul(proj, mat_mul(phi_full, section)))
     checked = 0
-    while checked < n_samples:
-        tau_q = _sample_sector_functional(pair, sector, sector_label, rng, proj, kernel)
-        if tau_q is None:
-            break
-        tau_phi = tuple(
-            sum(Fraction(tau_q[m]) * phi_q[m][j] for m in range(qalg.dim))
-            for j in range(qalg.dim)
-        )
-        for qlat in (qlat1, qlat2):
-            r = pesce_occurrence_and_multiplicity(qalg, qlat, tau_q)
-            rp = pesce_occurrence_and_multiplicity(qalg, qlat, tau_phi)
-            if r.occurs != rp.occurs or r.multiplicity != rp.multiplicity:
-                return {
-                    "ok": False,
-                    "checked": checked,
-                    "failure": {"tau": [rat_to_str(t) for t in tau_q]},
-                }
-            if r.occurs and r.multiplicity % 2 != 0:
-                return {
-                    "ok": False,
-                    "checked": checked,
-                    "failure": {
-                        "tau": [rat_to_str(t) for t in tau_q],
-                        "reason": "odd multiplicity",
-                    },
-                }
-        if coadjoint_orbit_equal_2step(qalg, tau_q, tau_phi):
-            return {
-                "ok": False,
-                "checked": checked,
-                "failure": {
-                    "tau": [rat_to_str(t) for t in tau_q],
-                    "reason": "paired orbits coincide",
-                },
-            }
+    for tau_q in _sector_samples(pair, sector, sector_label, n_samples, seed):
+        failure = _pairing_failure(pair, tau_q, mat_vec(phi_t, tau_q))
+        if failure is not None:
+            return {"ok": False, "checked": checked, "failure": failure}
         checked += 1
     return {
-        "ok": checked >= 1,
+        "ok": 1 <= checked == n_samples,
         "checked": checked,
         "seed": seed,
         "note": "verified_on_sample",
     }
 
 
-def _lift_through(proj, tau_q, dim):
-    """Covector on the full algebra induced by a quotient covector."""
-    qdim = len(proj)
-    return tuple(
-        sum(Fraction(tau_q[a]) * proj[a][m] for a in range(qdim)) for m in range(dim)
-    )
-
-
-def _sector_kernel(sector, sector_label, qalg, proj):
-    """Basis of the quotient functionals vanishing on the chain step before the
-    named sector, or None when the sector lies past the chain."""
-    idx = sector.labels.index(sector_label)
-    if idx >= len(sector.chain):
-        return None
-    constraints = [list(mat_vec(proj, b)) for b in (sector.chain[idx - 1].basis() if idx > 0 else [])]
-    if not constraints:
-        return identity(qalg.dim)
-    return solve_rational(constraints, [Fraction(0)] * len(constraints))[1]
-
-
-def _sample_sector_functional(pair, sector, sector_label, rng, proj, kernel):
-    """Random quotient functional whose lift lies in the named sector.
-
-    Vanishing on the deeper chain subspaces is linear, so sample inside that
-    solution space (``kernel``, from ``_sector_kernel``), then scale to make
-    the sector's central values integral (occurrence-relevant) and nonzero.
-    """
-    if kernel is None:
-        return None
-    idx = sector.labels.index(sector_label)
-    for _ in range(60):
-        tau_q = tuple(
-            sum(sample_fraction(rng) * Fraction(k[a]) for k in kernel)
-            for a in range(len(proj))
-        )
-        lift = _lift_through(proj, tau_q, pair.algebra.dim)
-        vals = [vdot(lift, b) for b in sector.chain[idx].basis()]
-        if all(v == 0 for v in vals):
-            continue
-        scale = lcm(*[v.denominator for v in vals]) if vals else 1
-        tau_q = tuple(scale * t for t in tau_q)
-        if sector.classify(_lift_through(proj, tau_q, pair.algebra.dim)) == sector_label:
-            return tau_q
+def _pairing_failure(pair: Pair, tau_q, tau_phi) -> dict | None:
+    """Why tau and tau o phi do not pair, or None when they do."""
+    failure = {"tau": [rat_to_str(t) for t in tau_q]}
+    for r, rp in zip(pair.pesce(tau_q), pair.pesce(tau_phi)):
+        if r.occurs != rp.occurs or r.multiplicity != rp.multiplicity:
+            return failure
+        if r.occurs and r.multiplicity % 2 != 0:
+            return {**failure, "reason": "odd multiplicity"}
+    if coadjoint_orbit_equal_2step(pair.quotient_data()[0], tau_q, tau_phi):
+        return {**failure, "reason": "paired orbits coincide"}
     return None
+
+
+def sector_check(
+    pair: Pair, sector: SectorFlag, label: str, mode: str, phi_full, n_samples: int, seed: int
+) -> dict:
+    """Compare the named sector's multiplicities on the pair's two lattices.
+
+    ``moore_wolf``: the central dual generator of lattice 1 times +-1, +-2,
+    +-3 occurs with the same multiplicity on both lattices.  ``pesce_equal``:
+    so does each of n_samples functionals sampled in the sector, on the
+    2-step quotient.  ``pairing``: ``orbit_pairing_report`` with phi_full.
+    A sampled mode is ok only when all n_samples functionals were checked.
+    """
+    if mode == "moore_wolf":
+        gen = central_dual_generator(pair.spec1)
+        ok = all(
+            _agree(pair.moore_wolf(tuple(Fraction(c) * t for t in gen)))
+            for c in (1, -1, 2, -2, 3, -3)
+        )
+        return {"mode": "moore_wolf", "ok": ok}
+    if mode == "pesce_equal":
+        checked = 0
+        for tau_q in _sector_samples(pair, sector, label, n_samples, seed):
+            if not _agree(pair.pesce(tau_q)):
+                break
+            checked += 1
+        return {
+            "mode": "pesce_equal",
+            "ok": 1 <= checked == n_samples,
+            "checked": checked,
+            "note": "verified_on_sample",
+        }
+    if mode == "pairing":
+        return {"mode": "pairing", **orbit_pairing_report(pair, sector, label, phi_full, n_samples, seed)}
+    raise ValueError(f"unknown sector mode {mode!r}")
+
+
+def _agree(records) -> bool:
+    """Whether the two lattices' records give the same occurrence and multiplicity."""
+    r1, r2 = records
+    return (r1.occurs, r1.multiplicity) == (r2.occurs, r2.multiplicity)
+
+
+def _sector_samples(pair: Pair, sector: SectorFlag, label: str, n_samples: int, seed: int):
+    """Up to n_samples random quotient functionals whose lifts lie in the named sector.
+
+    Vanishing on the deeper chain subspaces is linear, so each functional is
+    drawn from that solution space, one ``Random(seed)`` for all of them, and
+    scaled to make the sector's central values integral (occurrence-relevant)
+    and nonzero.  The sampler stops early when 60 draws in a row miss the
+    sector, and yields nothing for the label past the chain.
+    """
+    idx = sector.labels.index(label)
+    if idx >= len(sector.chain):
+        return
+    qalg, proj = pair.quotient_data()[:2]
+    lift = transpose(proj)  # a quotient covector times this is its lift to g
+    constraints = [list(mat_vec(proj, b)) for b in (sector.chain[idx - 1].basis() if idx else [])]
+    if constraints:
+        kernel = solve_rational(constraints, [Fraction(0)] * len(constraints))[1]
+    else:
+        kernel = identity(qalg.dim)
+    own = sector.chain[idx].basis()
+    rng = random.Random(seed)
+    for _ in range(n_samples):
+        for _ in range(60):
+            tau_q = tuple(
+                sum(sample_fraction(rng) * Fraction(k[a]) for k in kernel)
+                for a in range(qalg.dim)
+            )
+            vals = [vdot(mat_vec(lift, tau_q), b) for b in own]
+            if all(v == 0 for v in vals):
+                continue
+            scale = lcm(*[v.denominator for v in vals])
+            tau_q = tuple(scale * t for t in tau_q)
+            if sector.classify(mat_vec(lift, tau_q)) == label:
+                yield tau_q
+                break
+        else:
+            return

@@ -189,10 +189,11 @@ def test_multiplicities_rejects_range_below_one(count, capsys):
 
 def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps({"kind": "isospectral"}))
-    code, _, err = invoke(capsys, "certify", "--replay", str(path))
-    assert code == 2
-    assert "not a certificate" in err
+    for saved in ({"kind": "isospectral"}, None, []):
+        path.write_text(json.dumps(saved))
+        code, _, err = invoke(capsys, "certify", "--replay", str(path))
+        assert code == 2, saved
+        assert "not a certificate" in err
 
 
 @pytest.mark.parametrize(

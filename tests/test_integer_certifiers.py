@@ -26,10 +26,10 @@ from nilspec.liealg import (
     is_strictly_nonsingular_sampled,
     sample_vector,
 )
-from nilspec.oneform import central_dual_generator
 from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.repspec import (
     MultiplicityRecord,
+    central_dual_generator,
     is_square_integrable,
     moore_wolf_multiplicity,
     pesce_occurrence_and_multiplicity,

@@ -172,3 +172,32 @@ def _uncalled_public_functions():
 
 def test_every_public_function_has_a_caller_in_the_package():
     assert _uncalled_public_functions() == UNCALLED_ALLOWED
+
+
+def _private(name):
+    """Whether a dotted name has a component with one leading underscore."""
+    return any(p.startswith("_") and not p.endswith("__") for p in name.split("."))
+
+
+def test_no_module_imports_a_private_name():
+    # An underscore name belongs to its own module; a second module that needs
+    # it calls for a public name or a function that owns the job.
+    found = [
+        (module, name)
+        for _, module, imports in _modules()
+        for names, _ in imports
+        for name in names
+        if _private(name)
+    ]
+    assert found == []
+
+
+def test_sectors_are_compared_in_repspec_alone():
+    # oneform asks repspec for a verdict per sector; it neither samples
+    # functionals nor calls a multiplicity routine itself.
+    imports = {module: imports for _, module, imports in _modules()}["nilspec.oneform"]
+    from_repspec = {n for names, _ in imports if names[0] == "nilspec.repspec" for n in names[1:]}
+    assert from_repspec == {"nilspec.repspec.certify_rep_equivalent", "nilspec.repspec.sector_check"}
+    assert {c for c in _callers("sample_fraction") if c[0] != "liealg.py"} == {
+        ("repspec.py", ("_sector_samples",))
+    }

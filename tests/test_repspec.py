@@ -5,10 +5,11 @@ import pytest
 
 from nilspec import registry
 from nilspec.liealg import NilLieAlgebra
-from nilspec.oneform import central_dual_generator, distinguish_pair
+from nilspec.oneform import distinguish_pair
 from nilspec.registry import load
 from nilspec.repspec import (
     Witness,
+    central_dual_generator,
     certify_rep_equivalent,
     certify_isospectral,
     find_occurrence_mismatch,
