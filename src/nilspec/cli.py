@@ -30,7 +30,7 @@ from .isosearch import (
 )
 from .lattices import LatticeSpec
 from .liealg import DEFAULT_SEED, NilLieAlgebra
-from .oneform import CharacterWave, assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
+from .oneform import assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
 from .registry import EXAMPLE_IDS, load, parse_witness, table_one
 from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
 
@@ -286,10 +286,7 @@ def _numeric_cross_check(record, report, pi_value: float) -> dict:
     for side in ("lattice1", "lattice2"):
         for row in report["per_tau"][side]:
             tau = tuple(rat_from_str(t) for t in row["tau"])
-            wave = CharacterWave(record.algebra, record.metric, tau)
-            spec = numeric_spectrum(
-                assemble_E(record.algebra, record.metric, wave), pi_value, 1e-9
-            )
+            spec = numeric_spectrum(assemble_E(record.algebra, record.metric, tau), pi_value, 1e-9)
             near = min(abs(x - lam_val) for x in spec)
             agrees = (near < 1e-6) == row["det_zero"]
             checks.append({"tau": row["tau"], "agrees": agrees})

@@ -3,7 +3,6 @@
 from .matrix import (
     bareiss_det,
     bareiss_echelon,
-    cofactor_det,
     identity,
     invert_rational,
     mat_mul,
@@ -49,7 +48,6 @@ __all__ = [
     "UniPoly",
     "bareiss_det",
     "bareiss_echelon",
-    "cofactor_det",
     "enumerate_on_shell",
     "enumerate_up_to",
     "hnf",

@@ -5,8 +5,7 @@ every intermediate value inside the ring.  On plain Python ints it stays on
 ints: exact division is floor division that raises ``ArithmeticError`` on a
 remainder, and the starting pivot is the int 1.  ``bareiss_echelon`` checks
 that once per call, not per entry: mixed input goes through ``_exact_div``.
-``cofactor_det`` and ``pfaffian`` need no division, so they serve any
-commutative ring.
+``pfaffian`` needs no division, so it serves any commutative ring.
 """
 
 from __future__ import annotations
@@ -115,29 +114,6 @@ def bareiss_det(m):
     if nr == 0:
         return Fraction(1)
     return bareiss_echelon(m)[2]
-
-
-def cofactor_det(m):
-    """Expansion by minors; reference oracle for small matrices."""
-    nr, nc = dims(m)
-    if nr != nc:
-        raise ValueError("determinant of a non-square matrix")
-    if nr == 0:
-        return Fraction(1)
-    if nr == 1:
-        return m[0][0]
-    acc = None
-    for j in range(nc):
-        if m[0][j] == 0:
-            continue
-        sub = [[row[k] for k in range(nc) if k != j] for row in m[1:]]
-        term = m[0][j] * cofactor_det(sub)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return m[0][0] - m[0][0]
-    return acc
 
 
 def rank_and_kernel(m):

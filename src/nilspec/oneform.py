@@ -8,11 +8,16 @@ eigenvalues live in a quadratic extension ring and are accepted or rejected
 by exact polynomial vanishing, which is equivalent to the analytic statement
 because pi is transcendental.
 
+`assemble_E` builds E once, as integer rows over one denominator: den E has
+entries in Z[i][p], kept as (re, im) integer coefficient pairs.  Its shape
+checks, the elimination below and the float oracle all read those rows.
+
 `det_at` finds det(E - lambda I) = A(p) + B(p) s, with s^2 = q(p), by
 evaluation and interpolation on integers.  Write lambda = a + b s, q = Q / c
 with Q integral, and sigma = c s, so sigma^2 = c Q(p).  One common
-denominator L turns L (E - lambda I) into a matrix over Z[i][p][sigma].  At
-an integer p0 that matrix lies over Z[i][t]/(t^2 - d), with d = c Q(p0).
+denominator L, the lcm of den and the candidate's denominators, turns
+L (E - lambda I) into a matrix over Z[i][p][sigma].  At an integer p0 that
+matrix lies over Z[i][t]/(t^2 - d), with d = c Q(p0).
 Points where q(p0) is zero or a square in Q(i) are skipped: a rational is a
 square in Q(i) exactly when its absolute value is a rational square.  At the
 remaining points the ring is a domain inside the field Q(i)(sqrt d).
@@ -39,7 +44,6 @@ maximal minor is nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import isqrt, lcm
@@ -51,64 +55,41 @@ from .exactnum.scalars import GaussRat, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, NilLieAlgebra
 from .repspec import certify_rep_equivalent, sector_check
-from .vecops import clear_denominators
-
-
-@dataclass(frozen=True)
-class CharacterWave:
-    """tau with tau(derived algebra) = 0, in structure-dual coordinates."""
-
-    algebra: NilLieAlgebra
-    metric: Metric
-    tau: tuple
-
-    def __post_init__(self):
-        for b in self.algebra.derived(1).basis():
-            val = sum(
-                (Fraction(t) * x for t, x in zip(self.tau, b)), Fraction(0)
-            )
-            if val != 0:
-                raise ValueError("functional does not vanish on the derived algebra")
-
-    def frame_values(self):
-        """tau(E_j) for each frame direction."""
-        return [
-            sum((Fraction(t) * x for t, x in zip(self.tau, col)), Fraction(0))
-            for col in self.metric.columns
-        ]
-
-    def s_squared(self) -> Fraction:
-        return sum((v * v for v in self.frame_values()), Fraction(0))
+from .vecops import clear_denominators, clear_rows, vdot
 
 
 class CharacterMatrix:
-    """Matrix of the one-form Laplacian on a character wave's sector."""
+    """Matrix of the one-form Laplacian on a character wave's sector, as integers.
 
-    def __init__(self, algebra, metric, tau, entries, s2):
+    ``rows[j][k]`` holds den E[j][k] as (re, im) integer coefficient pairs,
+    lowest degree first, with no trailing zeros; ``s2`` is S^2 of the wave.
+    """
+
+    def __init__(self, algebra, metric, rows, den, s2):
         self.algebra = algebra
         self.metric = metric
-        self.tau = tau
-        self.entries = entries
+        self.rows = rows
+        self.den = den
         self.s2 = s2
         self._check_shape()
 
     def _check_shape(self):
         n = self.algebra.dim
         lap = laplacian_on_invariant_oneforms(self.algebra, self.metric)
+        quad = 4 * self.s2 * self.den
         for j in range(n):
             for k in range(n):
-                e = self.entries[j][k]
-                if e != self.entries[k][j].conj():
+                e = self.rows[j][k]
+                if e != [(re, -im) for re, im in self.rows[k][j]]:
                     raise AssertionError("assembled matrix is not Hermitian")
-                if e.degree() > 2:
+                if len(e) > 3:
                     raise AssertionError("entry degree exceeds two")
-                c2 = e.coeff(2)
-                want2 = GaussRat(4 * self.s2) if j == k else GaussRat(0)
-                if c2 != want2:
+                c0, c1, c2 = e + [(0, 0)] * (3 - len(e))
+                if c2 != (quad if j == k else 0, 0):
                     raise AssertionError("quadratic part is not 4 S^2 I")
-                if e.coeff(0) != GaussRat(lap[j][k]):
+                if c0 != (lap[j][k] * self.den, 0):
                     raise AssertionError("constant part is not the invariant Laplacian")
-                if e.coeff(1).re != 0:
+                if c1[0]:
                     raise AssertionError("linear part is not purely imaginary")
 
     @property
@@ -116,34 +97,39 @@ class CharacterMatrix:
         return self.algebra.dim
 
 
-def assemble_E(algebra: NilLieAlgebra, metric: Metric, wave: CharacterWave) -> CharacterMatrix:
+def assemble_E(algebra: NilLieAlgebra, metric: Metric, tau) -> CharacterMatrix:
     """Matrix of the Laplacian on F tensor (one-forms), in the dual frame.
 
+    tau, in structure-dual coordinates, must vanish on the derived algebra.
     Diagonal: 4 p^2 S^2 plus the invariant-form Laplacian; off-diagonal
     linear terms come from -2 nabla_{grad F}, with grad F = 2 pi i F times
     the frame vector of tau.
     """
-    if wave.algebra is not algebra or wave.metric is not metric:
-        raise ValueError("wave carries different geometry")
+    for b in algebra.derived(1).basis():
+        if vdot(tau, b) != 0:
+            raise ValueError("functional does not vanish on the derived algebra")
     n = algebra.dim
-    t = wave.frame_values()
-    s2 = wave.s_squared()
     lap = laplacian_on_invariant_oneforms(algebra, metric)
     gamma = koszul_connection(algebra, metric).gamma
-    entries = []
+    t = [vdot(tau, col) for col in metric.columns]
+    s2 = vdot(t, t)
+    support = [j for j in range(n) if t[j]]
+    lin = [
+        [-4 * sum(t[j] * gamma[j][m][l] for j in support if gamma[j][m][l]) for m in range(n)]
+        for l in range(n)
+    ]
+    ints, den = clear_rows([[4 * s2], *lap, *lin])
+    (quad,), lap_int, lin_int = ints[0], ints[1 : n + 1], ints[n + 1 :]
+    rows = []
     for l in range(n):
         row = []
         for m in range(n):
-            coeff1 = Fraction(0)
-            for j in range(n):
-                if t[j]:
-                    coeff1 += t[j] * gamma[j][m][l]
-            coeffs = [GaussRat(lap[l][m]), GaussRat(0, -4 * coeff1)]
-            if l == m:
-                coeffs.append(GaussRat(4 * s2))
-            row.append(UniPoly(coeffs))
-        entries.append(row)
-    return CharacterMatrix(algebra, metric, wave.tau, entries, s2)
+            e = [(lap_int[l][m], 0), (0, lin_int[l][m]), (quad if l == m else 0, 0)]
+            while e and e[-1] == (0, 0):
+                e.pop()
+            row.append(e)
+        rows.append(row)
+    return CharacterMatrix(algebra, metric, rows, den, s2)
 
 
 def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
@@ -172,19 +158,19 @@ class _ShiftedAtPoints:
         self.sigma_sq = [(self.c * x, 0) for x in qnum]
         b_over_c = [GaussRat(x.re / self.c, x.im / self.c) for x in lam.b.coeffs]
         # L (E - lambda I) = L E - L a I - (L b / c) sigma I has Z[i] coefficients.
-        polys = [e.coeffs for row in matrix.entries for e in row]
-        rationals = [x for cs in polys + [lam.a.coeffs, b_over_c] for x in cs]
+        rationals = [*lam.a.coeffs, *b_over_c]
         self.scale = lcm(
-            *(x.re.denominator for x in rationals), *(x.im.denominator for x in rationals)
+            matrix.den,
+            *(x.re.denominator for x in rationals),
+            *(x.im.denominator for x in rationals),
         )
-        self.entries = [
-            [_gauss_int_coeffs(e.coeffs, self.scale) for e in row] for row in matrix.entries
-        ]
+        k = self.scale // matrix.den
+        self.entries = [[[(k * re, k * im) for re, im in e] for e in row] for row in matrix.rows]
         self.a_int = _gauss_int_coeffs(lam.a.coeffs, self.scale)
         self.b_int = _gauss_int_coeffs(b_over_c, self.scale)
         # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
         self.two_w = max(
-            2 * max(len(cs) - 1 for cs in polys),
+            2 * max(len(e) - 1 for row in matrix.rows for e in row),
             2 * lam.a.degree(),
             2 * lam.b.degree() + lam.q.degree(),
             0,
@@ -347,19 +333,6 @@ def _interpolate(xs, ys):
     return coeffs
 
 
-def leading_pi_coefficient(matrix: CharacterMatrix, lam: QuadExtElem) -> Fraction:
-    """Coefficient of p^(2n) in the polynomial part of det(E - lambda I).
-
-    For the candidates treated here (lambda = c p^2 + lower order, possibly
-    plus s), that is the top coefficient whose vanishing pins S^2.
-    """
-    det, _ = det_at(matrix, lam)
-    top = det.a.coeff(2 * matrix.dim)
-    if not top.is_real():
-        raise AssertionError("leading coefficient is not real")
-    return top.re
-
-
 def nullity_at(matrix: CharacterMatrix, lam: QuadExtElem):
     """Exact nullity of E - lambda I with a kernel basis over the extension.
 
@@ -419,7 +392,7 @@ def numeric_spectrum(matrix: CharacterMatrix, pi_value: float, tolerance: float)
     a = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            a[j, k] = matrix.entries[j][k].eval_complex(complex(pi_value))
+            a[j, k] = complex(*_eval_gauss(matrix.rows[j][k], pi_value)) / matrix.den
     if np.max(np.abs(a - a.conj().T)) > tolerance:
         raise AssertionError("specialized matrix is not Hermitian within tolerance")
     return sorted(np.linalg.eigvalsh(a).tolist())
@@ -535,8 +508,7 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
         rows = []
         total = 0
         for tau in shell:
-            wave = CharacterWave(algebra, metric, tau)
-            e = assemble_E(algebra, metric, wave)
+            e = assemble_E(algebra, metric, tau)
             # The rank pass is the eigenvalue test; det_at confirms a positive nullity.
             nullity, _ = nullity_at(e, lam)
             if nullity and not det_at(e, lam)[1]:

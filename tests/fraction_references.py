@@ -22,6 +22,9 @@ And the subspace routines ``Subspace`` replaced with its own echelon form:
   form of the ideal and its own reduction loop.
 - ``reference_splits``: ``LatticeSpec.log_cover_lattice``'s split check,
   through the quotient algebra's projection.
+
+And ``cofactor_det``, the determinant by expansion in minors: it needs no
+division, so it checks the eliminations over any commutative ring.
 """
 
 from fractions import Fraction
@@ -29,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from nilspec.exactnum import rat_from_str
-from nilspec.exactnum.matrix import invert_rational, mat_vec, rref, solve_rational
+from nilspec.exactnum.matrix import dims, invert_rational, mat_vec, rref, solve_rational
 from nilspec.liealg import Subspace
 from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale, vzero
 
@@ -191,3 +194,26 @@ def reference_splits(algebra, subspace, generators):
     quot_alg, proj = reference_quotient(algebra, subspace)
     images = [tuple(mat_vec(proj, g)) for g in outside]
     return Subspace(quot_alg.dim, images).dim == len(outside)
+
+
+def cofactor_det(m):
+    """Expansion by minors; reference oracle for small matrices."""
+    nr, nc = dims(m)
+    if nr != nc:
+        raise ValueError("determinant of a non-square matrix")
+    if nr == 0:
+        return Fraction(1)
+    if nr == 1:
+        return m[0][0]
+    acc = None
+    for j in range(nc):
+        if m[0][j] == 0:
+            continue
+        sub = [[row[k] for k in range(nc) if k != j] for row in m[1:]]
+        term = m[0][j] * cofactor_det(sub)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return m[0][0] - m[0][0]
+    return acc

@@ -13,11 +13,9 @@ from nilspec.exactnum import IntLattice, bareiss_det, pfaffian
 from nilspec.isosearch import SearchBudget, bounded_lattice_isomorphism_search
 from nilspec.liealg import is_strictly_nonsingular_sampled, sample_vector
 from nilspec.oneform import (
-    CharacterWave,
     assemble_E,
     det_at,
     enumerate_shell,
-    leading_pi_coefficient,
     nullity_at,
     numeric_spectrum,
     s2_values_up_to,
@@ -35,6 +33,7 @@ from nilspec.repspec import (
 from nilspec.vecops import basis_vec
 
 from conftest import build_heisenberg_plus_line
+from oneform_references import leading_pi_coefficient, s_squared
 
 F = Fraction
 HALF = F(1, 2)
@@ -70,7 +69,7 @@ def test_criterion_1_example_iii_distinguisher():
     mults = {1: 0, 2: 0}
     for which, shell in ((1, shell1), (2, shell2)):
         for tau in shell:
-            e = assemble_E(alg, met, CharacterWave(alg, met, tau))
+            e = assemble_E(alg, met, tau)
             _, is_eig = det_at(e, lam)
             expected_zero = tau in (cov(7, [(2, HALF)]), cov(7, [(2, -HALF)]))
             assert is_eig == expected_zero, tau
@@ -98,7 +97,7 @@ def test_criterion_2_example_iv_distinguisher():
     assert shell2 == {cov(5, [(1, HALF)]), cov(5, [(1, -HALF)])}
     total1 = 0
     for tau in shell1:
-        e = assemble_E(alg, met, CharacterWave(alg, met, tau))
+        e = assemble_E(alg, met, tau)
         _, is_eig = det_at(e, lam)
         assert is_eig
         nullity, kernel = nullity_at(e, lam)
@@ -116,7 +115,7 @@ def test_criterion_2_example_iv_distinguisher():
             assert vec[idx].a == ref * pi_i
     assert total1 == 2
     for tau in shell2:
-        e = assemble_E(alg, met, CharacterWave(alg, met, tau))
+        e = assemble_E(alg, met, tau)
         _, is_eig = det_at(e, lam)
         assert not is_eig
     elapsed = time.monotonic() - t0
@@ -143,16 +142,15 @@ def test_criterion_3_example_v_distinguisher():
     zero_set = {tau_of([0, q, -1, 0]), tau_of([0, -q, 1, 0])}
     for shell in (shell1, shell2):
         for tau in shell:
-            e = assemble_E(alg, met, CharacterWave(alg, met, tau))
+            e = assemble_E(alg, met, tau)
             _, is_eig = det_at(e, lam)
             assert is_eig == (tau in zero_set)
     rng = random.Random(31)
     for _ in range(5):
         coeffs = [F(rng.randint(-3, 3), rng.choice([1, 2, 4])) for _ in range(4)]
         tau = tau_of(coeffs)
-        wave = CharacterWave(alg, met, tau)
-        e = assemble_E(alg, met, wave)
-        s2 = wave.s_squared()
+        e = assemble_E(alg, met, tau)
+        s2 = s_squared(met, tau)
         assert leading_pi_coefficient(e, lam) == (4 * s2 - F(17, 4)) ** 7
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -313,7 +311,7 @@ def test_criterion_10_numeric_oracle():
         record = load(ex)
         lam_val = pi * pi + 1
         for tau in taus:
-            e = assemble_E(record.algebra, record.metric, CharacterWave(record.algebra, record.metric, tau))
+            e = assemble_E(record.algebra, record.metric, tau)
             spec = numeric_spectrum(e, pi, 1e-9)
             assert min(abs(x - lam_val) for x in spec) < 1e-9
     ok("criterion 10: numeric spectra contain every certified eigenvalue within 1e-9")

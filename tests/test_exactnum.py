@@ -17,7 +17,6 @@ from nilspec.exactnum import (
     QuadExtElem,
     UniPoly,
     bareiss_det,
-    cofactor_det,
     enumerate_on_shell,
     hnf,
     identity,
@@ -32,6 +31,8 @@ from nilspec.exactnum import (
 )
 from nilspec.exactnum.intlattice import _kernel_split
 from nilspec.exactnum.matrix import _exact_div, bareiss_echelon, transpose
+
+from fraction_references import cofactor_det
 
 Q17 = UniPoly([Fraction(1), 0, Fraction(17, 4)])  # (17/4)p^2 + 1
 

@@ -137,10 +137,8 @@ def test_only_solve_integer_calls_snf():
 
 # Public functions with no caller in the package, each used only by tests.
 # The list only shrinks: move a helper into tests/ or give it a caller.
-# leading_pi_coefficient and s2_values_up_to serve tests/test_acceptance.py.
+# s2_values_up_to serves tests/test_acceptance.py.
 UNCALLED_ALLOWED = {
-    ("nilspec.exactnum.matrix", "cofactor_det"),
-    ("nilspec.oneform", "leading_pi_coefficient"),
     ("nilspec.oneform", "s2_values_up_to"),
     ("nilspec.repspec", "is_square_integrable"),
     ("nilspec.vecops", "vneg"),

@@ -3,24 +3,21 @@ import math
 from itertools import islice
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilspec.exactnum import IntLattice, UniPoly
-from nilspec.exactnum.matrix import cofactor_det
 from nilspec.exactnum.quadext import QuadExtElem
 from nilspec.exactnum.scalars import GaussRat
 from nilspec.geometry import Metric
 from nilspec.lattices import LatticeSpec
 from nilspec.oneform import (
-    CharacterWave,
+    CharacterMatrix,
     assemble_E,
     det_at,
     enumerate_shell,
-    leading_pi_coefficient,
     nullity_at,
     _echelon_quadratic,
     _ShiftedAtPoints,
@@ -31,7 +28,17 @@ from nilspec.registry import load
 from nilspec.vecops import basis_vec, vzero
 
 from conftest import build_dim5, build_dim7, lattice_gens
-from oneform_references import plain_candidate, reference_nullity_at, sqrt_candidate
+from fraction_references import cofactor_det
+from oneform_references import (
+    as_int_matrix,
+    as_polys,
+    leading_pi_coefficient,
+    plain_candidate,
+    reference_assemble_E,
+    reference_nullity_at,
+    s_squared,
+    sqrt_candidate,
+)
 from test_geometry import metric_v
 
 F = Fraction
@@ -40,23 +47,20 @@ LAM_PI2_PLUS_1 = plain_candidate([1, 0, 1])
 Q17 = [1, 0, F(17, 4)]
 
 
-def wave7(tau):
+def char7(tau):
     alg = build_dim7()
-    met = Metric.standard(alg)
-    return alg, met, CharacterWave(alg, met, tuple(F(t) for t in tau))
+    return alg, Metric.standard(alg), tuple(F(t) for t in tau)
 
 
-def wave5(tau):
+def char5(tau):
     alg = build_dim5()
-    met = Metric.standard(alg)
-    return alg, met, CharacterWave(alg, met, tuple(F(t) for t in tau))
+    return alg, Metric.standard(alg), tuple(F(t) for t in tau)
 
 
-def wave_v(frame_coeffs):
+def char_v(frame_coeffs):
     alg = build_dim7()
     met = metric_v(alg)
-    tau = met.covector_from_frame([F(c) for c in frame_coeffs])
-    return alg, met, CharacterWave(alg, met, tau)
+    return alg, met, met.covector_from_frame([F(c) for c in frame_coeffs])
 
 
 def poly(const=0, lin_im=0, quad=0):
@@ -123,18 +127,18 @@ def test_golden_matrix_dim7():
     # Entries are polynomial of degree <= 2 in each coordinate of tau, so
     # agreement on a 3^4 grid is agreement identically.
     for a1, a2, b1, b2 in itertools.product(GRID, repeat=4):
-        alg, met, wave = wave7([a1, a2, b1, b2, 0, 0, 0])
-        got = assemble_E(alg, met, wave)
+        alg, met, tau = char7([a1, a2, b1, b2, 0, 0, 0])
+        got = assemble_E(alg, met, tau)
         want = golden_matrix_7(a1, a2, b1, b2)
-        assert got.entries == want
+        assert as_polys(got) == want
 
 
 def test_golden_matrix_dim5():
     for a1, b1, b2 in itertools.product(GRID, repeat=3):
-        alg, met, wave = wave5([a1, b1, b2, 0, 0])
-        got = assemble_E(alg, met, wave)
+        alg, met, tau = char5([a1, b1, b2, 0, 0])
+        got = assemble_E(alg, met, tau)
         want = golden_matrix_5(a1, b1, b2)
-        assert got.entries == want
+        assert as_polys(got) == want
 
 
 def test_golden_matrix_frame_metric():
@@ -143,32 +147,58 @@ def test_golden_matrix_frame_metric():
     # matrices the content is identical, so compare entry (j,k) with the
     # assembled (k,j).
     for a1, a2, a3, a4 in itertools.product([F(0), F(1), F(1, 4)], repeat=4):
-        alg, met, wave = wave_v([a1, a2, a3, a4])
-        got = assemble_E(alg, met, wave)
+        alg, met, tau = char_v([a1, a2, a3, a4])
+        got = as_polys(assemble_E(alg, met, tau))
         entries, diag = golden_matrix_v_upper(a1, a2, a3, a4)
         for j in range(7):
-            assert got.entries[j][j] == diag[j]
+            assert got[j][j] == diag[j]
             for k in range(j + 1, 7):
                 want = entries.get((j, k), UniPoly())
-                assert got.entries[k][j] == want, (j, k)
+                assert got[k][j] == want, (j, k)
 
 
 def test_assemble_zero_tau_is_invariant_laplacian():
-    alg, met, wave = wave7([0] * 7)
-    got = assemble_E(alg, met, wave)
+    alg, met, tau = char7([0] * 7)
+    got = as_polys(assemble_E(alg, met, tau))
     from nilspec.geometry import laplacian_on_invariant_oneforms
 
     lap = laplacian_on_invariant_oneforms(alg, met)
     for j in range(7):
         for k in range(7):
-            assert got.entries[j][k] == UniPoly([GaussRat(lap[j][k])])
+            assert got[j][k] == UniPoly([GaussRat(lap[j][k])])
 
 
 def test_character_wave_rejects_nonvanishing_tau():
     alg = build_dim7()
     met = Metric.standard(alg)
     with pytest.raises(ValueError):
-        CharacterWave(alg, met, basis_vec(7, 4))  # zeta1* does not kill g^(1)
+        assemble_E(alg, met, basis_vec(7, 4))  # zeta1* does not kill g^(1)
+
+
+# Each fault replaces one entry of an assembled matrix: an off-diagonal entry
+# that no longer matches its conjugate, or the (0, 0) entry [c0, c1, c2],
+# whose coefficients are real.
+SHAPE_FAULTS = [
+    ((0, 1), lambda e: e + [(1, 0)], "not Hermitian"),
+    ((0, 0), lambda e: e + [(1, 0)], "degree exceeds two"),
+    ((0, 0), lambda e: [e[0], e[1], (e[2][0] + 1, 0)], "quadratic part is not 4 S\\^2 I"),
+    ((0, 0), lambda e: [(e[0][0] + 1, 0), e[1], e[2]], "constant part is not the invariant Laplacian"),
+    ((0, 0), lambda e: [e[0], (1, 0), e[2]], "linear part is not purely imaginary"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, fault, message", SHAPE_FAULTS, ids=["hermitian", "degree", "quadratic", "constant", "linear"]
+)
+def test_shape_check_rejects_a_corrupted_entry(where, fault, message):
+    alg, met, tau = char7([F(1, 2), 0, F(1, 2), 0, 0, 0, 0])
+    e = assemble_E(alg, met, tau)
+    rows = [[list(x) for x in row] for row in e.rows]
+    CharacterMatrix(alg, met, rows, e.den, e.s2)
+    j, k = where
+    rows[j][k] = fault(rows[j][k])
+    with pytest.raises(AssertionError, match=message):
+        CharacterMatrix(alg, met, rows, e.den, e.s2)
 
 
 def test_det_zero_pattern_dim7():
@@ -183,12 +213,12 @@ def test_det_zero_pattern_dim7():
         [0, 0, 0, -half],
     ]
     for t in zero_taus:
-        alg, met, wave = wave7(t + [0, 0, 0])
-        det, is_eig = det_at(assemble_E(alg, met, wave), LAM_PI2_PLUS_1)
+        alg, met, tau = char7(t + [0, 0, 0])
+        det, is_eig = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
         assert is_eig and det.is_zero()
     for t in nonzero_taus:
-        alg, met, wave = wave7(t + [0, 0, 0])
-        det, is_eig = det_at(assemble_E(alg, met, wave), LAM_PI2_PLUS_1)
+        alg, met, tau = char7(t + [0, 0, 0])
+        det, is_eig = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
         assert not is_eig and not det.is_zero()
 
 
@@ -200,8 +230,8 @@ def test_det_zero_pattern_dim5():
         ([0, half, 0], False),
         ([0, -half, 0], False),
     ]:
-        alg, met, wave = wave5(t + [0, 0])
-        _, is_eig = det_at(assemble_E(alg, met, wave), LAM_PI2_PLUS_1)
+        alg, met, tau = char5(t + [0, 0])
+        _, is_eig = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
         assert is_eig == expect
 
 
@@ -218,18 +248,18 @@ def test_det_zero_pattern_frame_metric():
         [-quarter, 0, 0, -1],
     ]
     for t in zero_taus:
-        alg, met, wave = wave_v(t)
-        _, is_eig = det_at(assemble_E(alg, met, wave), lam)
+        alg, met, tau = char_v(t)
+        _, is_eig = det_at(assemble_E(alg, met, tau), lam)
         assert is_eig
     for t in nonzero_taus:
-        alg, met, wave = wave_v(t)
-        _, is_eig = det_at(assemble_E(alg, met, wave), lam)
+        alg, met, tau = char_v(t)
+        _, is_eig = det_at(assemble_E(alg, met, tau), lam)
         assert not is_eig
 
 
 def test_nullity_and_kernels():
-    alg, met, wave = wave7([0, 0, F(1, 2), 0, 0, 0, 0])
-    nullity, kernel = nullity_at(assemble_E(alg, met, wave), LAM_PI2_PLUS_1)
+    alg, met, tau = char7([0, 0, F(1, 2), 0, 0, 0, 0])
+    nullity, kernel = nullity_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
     assert nullity == 1
     (veck,) = kernel
     for idx, entry in enumerate(veck):
@@ -238,8 +268,8 @@ def test_nullity_and_kernels():
         else:
             assert entry.is_zero()
 
-    alg5, met5, wave5_ = wave5([F(1, 2), 0, 0, 0, 0])
-    nullity5, kernel5 = nullity_at(assemble_E(alg5, met5, wave5_), LAM_PI2_PLUS_1)
+    alg5, met5, tau5 = char5([F(1, 2), 0, 0, 0, 0])
+    nullity5, kernel5 = nullity_at(assemble_E(alg5, met5, tau5), LAM_PI2_PLUS_1)
     assert nullity5 == 1
     (k5,) = kernel5
     # Proportional to (0, pi*i, 0, 1, pi*i) in basis (alpha1, beta1, beta2, zeta, omega).
@@ -257,9 +287,9 @@ def test_nullity_and_kernels():
 
 
 def test_nullity_zero_at_noneigenvalue():
-    alg, met, wave = wave7([0, 0, F(1, 2), 0, 0, 0, 0])
+    alg, met, tau = char7([0, 0, F(1, 2), 0, 0, 0, 0])
     lam = plain_candidate([-1])
-    nullity, kernel = nullity_at(assemble_E(alg, met, wave), lam)
+    nullity, kernel = nullity_at(assemble_E(alg, met, tau), lam)
     assert nullity == 0 and not kernel
 
 
@@ -271,28 +301,28 @@ def test_leading_pi_coefficient():
 
     for _ in range(5):
         t = [rand_q() for _ in range(4)]
-        alg, met, wave = wave7(t + [0, 0, 0])
-        s2 = wave.s_squared()
-        e = assemble_E(alg, met, wave)
+        alg, met, tau = char7(t + [0, 0, 0])
+        s2 = s_squared(met, tau)
+        e = assemble_E(alg, met, tau)
         assert leading_pi_coefficient(e, LAM_PI2_PLUS_1) == (4 * s2 - 1) ** 7
     for _ in range(5):
         t = [rand_q() for _ in range(3)]
-        alg, met, wave = wave5(t + [0, 0])
-        s2 = wave.s_squared()
-        e = assemble_E(alg, met, wave)
+        alg, met, tau = char5(t + [0, 0])
+        s2 = s_squared(met, tau)
+        e = assemble_E(alg, met, tau)
         assert leading_pi_coefficient(e, LAM_PI2_PLUS_1) == (4 * s2 - 1) ** 5
     lam = sqrt_candidate(Q17)
     for _ in range(5):
         t = [rand_q() for _ in range(4)]
-        alg, met, wave = wave_v(t)
-        s2 = wave.s_squared()
-        e = assemble_E(alg, met, wave)
+        alg, met, tau = char_v(t)
+        s2 = s_squared(met, tau)
+        e = assemble_E(alg, met, tau)
         assert leading_pi_coefficient(e, lam) == (4 * s2 - F(17, 4)) ** 7
 
 
 def test_leading_pi_coefficient_vanishes_on_shell():
-    alg, met, wave = wave7([F(1, 2), 0, 0, 0, 0, 0, 0])
-    e = assemble_E(alg, met, wave)
+    alg, met, tau = char7([F(1, 2), 0, 0, 0, 0, 0, 0])
+    e = assemble_E(alg, met, tau)
     assert leading_pi_coefficient(e, LAM_PI2_PLUS_1) == 0
 
 
@@ -303,11 +333,10 @@ def test_det_invariant_under_signed_permutation():
     rng = random.Random(5)
     for _ in range(3):
         t = [F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(4)] + [0, 0, 0]
-        alg, met, wave = wave7(t)
-        tphi = tuple(F(signs[m]) * tm for m, tm in enumerate(wave.tau))
-        wave2 = CharacterWave(alg, met, tphi)
-        d1, _ = det_at(assemble_E(alg, met, wave), LAM_PI2_PLUS_1)
-        d2, _ = det_at(assemble_E(alg, met, wave2), LAM_PI2_PLUS_1)
+        alg, met, tau = char7(t)
+        tphi = tuple(F(signs[m]) * tm for m, tm in enumerate(tau))
+        d1, _ = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
+        d2, _ = det_at(assemble_E(alg, met, tphi), LAM_PI2_PLUS_1)
         assert d1 == d2
 
 
@@ -410,16 +439,16 @@ def test_character_s2_multisets_match():
 
 
 def test_numeric_spectrum():
-    alg, met, wave = wave7([0] * 7)
-    spec = numeric_spectrum(assemble_E(alg, met, wave), math.pi, 1e-9)
+    alg, met, tau = char7([0] * 7)
+    spec = numeric_spectrum(assemble_E(alg, met, tau), math.pi, 1e-9)
     assert [round(x, 9) for x in spec] == [0, 0, 0, 0, 1, 2, 3]
 
-    alg5, met5, w5 = wave5([0] * 5)
-    spec5 = numeric_spectrum(assemble_E(alg5, met5, w5), math.pi, 1e-9)
+    alg5, met5, tau5 = char5([0] * 5)
+    spec5 = numeric_spectrum(assemble_E(alg5, met5, tau5), math.pi, 1e-9)
     assert [round(x, 9) for x in spec5] == [0, 0, 0, 1, 2]
 
-    _, _, wave_b = wave7([0, 0, F(1, 2), 0, 0, 0, 0])
-    spec_b = numeric_spectrum(assemble_E(wave_b.algebra, wave_b.metric, wave_b), math.pi, 1e-9)
+    alg, met, tau_b = char7([0, 0, F(1, 2), 0, 0, 0, 0])
+    spec_b = numeric_spectrum(assemble_E(alg, met, tau_b), math.pi, 1e-9)
     target = math.pi**2 + 1
     assert any(abs(x - target) < 1e-9 for x in spec_b)
 
@@ -427,18 +456,18 @@ def test_numeric_spectrum():
 # -- det_at and nullity_at against division-free references over Q(i)[p][s] ---------
 
 
-def _shifted(matrix, lam):
-    """E - lambda I over Q(i)[p][s]/(s^2 - q)."""
+def _shifted(entries, lam):
+    """E - lambda I over Q(i)[p][s]/(s^2 - q), from E's UniPoly entries."""
     zero = lam.with_parts(UniPoly(), UniPoly())
     return [
         [lam.with_parts(e, UniPoly()) - (lam if j == k else zero) for k, e in enumerate(row)]
-        for j, row in enumerate(matrix.entries)
+        for j, row in enumerate(entries)
     ]
 
 
-def _reference_det_at(matrix, lam):
+def _reference_det_at(entries, lam):
     """det(E - lambda I) by cofactor expansion over Q(i)[p][s]/(s^2 - q)."""
-    return cofactor_det(_shifted(matrix, lam))
+    return cofactor_det(_shifted(entries, lam))
 
 
 def _reference_rank(m):
@@ -452,12 +481,12 @@ def _reference_rank(m):
     return 0
 
 
-def _check_nullity(matrix, lam):
-    """nullity_at against _reference_rank; its kernel is exact and independent,
-    equal to the per-minor Cramer construction, and the nullity is positive
-    exactly where det_at finds det(E - lambda I) = 0."""
+def _check_nullity(matrix, entries, lam):
+    """nullity_at against _reference_rank on E's UniPoly entries; its kernel is
+    exact and independent, equal to the per-minor Cramer construction, and the
+    nullity is positive exactly where det_at finds det(E - lambda I) = 0."""
     n = matrix.dim
-    m = _shifted(matrix, lam)
+    m = _shifted(entries, lam)
     nullity, kernel = nullity_at(matrix, lam)
     assert nullity == n - _reference_rank(m)
     assert (nullity > 0) == det_at(matrix, lam)[1]
@@ -529,9 +558,9 @@ def test_det_at_matches_bareiss_over_polynomials(entries, lam, singular):
         for k in range(1, n):
             entries[0][k] = entries[k][0] = UniPoly()
         entries[0][0] = lam.a
-    matrix = SimpleNamespace(dim=n, entries=entries)
+    matrix = as_int_matrix(entries)
     det, is_zero = det_at(matrix, lam)
-    expected = _reference_det_at(matrix, lam)
+    expected = _reference_det_at(entries, lam)
     assert det == expected
     assert is_zero == expected.is_zero()
     if singular and lam.b.is_zero():
@@ -546,9 +575,9 @@ def test_det_at_matches_bareiss_on_shells(root):
     for spec in (record.spec1, record.spec2):
         lattice = IntLattice(algebra.dim, spec.generators)
         for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
-            e = assemble_E(algebra, metric, CharacterWave(algebra, metric, tau))
+            e = assemble_E(algebra, metric, tau)
             det, is_zero = det_at(e, lam)
-            assert det == _reference_det_at(e, lam)
+            assert det == _reference_det_at(reference_assemble_E(algebra, metric, tau), lam)
             zeros += is_zero
     assert zeros > 0
 
@@ -628,8 +657,7 @@ def test_nullity_at_matches_minors_over_polynomials(case):
     entries, lam, deficiency = case
     n = len(entries)
     assert all(entries[j][k] == entries[k][j].conj() for j in range(n) for k in range(n))
-    matrix = SimpleNamespace(dim=n, entries=entries)
-    assert _check_nullity(matrix, lam) >= deficiency
+    assert _check_nullity(as_int_matrix(entries), entries, lam) >= deficiency
 
 
 @pytest.mark.parametrize("root", ["III", "IV", "V"])
@@ -640,8 +668,8 @@ def test_nullity_at_matches_minors_on_shells(root):
     for spec in (record.spec1, record.spec2):
         lattice = IntLattice(algebra.dim, spec.generators)
         for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
-            e = assemble_E(algebra, metric, CharacterWave(algebra, metric, tau))
-            total += _check_nullity(e, lam)
+            e = assemble_E(algebra, metric, tau)
+            total += _check_nullity(e, reference_assemble_E(algebra, metric, tau), lam)
     assert total == 2
 
 
@@ -660,7 +688,7 @@ LAM_ZERO = plain_candidate([0])
 def test_cramer_minors_skip_a_point_where_the_minor_vanishes():
     # Rank 1; the 1 x 1 minor p + 2 chosen at p = 2 vanishes at p = -2, the
     # second good point, where its row is (0, 1).
-    matrix = SimpleNamespace(dim=2, entries=[[_poly(2, 1), _poly(1)]] * 2)
+    matrix = as_int_matrix([[_poly(2, 1), _poly(1)]] * 2)
     shifted = _ShiftedAtPoints(matrix, LAM_ZERO)
     points = list(islice(shifted.points(), 3))
     assert [p0 for p0, _, _ in points] == [2, -2, 3]
@@ -681,7 +709,7 @@ def test_cramer_minors_carry_the_row_swap_sign():
         [_poly(1), _poly(), _poly(1)],
         [_poly(3, 1), _poly(1), _poly(4, 1)],
     ]
-    matrix = SimpleNamespace(dim=3, entries=entries)
+    matrix = as_int_matrix(entries)
     nullity, kernel = nullity_at(matrix, LAM_ZERO)
     assert nullity == 1
     assert (nullity, kernel) == reference_nullity_at(matrix, LAM_ZERO)
@@ -692,3 +720,30 @@ def test_cramer_minors_carry_the_row_swap_sign():
     rows = [m[0], m[1]]
     assert not any(rows[0][0])
     assert _echelon_quadratic(rows, d, True)[2][0] == (-1, 0, 0, 0)
+
+
+# -- assemble_E against the Fraction assembly -------------------------------------
+
+
+@pytest.mark.parametrize("root", ["III", "IV", "V"])
+def test_assemble_E_matches_fraction_reference_on_shells(root):
+    record = load(root)
+    algebra, metric = record.algebra, record.metric
+    count = 0
+    for spec in (record.spec1, record.spec2):
+        lattice = IntLattice(algebra.dim, spec.generators)
+        for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
+            assert as_polys(assemble_E(algebra, metric, tau)) == reference_assemble_E(algebra, metric, tau)
+            count += 1
+    assert count > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(small_rational, min_size=4, max_size=4), frame_metric=st.booleans())
+def test_assemble_E_matches_fraction_reference(coeffs, frame_metric):
+    # tau on the first four structure-dual coordinates (standard metric), or
+    # on the first four frame covectors of metric_v; either kills g^(1).
+    alg, met, tau = char_v(coeffs) if frame_metric else char7(coeffs + [0, 0, 0])
+    e = assemble_E(alg, met, tau)
+    assert as_polys(e) == reference_assemble_E(alg, met, tau)
+    assert e.s2 == s_squared(met, tau)
