@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -80,9 +80,13 @@ class ExampleRecord:
     eigen_candidate: QuadExtElem | None
     s2_target: Fraction | None
     expected_table: dict
+    _pair: Pair | None = field(default=None, init=False, repr=False, compare=False)
 
     def pair(self) -> Pair:
-        return Pair(self.id, self.algebra, self.metric, self.spec1, self.spec2)
+        """The record's Pair, built once, so its quotient data is computed once."""
+        if self._pair is None:
+            self._pair = Pair(self.id, self.algebra, self.metric, self.spec1, self.spec2)
+        return self._pair
 
 
 _CACHE: dict = {}

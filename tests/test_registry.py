@@ -121,3 +121,23 @@ def test_nilspec_data_override(tmp_path, monkeypatch):
         load("I")
     monkeypatch.delenv("NILSPEC_DATA")
     reg._CACHE.clear()
+
+
+def test_table_one_computes_each_rows_quotient_once(monkeypatch):
+    # certify_isospectral and distinguish_pair share the record's Pair, so the
+    # 2-step quotient of each row is computed once.
+    import nilspec.registry as reg
+    from nilspec.repspec import Pair
+
+    monkeypatch.setattr(reg, "_CACHE", {})
+    misses = []
+    quotient_data = Pair.quotient_data
+
+    def counted(pair):
+        if pair._quotient is None:
+            misses.append(pair.name)
+        return quotient_data(pair)
+
+    monkeypatch.setattr(Pair, "quotient_data", counted)
+    reg.table_one(["II", "III"])
+    assert misses == ["II", "III"]
