@@ -171,7 +171,7 @@ def test_assemble_zero_tau_is_invariant_laplacian():
 def test_character_wave_rejects_nonvanishing_tau():
     alg = build_dim7()
     met = Metric.standard(alg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not vanish on the derived algebra"):
         assemble_E(alg, met, basis_vec(7, 4))  # zeta1* does not kill g^(1)
 
 
