@@ -31,7 +31,7 @@ from .isosearch import (
 from .lattices import LatticeSpec
 from .liealg import DEFAULT_SEED, NilLieAlgebra
 from .oneform import assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
-from .registry import EXAMPLE_IDS, load, parse_witness, table_one
+from .registry import EXAMPLE_IDS, load, parse_algebra, parse_witness, table_one
 from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
 
 
@@ -107,7 +107,7 @@ def cmd_validate(args) -> int:
 def _pair_from_files(args):
     """The pair and optional witness named by --files and --witness."""
     alg_path, metric_path, path1, path2 = args.files
-    alg = _parse_file(alg_path, NilLieAlgebra.from_json)
+    alg = _parse_file(alg_path, parse_algebra)
     metric = _parse_file(metric_path, Metric.from_json, alg)
     spec1 = _parse_file(path1, LatticeSpec.from_json, alg, "file.1")
     spec2 = _parse_file(path2, LatticeSpec.from_json, alg, "file.2")

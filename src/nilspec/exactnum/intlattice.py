@@ -12,8 +12,9 @@ particular solution of ``solve_integer``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
+from ..vecops import clear_rows
 from .matrix import invert_rational, transpose
 
 
@@ -237,15 +238,9 @@ class IntLattice:
 
     def __init__(self, ambient: int, generators):
         self.ambient = ambient
-        gens = [[Fraction(x) for x in g] for g in generators]
-        for g in gens:
-            if len(g) != ambient:
-                raise ValueError("generator dimension mismatch")
-        den = 1
-        for g in gens:
-            for x in g:
-                den = lcm(den, x.denominator)
-        scaled = [[int(x * den) for x in g] for g in gens]
+        scaled, den = clear_rows(generators)
+        if any(len(g) != ambient for g in scaled):
+            raise ValueError("generator dimension mismatch")
         basis = hnf(scaled)
         # Normalize the scale so the representation is unique.
         g_all = den

@@ -1,16 +1,23 @@
 """Exact dense matrix routines over Z and Q.
 
-Matrices are lists of row lists.  Fraction-free (Bareiss) elimination keeps
-every intermediate value inside the ring.  On plain Python ints it stays on
-ints: exact division is floor division that raises ``ArithmeticError`` on a
-remainder, and the starting pivot is the int 1.  ``bareiss_echelon`` checks
-that once per call, not per entry: mixed input goes through ``_exact_div``.
+Matrices are lists of row lists.  There is one forward elimination,
+fraction-free (Bareiss) ``bareiss_echelon``, which keeps every intermediate
+value inside the ring.  On plain Python ints it stays on ints: exact division
+is floor division that raises ``ArithmeticError`` on a remainder, and the
+starting pivot is the int 1.  ``bareiss_echelon`` checks that once per call,
+not per entry: mixed input goes through ``_exact_div``.
+
+Over Q, ``rref`` clears each row's denominators, runs ``bareiss_echelon`` on
+the integer rows, and makes one reduction pass up from the last pivot.
+Kernels, particular solutions and inverses are read off that reduced form.
 ``pfaffian`` needs no division, so it serves any commutative ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from ..vecops import clear_denominators
 
 
 def _exact_div(x, y):
@@ -117,39 +124,13 @@ def bareiss_det(m):
 
 
 def rank_and_kernel(m):
-    """Exact rank and a right-kernel basis over the fraction field.
+    """Exact rank and a right-kernel basis of a rational matrix.
 
-    Kernel vectors are returned with ring entries (denominators cleared by
-    staying fraction-free: free variable set to the pivot product).
+    The kernel is read off ``rref(m)``: one Fraction vector per free column,
+    1 there, 0 at the other free columns.
     """
-    rows, pivot_cols, _ = bareiss_echelon(m)
-    nr, nc = dims(m)
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        # Back-substitute with the free coordinate at an exact ring value.
-        sol = [None] * nc
-        one = _one_like(rows[0][0]) if rows and rows[0] else Fraction(1)
-        zero = one - one
-        for c in free_cols:
-            sol[c] = one if c == fc else zero
-        denom = one
-        for r in range(rank - 1, -1, -1):
-            pc = pivot_cols[r]
-            rhs = zero
-            for c in range(pc + 1, nc):
-                if rows[r][c] != 0 and sol[c] != 0:
-                    rhs = rhs + rows[r][c] * sol[c]
-            piv = rows[r][pc]
-            # sol[pc]/denom = -rhs / (piv * denom): rescale everything by piv.
-            for c in range(nc):
-                if sol[c] is not None and c != pc:
-                    sol[c] = sol[c] * piv
-            sol[pc] = -rhs
-            denom = denom * piv
-        basis.append([sol[c] if sol[c] is not None else zero for c in range(nc)])
-    return rank, basis
+    rows, pivot_cols = rref(m)
+    return len(pivot_cols), _kernel(rows, pivot_cols, dims(m)[1])
 
 
 def pfaffian(m):
@@ -196,59 +177,55 @@ def _pf_rec(m):
 def rref(m):
     """Reduced row echelon form over the fraction field (Fraction entries).
 
-    Returns (rows, pivot_cols); rows are canonical for the row space.
+    Returns (rows, pivot_cols); rows are canonical for the row space.  Each
+    row is scaled to integers and ``bareiss_echelon`` eliminates them; its
+    row steps are invertible, so the row space is kept.  One pass from the
+    last pivot up then divides each pivot row by its pivot and clears the
+    column above it.
     """
-    rows = [[Fraction(x) for x in r] for r in m]
-    nr, nc = dims(rows)
-    pivot_cols = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+    echelon, pivot_cols, _ = bareiss_echelon([clear_denominators(r)[0] for r in m])
+    rows = echelon[: len(pivot_cols)]
+    for r in range(len(pivot_cols) - 1, -1, -1):
+        c = pivot_cols[r]
         piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    return rows[: len(pivot_cols)], pivot_cols
+        row = rows[r] = [Fraction(x, piv) for x in rows[r]]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], row[c:])]
+    return rows, pivot_cols
+
+
+def _kernel(rows, pivot_cols, nc):
+    """A kernel basis of reduced rows: one vector per free column below nc."""
+    kernel = []
+    for fc in (c for c in range(nc) if c not in pivot_cols):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivot_cols):
+            v[pc] = -row[fc]
+        kernel.append(v)
+    return kernel
 
 
 def solve_rational(a, b):
     """One solution x of a x = b over Q, or None if inconsistent.
 
     b may be a vector or a matrix of stacked right-hand-side columns.
-    Returns (particular, kernel_basis).
+    Returns (particular, kernel_basis), both read off the reduced form of
+    [a | b]: the system is inconsistent when a pivot falls in b.
     """
     vec = not isinstance(b[0], (list, tuple))
-    rhs = [[x] for x in b] if vec else [list(r) for r in b]
+    rhs = [[x] for x in b] if vec else b
     nr, nc = dims(a)
-    aug = [list(map(Fraction, a[i])) + list(map(Fraction, rhs[i])) for i in range(nr)]
-    rows, pivots = rref(aug)
-    for i in range(len(rows)):
-        if pivots[i] >= nc:
-            return None
+    rows, pivots = rref([[*a[i], *rhs[i]] for i in range(nr)])
+    if pivots and pivots[-1] >= nc:
+        return None
     nrhs = len(rhs[0])
     part = [[Fraction(0)] * nrhs for _ in range(nc)]
-    for i, pc in enumerate(pivots):
-        for j in range(nrhs):
-            part[pc][j] = rows[i][nc + j]
-    # Rows of the rref beyond the pivot count are zero; consistency was the
-    # pivot-in-rhs check above.
-    kernel = []
-    free = [c for c in range(nc) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        kernel.append(v)
+    for row, pc in zip(rows, pivots):
+        part[pc] = row[nc:]
+    kernel = _kernel(rows, pivots, nc)
     if vec:
         return [row[0] for row in part], kernel
     return part, kernel

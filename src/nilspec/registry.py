@@ -40,6 +40,17 @@ def _parse_matrix(rows):
     return [[rat_from_str(x) for x in row] for row in rows]
 
 
+def parse_algebra(data: dict) -> NilLieAlgebra:
+    """The algebra in data, or a ValueError naming the Jacobi or nilpotency check it fails."""
+    algebra = NilLieAlgebra.from_json(data)
+    report = algebra.validate()
+    if not report.jacobi_ok:
+        raise ValueError(f"Jacobi violation at basis triple {report.jacobi_violations[0]}")
+    if not report.nilpotent:
+        raise ValueError("lower central series does not terminate")
+    return algebra
+
+
 def parse_witness(data: dict) -> Witness:
     if data["kind"] == "composite":
         return Witness(
@@ -79,7 +90,6 @@ class ExampleRecord:
     iso_witness: list | None
     eigen_candidate: QuadExtElem | None
     s2_target: Fraction | None
-    expected_table: dict
     _pair: Pair | None = field(default=None, init=False, repr=False, compare=False)
 
     def pair(self) -> Pair:
@@ -100,10 +110,7 @@ def load(example_id: str) -> ExampleRecord:
         raise KeyError(f"unknown example id: {example_id!r}")
     algebras = json.loads(_data_text("algebras.json"))
     data = json.loads(_data_text(f"example_{example_id}.json"))
-    algebra = NilLieAlgebra.from_json(algebras[data["algebra_ref"]])
-    report = algebra.validate()
-    if not (report.jacobi_ok and report.nilpotent):
-        raise ValueError(f"algebra {data['algebra_ref']} fails validation")
+    algebra = parse_algebra(algebras[data["algebra_ref"]])
     metric = Metric.from_json(data["metric"], algebra)
     spec1 = LatticeSpec.from_json(data["lattices"][0], algebra, name=f"{example_id}.1")
     spec2 = LatticeSpec.from_json(data["lattices"][1], algebra, name=f"{example_id}.2")
@@ -132,7 +139,6 @@ def load(example_id: str) -> ExampleRecord:
             _parse_candidate(data["eigen_candidate"]) if data.get("eigen_candidate") else None
         ),
         s2_target=rat_from_str(data["s2_target"]) if data.get("s2_target") else None,
-        expected_table=dict(data["expected_table"]),
     )
     _CACHE[example_id] = record
     return record

@@ -25,6 +25,10 @@ And the subspace routines ``Subspace`` replaced with its own echelon form:
 
 And ``cofactor_det``, the determinant by expansion in minors: it needs no
 division, so it checks the eliminations over any commutative ring.
+
+And the Gauss-Jordan elimination that ``rref`` ran before it was built on
+``bareiss_echelon``: ``reference_rref``, and ``reference_solve``, the solve
+read off it.
 """
 
 from fractions import Fraction
@@ -32,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from nilspec.exactnum import rat_from_str
-from nilspec.exactnum.matrix import dims, invert_rational, mat_vec, rref, solve_rational
+from nilspec.exactnum.matrix import dims, invert_rational, mat_vec, solve_rational
 from nilspec.liealg import Subspace
 from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale, vzero
 
@@ -167,7 +171,7 @@ def reference_quotient(algebra, ideal):
     if not algebra.is_ideal(ideal):
         raise ValueError("subspace is not an ideal")
     n = algebra.dim
-    rows, pivots = rref([list(r) for r in ideal.rows] or [[Fraction(0)] * n])
+    rows, pivots = reference_rref([list(r) for r in ideal.rows] or [[Fraction(0)] * n])
     keep = [m for m in range(n) if m not in pivots]
 
     def project(v):
@@ -217,3 +221,59 @@ def cofactor_det(m):
     if acc is None:
         return m[0][0] - m[0][0]
     return acc
+
+
+def reference_rref(m):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
+
+    Returns (rows, pivot_cols); rows are canonical for the row space.
+    """
+    rows = [[Fraction(x) for x in r] for r in m]
+    nr, nc = dims(rows)
+    pivot_cols = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return rows[: len(pivot_cols)], pivot_cols
+
+
+def reference_solve(a, b):
+    """(particular, kernel basis) of a x = b over Q, or None if inconsistent.
+
+    b is a vector or a matrix of stacked right-hand-side columns.
+    """
+    vec = not isinstance(b[0], (list, tuple))
+    rhs = [[x] for x in b] if vec else [list(r) for r in b]
+    nr, nc = dims(a)
+    aug = [list(map(Fraction, a[i])) + list(map(Fraction, rhs[i])) for i in range(nr)]
+    rows, pivots = reference_rref(aug)
+    if any(pc >= nc for pc in pivots):
+        return None
+    nrhs = len(rhs[0])
+    part = [[Fraction(0)] * nrhs for _ in range(nc)]
+    for i, pc in enumerate(pivots):
+        for j in range(nrhs):
+            part[pc][j] = rows[i][nc + j]
+    kernel = []
+    for fc in [c for c in range(nc) if c not in pivots]:
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        kernel.append(v)
+    if vec:
+        return [row[0] for row in part], kernel
+    return part, kernel

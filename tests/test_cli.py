@@ -171,6 +171,28 @@ def test_unprojectable_user_lattices_are_input_errors(tmp_path, capsys, brackets
     assert "internal error" not in err and message in err
 
 
+def test_certify_files_refuses_an_algebra_that_is_not_a_lie_algebra(tmp_path, capsys):
+    # [[e1, e2], e3] + [[e2, e3], e1] + [[e3, e1], e2] = 12 [e4, e3] = 144 e6, not 0.
+    unit = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    algebra = {
+        "dim": 6,
+        "names": ["e1", "e2", "e3", "e4", "e5", "e6"],
+        "brackets": [[0, 1, [[3, "12"]]], [1, 2, [[4, "12"]]], [2, 3, [[5, "-12"]]]],
+    }
+    metric = {"algebra_ref": "a", "orthonormal_columns": unit}
+    lattice = {"algebra_ref": "a", "generators": unit}
+    witness = {"kind": "isometry", "name": "id", "matrix": [row[:5] for row in unit[:5]]}
+    paths = {}
+    for key, value in (("alg", algebra), ("met", metric), ("l1", lattice), ("l2", lattice), ("w", witness)):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(value))
+    files = [str(paths[k]) for k in ("alg", "met", "l1", "l2")]
+    code, out, err = invoke(capsys, "certify", "--files", *files, "--witness", str(paths["w"]))
+    assert code == 2
+    assert out == ""
+    assert "alg.json" in err and "Jacobi violation at basis triple (0, 1, 2)" in err
+
+
 @pytest.mark.parametrize("pi", ["nan", "inf"])
 def test_non_finite_pi_is_input_error(pi, capsys):
     code, out, err = invoke(capsys, "distinguish", "IV", "--pi", pi)

@@ -22,17 +22,21 @@ from nilspec.exactnum import (
     identity,
     integer_kernel,
     integer_solvable,
+    invert_rational,
+    mat_mul,
     perfect_square_root,
     pfaffian,
     rank_and_kernel,
     rref,
     snf,
     solve_integer,
+    solve_rational,
 )
 from nilspec.exactnum.intlattice import _kernel_split
 from nilspec.exactnum.matrix import _exact_div, bareiss_echelon, transpose
+from nilspec.liealg import Subspace
 
-from fraction_references import cofactor_det
+from fraction_references import cofactor_det, reference_rref, reference_solve
 
 Q17 = UniPoly([Fraction(1), 0, Fraction(17, 4)])  # (17/4)p^2 + 1
 
@@ -293,7 +297,7 @@ def test_bareiss_det_on_ints_matches_cofactor(m):
 def test_bareiss_rank_on_ints_matches_rref(m):
     rows, pivots, _ = bareiss_echelon(m)
     assert all(type(x) is int for row in rows for x in row)
-    assert len(pivots) == len(rref(m)[1])
+    assert len(pivots) == len(reference_rref(m)[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,6 +332,91 @@ def test_inexact_integer_division_raises(q, d, r):
         assert _exact_div(q * y, y) == q
         with pytest.raises(ArithmeticError):
             _exact_div(q * y + r, y)
+
+
+# -- rref, solves and kernels against Gauss-Jordan ------------------------------
+
+SMALL_RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=0, square=False):
+    """Rational matrices up to 7x14 with small denominators: often of deficient
+    rank (rows that combine earlier ones), with zero rows, a single column, or
+    no rows at all."""
+    nr = draw(st.integers(max(min_rows, int(square)), 7))
+    nc = nr if square else draw(st.one_of(st.just(1), st.integers(1, 14)))
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combined"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * nc)
+        elif kind == "combined" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(SMALL_RATIONALS)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(SMALL_RATIONALS) for _ in range(nc)])
+    return rows
+
+
+def _times(m, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=rational_matrices())
+def test_rref_matches_gauss_jordan_reference(m):
+    rows, pivots = rref(m)
+    assert (rows, pivots) == reference_rref(m)
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=rational_matrices(min_rows=1), data=st.data())
+def test_solve_rational_matches_reference_solve(m, data):
+    nc = len(m[0])
+    width = data.draw(st.sampled_from([None, 1, 3]))
+    xs = [[data.draw(SMALL_RATIONALS) for _ in range(nc)] for _ in range(width or 1)]
+    cols = [_times(m, x) for x in xs]
+    consistent = not data.draw(st.booleans())
+    if not consistent:
+        # Usually inconsistent: a full-row-rank m absorbs the shift.
+        cols[0][data.draw(st.integers(0, len(m) - 1))] += 1
+    b = cols[0] if width is None else [list(r) for r in zip(*cols)]
+    got = solve_rational(m, b)
+    assert got == reference_solve(m, b)
+    if consistent:
+        assert got is not None
+    if got is not None:
+        part, kernel = got
+        parts = [part] if width is None else [list(c) for c in zip(*part)]
+        assert [_times(m, p) for p in parts] == cols
+        assert all(not any(_times(m, v)) for v in kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=rational_matrices(square=True))
+def test_invert_rational_inverts_or_raises_on_singular_input(m):
+    n = len(m)
+    if len(reference_rref(m)[1]) < n:
+        with pytest.raises(ValueError, match="singular matrix"):
+            invert_rational(m)
+    else:
+        assert mat_mul(m, invert_rational(m)) == identity(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=rational_matrices(min_rows=1))
+def test_rank_and_kernel_matches_reference(m):
+    rank, kernel = rank_and_kernel(m)
+    nc = len(m[0])
+    assert rank == len(reference_rref(m)[1])
+    assert len(kernel) == nc - rank
+    assert all(not any(_times(m, v)) for v in kernel)
+    assert Subspace(nc, kernel) == Subspace(nc, reference_solve(m, [Fraction(0)] * len(m))[1])
 
 
 # snf's entries grow without bound on this rank-4 matrix (past two million
@@ -441,8 +530,8 @@ def _solvable_by_minors(m, rhs):
     lattice in its saturation.
     """
     aug = [row + [b] for row, b in zip(m, rhs)]
-    r = len(rref(m)[1])
-    if len(rref(aug)[1]) != r:
+    r = len(reference_rref(m)[1])
+    if len(reference_rref(aug)[1]) != r:
         return False
     if r == 0:
         return True
@@ -522,7 +611,7 @@ def test_hnf_is_canonical_under_unimodular_row_changes(system, data):
     h = hnf(m)
     assert hnf(rows) == h
     assert hnf(h) == h
-    assert len(h) == len(rref(m)[1])
+    assert len(h) == len(reference_rref(m)[1])
 
 
 @settings(max_examples=150, deadline=None)

@@ -129,6 +129,27 @@ def test_only_subspace_reduces_rational_rows():
         assert name == "matrix.py" or (name, scope[:1]) == ("liealg.py", ("Subspace",)), (name, scope)
 
 
+def test_one_forward_elimination_over_q():
+    # rref scales rows to integers and eliminates with bareiss_echelon, and
+    # kernels are read off its reduced rows, so bareiss_echelon is the one
+    # function in the matrix module that swaps rows to pivot.
+    tree = ast.parse((PACKAGE / "exactnum" / "matrix.py").read_text(encoding="utf-8"))
+    swapping = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Tuple)
+        and all(isinstance(t, ast.Subscript) for t in node.targets[0].elts)
+    }
+    assert swapping == {"bareiss_echelon"}
+    assert ("matrix.py", ("rref",)) in _callers("bareiss_echelon")
+    assert ("matrix.py", ("rank_and_kernel",)) in _callers("rref")
+    assert ("matrix.py", ("rank_and_kernel",)) not in _callers("bareiss_echelon")
+    assert _callers("_kernel") == {("matrix.py", ("rank_and_kernel",)), ("matrix.py", ("solve_rational",))}
+
+
 def test_only_solve_integer_calls_snf():
     # Kernels and complements come from the Hermite form; the Smith form is
     # left only for the depth-first step's particular solution.

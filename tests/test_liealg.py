@@ -15,10 +15,10 @@ from nilspec.liealg import (
     sample_fraction,
     sample_vector,
 )
-from nilspec.exactnum.matrix import identity, mat_vec, rref
+from nilspec.exactnum.matrix import identity, mat_vec
 from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale, vsub, vzero
 
-from fraction_references import reference_ad_matrix
+from fraction_references import reference_ad_matrix, reference_rref
 
 F = Fraction
 
@@ -275,7 +275,7 @@ def singular_locus_sampled(algebra, n_samples=300, seed=DEFAULT_SEED):
     pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
 
     def ad_rank(x):
-        _, pivots = rref(reference_ad_matrix(algebra, x))
+        _, pivots = reference_rref(reference_ad_matrix(algebra, x))
         return len(pivots)
 
     generic = max(ad_rank(x) for x in pts)
