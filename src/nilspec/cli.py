@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import cmath
 import math
 import sys
 from fractions import Fraction
@@ -280,8 +279,7 @@ def _numeric_cross_check(record, report, pi_value: float) -> dict:
     lam = record.eigen_candidate
     if lam is None:
         return {"ok": None, "count": 0}
-    p = complex(pi_value)
-    lam_val = lam.a.eval_complex(p) + lam.b.eval_complex(p) * cmath.sqrt(lam.q.eval_complex(p))
+    lam_val = lam.value_at(pi_value)
     checks = []
     for side in ("lattice1", "lattice2"):
         for row in report["per_tau"][side]:

@@ -1,4 +1,9 @@
-"""Exact scalar, polynomial, matrix, and integer-lattice arithmetic."""
+"""Exact rational, matrix, and integer-lattice arithmetic.
+
+Rationals are plain ``fractions.Fraction`` values.  Polynomials in pi over
+Q(i) are not a ring here: the one-form layer keeps them as (re, im)
+coefficient tuples and eliminates on integers itself.
+"""
 
 from .matrix import (
     bareiss_det,
@@ -21,31 +26,11 @@ from .intlattice import (
     snf,
     solve_integer,
 )
-from .poly import POLY_ONE, POLY_P, POLY_ZERO, UniPoly
 from .qforms import enumerate_on_shell, enumerate_up_to
-from .quadext import ModulusMismatch, QuadExtElem
-from .scalars import (
-    GAUSS_I,
-    GAUSS_ONE,
-    GAUSS_ZERO,
-    GaussRat,
-    perfect_square_root,
-    rat_from_str,
-    rat_to_str,
-)
+from .scalars import perfect_square_root, rat_from_str, rat_to_str
 
 __all__ = [
-    "GAUSS_I",
-    "GAUSS_ONE",
-    "GAUSS_ZERO",
-    "GaussRat",
     "IntLattice",
-    "ModulusMismatch",
-    "POLY_ONE",
-    "POLY_P",
-    "POLY_ZERO",
-    "QuadExtElem",
-    "UniPoly",
     "bareiss_det",
     "bareiss_echelon",
     "enumerate_on_shell",

@@ -37,29 +37,8 @@ class Metric:
         self.matrix = matrix
         self._frame_brackets = self._connection = self._laplacian = None
 
-    @staticmethod
-    def standard(algebra: NilLieAlgebra) -> "Metric":
-        n = algebra.dim
-        return Metric(
-            algebra,
-            [[Fraction(1) if i == j else F0 for i in range(n)] for j in range(n)],
-        )
-
     def to_frame(self, v):
         return tuple(mat_vec(self._inv, v))
-
-    def inner(self, u, v) -> Fraction:
-        cu, cv = self.to_frame(u), self.to_frame(v)
-        return sum((a * b for a, b in zip(cu, cv)), F0)
-
-    def covector_from_frame(self, coeffs):
-        """Structure-dual coordinates of sum_i coeffs[i] * eps_i."""
-        n = self.algebra.dim
-        coeffs = list(coeffs) + [F0] * (n - len(coeffs))
-        return tuple(
-            sum((Fraction(coeffs[i]) * self._inv[i][m] for i in range(n)), F0)
-            for m in range(n)
-        )
 
     def frame_brackets(self):
         """Structure constants in the frame: [E_i, E_j] = sum_k c[i][j][k] E_k.

@@ -31,7 +31,7 @@ from math import gcd
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
-from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale, vzero
+from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale
 
 
 class LatticeSpec:
@@ -143,14 +143,6 @@ class LatticeSpec:
     def contains_scaled(self, vnum, vden) -> bool:
         """Membership of log vnum / vden, for integers vnum over a positive vden."""
         return all(t % den == 0 for t, den in self._peel(*self._gen_coords_int(vnum, vden)))
-
-    def assemble(self, coords):
-        """log of the word exp(t_1 v_1)...exp(t_n v_n)."""
-        w = vzero(self.algebra.dim)
-        for t, g in zip(coords, self.generators):
-            if t:
-                w = self.algebra.cbh(w, vscale(t, g))
-        return w
 
     # -- center ------------------------------------------------------------------
 

@@ -3,10 +3,14 @@
 For a functional tau vanishing on the derived algebra, the associated wave
 function F(exp v) = e^{2 pi i tau(v)} spans a one-dimensional invariant
 subspace, and the Laplacian on F tensor (invariant one-forms) becomes an
-n x n matrix with entries in Q(i)[p], p standing for pi.  Candidate
-eigenvalues live in a quadratic extension ring and are accepted or rejected
-by exact polynomial vanishing, which is equivalent to the analytic statement
-because pi is transcendental.
+n x n matrix with entries in Q(i)[p], p standing for pi.  A candidate
+eigenvalue lambda = a(p) + b(p) s, with s^2 = q(p), is plain coefficient
+data: a ``Candidate`` of three tuples of (re, im) ``Fraction`` pairs, lowest
+degree first, with no trailing zeros, validated once by ``from_json``.  It
+is accepted or rejected by exact polynomial vanishing, which is equivalent
+to the analytic statement because pi is transcendental.  The determinant
+and the kernel entries come back in the same format, as pairs (A, B) of
+coefficient tuples standing for A(p) + B(p) s.
 
 `assemble_E` builds E once, as integer rows over one denominator: den E has
 entries in Z[i][p], kept as (re, im) integer coefficient pairs.  Its shape
@@ -44,18 +48,83 @@ maximal minor is nonzero.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import isqrt, lcm
+from typing import NamedTuple
 
-from .exactnum import IntLattice, UniPoly, enumerate_on_shell, enumerate_up_to
+from .exactnum import IntLattice, enumerate_on_shell, enumerate_up_to
 from .exactnum.matrix import mat_vec
-from .exactnum.quadext import QuadExtElem
-from .exactnum.scalars import GaussRat, rat_to_str
+from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, NilLieAlgebra
 from .repspec import certify_rep_equivalent, sector_check
 from .vecops import clear_denominators, clear_rows, vdot
+
+
+class Candidate(NamedTuple):
+    """A candidate eigenvalue a(p) + b(p) s with s^2 = q(p).
+
+    Each field holds (re, im) ``Fraction`` pairs, lowest degree first, with
+    no trailing zeros.  ``from_json`` admits only a q with rational real
+    coefficients, degree >= 1 and no repeated factor; then q is not a square
+    in Q(i)(p), and a + b s vanishes exactly when a and b both do.
+    """
+
+    a: tuple
+    b: tuple
+    q: tuple
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Candidate":
+        a, b, q = (
+            _trim((rat_from_str(re), rat_from_str(im)) for re, im in data[key])
+            for key in ("a_coeffs", "b_coeffs", "q_coeffs")
+        )
+        if len(q) < 2:
+            raise ValueError("modulus must have degree >= 1")
+        if any(im for _, im in q):
+            raise ValueError("modulus must have rational real coefficients")
+        if not _squarefree([re for re, _ in q]):
+            raise ValueError("modulus must be squarefree")
+        return cls(a, b, q)
+
+    def to_json(self) -> dict:
+        return {
+            f"{name}_coeffs": [[rat_to_str(re), rat_to_str(im)] for re, im in _trim(coeffs)]
+            for name, coeffs in zip(self._fields, self)
+        }
+
+    def value_at(self, p: float) -> complex:
+        """a(p) + b(p) sqrt(q(p)) in floating point, for the float oracle."""
+        a, b, q = (complex(*_eval_gauss(coeffs, p)) for coeffs in self)
+        return a + b * cmath.sqrt(q)
+
+
+def _trim(coeffs) -> tuple:
+    """The (re, im) pairs as a tuple, without trailing zero pairs."""
+    out = list(coeffs)
+    while out and not any(out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+def _squarefree(q) -> bool:
+    """Whether gcd(q, q') over Q is a constant, for q of degree >= 1, lowest first.
+
+    Euclid's algorithm: the last nonzero remainder is the gcd.
+    """
+    a, b = list(q), [k * c for k, c in enumerate(q)][1:]
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            for j, c in enumerate(b, len(a) - len(b)):
+                a[j] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 class CharacterMatrix:
@@ -132,8 +201,8 @@ def assemble_E(algebra: NilLieAlgebra, metric: Metric, tau) -> CharacterMatrix:
     return CharacterMatrix(algebra, metric, rows, den, s2)
 
 
-def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
-    """Exact det(E - lambda I) plus the eigenvalue verdict.
+def det_at(matrix: CharacterMatrix, lam: Candidate):
+    """Exact det(E - lambda I) = A + B s as (A, B), plus the eigenvalue verdict.
 
     The full-size minor, by evaluation and interpolation (module docstring).
     """
@@ -145,34 +214,28 @@ def det_at(matrix: CharacterMatrix, lam: QuadExtElem):
         xs.append(p0)
         values.append(minors[0] if len(cols) == n else (0, 0, 0, 0))
     det = shifted.interpolate(xs, values, n)
-    return det, det.is_zero()
+    return det, det == ((), ())
 
 
 class _ShiftedAtPoints:
     """L (E - lambda I) at good integer points: the setup det_at and nullity_at share."""
 
-    def __init__(self, matrix: CharacterMatrix, lam: QuadExtElem):
-        self.lam = lam
+    def __init__(self, matrix: CharacterMatrix, lam: Candidate):
         # q = Q / c with Q integral; sigma = c s has sigma^2 = c Q(p).
-        qnum, self.c = clear_denominators(x.re for x in lam.q.coeffs)
+        qnum, self.c = clear_denominators(re for re, _ in lam.q)
         self.sigma_sq = [(self.c * x, 0) for x in qnum]
-        b_over_c = [GaussRat(x.re / self.c, x.im / self.c) for x in lam.b.coeffs]
+        b_over_c = [(Fraction(re, self.c), Fraction(im, self.c)) for re, im in lam.b]
         # L (E - lambda I) = L E - L a I - (L b / c) sigma I has Z[i] coefficients.
-        rationals = [*lam.a.coeffs, *b_over_c]
-        self.scale = lcm(
-            matrix.den,
-            *(x.re.denominator for x in rationals),
-            *(x.im.denominator for x in rationals),
-        )
+        self.scale = lcm(matrix.den, *(x.denominator for pair in (*lam.a, *b_over_c) for x in pair))
         k = self.scale // matrix.den
         self.entries = [[[(k * re, k * im) for re, im in e] for e in row] for row in matrix.rows]
-        self.a_int = _gauss_int_coeffs(lam.a.coeffs, self.scale)
+        self.a_int = _gauss_int_coeffs(lam.a, self.scale)
         self.b_int = _gauss_int_coeffs(b_over_c, self.scale)
         # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
         self.two_w = max(
             2 * max(len(e) - 1 for row in matrix.rows for e in row),
-            2 * lam.a.degree(),
-            2 * lam.b.degree() + lam.q.degree(),
+            2 * (len(lam.a) - 1),
+            2 * (len(lam.b) - 1) + len(lam.q) - 1,
             0,
         )
 
@@ -194,24 +257,22 @@ class _ShiftedAtPoints:
             yield p0, d, rows
 
     def interpolate(self, xs, values, r):
-        """The r-minor A + B s from its values L^r A + (L^r B / c) sigma at the nodes xs."""
+        """The r-minor A + B s, as (A, B), from its values L^r A + (L^r B / c) sigma at the nodes xs."""
         den = self.scale**r
         re_a, im_a, re_b, im_b = (_interpolate(xs, [v[part] for v in values]) for part in range(4))
-        return self.lam.with_parts(
-            _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
-        )
+        return _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
 
 
 def _gauss_poly(re, im, num, den):
-    """The polynomial with coefficients num (re[k] + im[k] i) / den."""
-    return UniPoly(GaussRat(Fraction(num * x, den), Fraction(num * y, den)) for x, y in zip(re, im))
+    """The coefficients num (re[k] + im[k] i) / den as (re, im) pairs."""
+    return _trim((Fraction(num * x, den), Fraction(num * y, den)) for x, y in zip(re, im))
 
 
 def _gauss_int_coeffs(coeffs, scale):
-    """scale * x as an (re, im) integer pair, for each x whose denominators divide scale."""
+    """scale * (re, im) as an integer pair, for each pair whose denominators divide scale."""
     return [
-        (x.re.numerator * (scale // x.re.denominator), x.im.numerator * (scale // x.im.denominator))
-        for x in coeffs
+        (re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
+        for re, im in coeffs
     ]
 
 
@@ -333,8 +394,10 @@ def _interpolate(xs, ys):
     return coeffs
 
 
-def nullity_at(matrix: CharacterMatrix, lam: QuadExtElem):
+def nullity_at(matrix: CharacterMatrix, lam: Candidate):
     """Exact nullity of E - lambda I with a kernel basis over the extension.
+
+    Each kernel entry A + B s is a pair (A, B) of coefficient tuples.
 
     The rank is the largest at the first floor(n w) + 1 good points (module
     docstring); the first full-rank point ends the search with nullity 0.
@@ -366,13 +429,12 @@ def nullity_at(matrix: CharacterMatrix, lam: QuadExtElem):
             if len(xs) == shifted.needed(rank):
                 break
     minors = [shifted.interpolate(xs, [v[k] for v in values], rank) for k in range(len(values[0]))]
-    zero = lam.with_parts(UniPoly(), UniPoly())
     kernel = []
     for i, f in enumerate(free):
-        vec = [zero] * n
+        vec = [((), ())] * n
         vec[f] = minors[0]
         for k, c in enumerate(cols):
-            vec[c] = -minors[1 + i * rank + k]
+            vec[c] = tuple(tuple((-re, -im) for re, im in part) for part in minors[1 + i * rank + k])
         kernel.append(vec)
     return n - rank, kernel
 
@@ -458,20 +520,6 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
     return sorted(val for _, val in enumerate_up_to(gram, Fraction(bound)))
 
 
-# -- eigenvalue candidates ------------------------------------------------------
-
-
-def candidate_to_json(lam: QuadExtElem) -> dict:
-    def poly_json(p: UniPoly):
-        return [[rat_to_str(c.re), rat_to_str(c.im)] for c in p.coeffs]
-
-    return {
-        "a_coeffs": poly_json(lam.a),
-        "b_coeffs": poly_json(lam.b),
-        "q_coeffs": poly_json(lam.q),
-    }
-
-
 # -- pairwise verdicts ------------------------------------------------------------
 
 
@@ -493,7 +541,7 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
         out["reason"] = "representation equivalent fundamental groups"
         return out
     lam = record.eigen_candidate
-    out["lambda"] = candidate_to_json(lam)
+    out["lambda"] = lam.to_json()
     out["s2_target"] = rat_to_str(record.s2_target)
 
     algebra, metric = record.algebra, record.metric

@@ -15,14 +15,11 @@ from fractions import Fraction
 from importlib import resources
 
 from .exactnum import rat_from_str
-from .exactnum.quadext import QuadExtElem
-from .exactnum.poly import UniPoly
-from .exactnum.scalars import GaussRat
 from .geometry import Metric
 from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomorphism_search
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
-from .oneform import distinguish_pair
+from .oneform import Candidate, distinguish_pair
 from .repspec import Pair, SectorFlag, Witness, certify_isospectral
 
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
@@ -63,18 +60,6 @@ def parse_witness(data: dict) -> Witness:
     )
 
 
-def _parse_poly(coeffs) -> UniPoly:
-    return UniPoly([GaussRat(rat_from_str(re), rat_from_str(im)) for re, im in coeffs])
-
-
-def _parse_candidate(data: dict) -> QuadExtElem:
-    return QuadExtElem(
-        _parse_poly(data["a_coeffs"]),
-        _parse_poly(data["b_coeffs"]),
-        _parse_poly(data["q_coeffs"]),
-    )
-
-
 @dataclass
 class ExampleRecord:
     id: str
@@ -88,7 +73,7 @@ class ExampleRecord:
     sector_modes: dict
     pairing_map: list | None
     iso_witness: list | None
-    eigen_candidate: QuadExtElem | None
+    eigen_candidate: Candidate | None
     s2_target: Fraction | None
     _pair: Pair | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -136,7 +121,7 @@ def load(example_id: str) -> ExampleRecord:
         pairing_map=_parse_matrix(data["pairing_map"]) if data.get("pairing_map") else None,
         iso_witness=_parse_matrix(data["iso_witness"]) if data.get("iso_witness") else None,
         eigen_candidate=(
-            _parse_candidate(data["eigen_candidate"]) if data.get("eigen_candidate") else None
+            Candidate.from_json(data["eigen_candidate"]) if data.get("eigen_candidate") else None
         ),
         s2_target=rat_from_str(data["s2_target"]) if data.get("s2_target") else None,
     )

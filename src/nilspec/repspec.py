@@ -185,12 +185,6 @@ def _nondegenerate(form, coords) -> bool:
     return bool(coords) and bareiss_det([[form[u][v] for v in coords] for u in coords]) != 0
 
 
-def is_square_integrable(algebra: NilLieAlgebra, tau) -> bool:
-    """Nondegeneracy of tau([.,.]) on g modulo its center."""
-    t = clear_denominators(vec(tau))[0]
-    return _nondegenerate(algebra.form_scaled(t), _off_center(algebra))
-
-
 class _CentralData(NamedTuple):
     """What moore_wolf_multiplicity needs of a lattice, whatever tau is."""
 

@@ -10,20 +10,12 @@ def vec(xs) -> tuple:
     return tuple(Fraction(x) for x in xs)
 
 
-def vzero(n: int) -> tuple:
-    return tuple([Fraction(0)] * n)
-
-
 def vadd(a, b) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a) -> tuple:
-    return tuple(-x for x in a)
 
 
 def vscale(c, a) -> tuple:

@@ -2,12 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from nilspec.geometry import Metric
 from nilspec.liealg import NilLieAlgebra
 
 # Basis indices for the 7-dimensional 3-step algebra:
 #   X1=0, X2=1, Y1=2, Y2=3, Z1=4, Z2=5, W=6
 # and for the 5-dimensional 3-step algebra:
 #   X1=0, Y1=1, Y2=2, Z=3, W=4.
+
+
+def standard_metric(algebra):
+    """The metric whose orthonormal frame is the structure basis."""
+    n = algebra.dim
+    return Metric(algebra, [[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
 
 
 def build_dim7():

@@ -29,6 +29,13 @@ division, so it checks the eliminations over any commutative ring.
 And the Gauss-Jordan elimination that ``rref`` ran before it was built on
 ``bareiss_echelon``: ``reference_rref``, and ``reference_solve``, the solve
 read off it.
+
+And helpers with no caller in the package:
+
+- ``is_square_integrable``: nondegeneracy of tau([.,.]) on g modulo its
+  center, as a rank over Fractions on the reference bracket.
+- ``vzero``, ``vneg`` and ``assemble``: the zero vector, a negated vector,
+  and the log of a word in a lattice's generators.
 """
 
 from fractions import Fraction
@@ -38,7 +45,7 @@ from itertools import combinations
 from nilspec.exactnum import rat_from_str
 from nilspec.exactnum.matrix import dims, invert_rational, mat_vec, solve_rational
 from nilspec.liealg import Subspace
-from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale, vzero
+from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale
 
 
 @lru_cache(maxsize=None)
@@ -277,3 +284,36 @@ def reference_solve(a, b):
     if vec:
         return [row[0] for row in part], kernel
     return part, kernel
+
+
+def is_square_integrable(algebra, tau) -> bool:
+    """Nondegeneracy of tau([.,.]) on g modulo its center.
+
+    The center lies in the form's radical, so the form is nondegenerate on
+    g / z exactly when its rank is dim g - dim z, and g / z is not zero.
+    """
+    n = algebra.dim
+    form = [
+        [sum(t * x for t, x in zip(tau, reference_bracket(algebra, basis_vec(n, i), basis_vec(n, j))))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    off_center = n - algebra.center().dim
+    return off_center > 0 and len(reference_rref(form)[1]) == off_center
+
+
+def vzero(n: int) -> tuple:
+    return tuple([Fraction(0)] * n)
+
+
+def vneg(a) -> tuple:
+    return tuple(-x for x in a)
+
+
+def assemble(spec, coords):
+    """log of the word exp(t_1 v_1)...exp(t_n v_n) in the spec's generators."""
+    w = vzero(spec.algebra.dim)
+    for t, g in zip(coords, spec.generators):
+        if t:
+            w = spec.algebra.cbh(w, vscale(t, g))
+    return w

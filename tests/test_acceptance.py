@@ -26,14 +26,14 @@ from nilspec.repspec import (
     certify_isospectral,
     is_signed_permutation,
     frame_matrix,
-    is_square_integrable,
     moore_wolf_multiplicity,
     pesce_occurrence_and_multiplicity,
 )
 from nilspec.vecops import basis_vec
 
 from conftest import build_heisenberg_plus_line
-from oneform_references import leading_pi_coefficient, s_squared
+from fraction_references import is_square_integrable
+from oneform_references import covector_from_frame, leading_pi_coefficient, pmul, poly, s_squared
 
 F = Fraction
 HALF = F(1, 2)
@@ -77,7 +77,7 @@ def test_criterion_1_example_iii_distinguisher():
                 nullity, kernel = nullity_at(e, lam)
                 assert nullity == 1
                 (vec,) = kernel
-                assert all(entry.is_zero() == (idx != 5) for idx, entry in enumerate(vec))
+                assert all((entry == ((), ())) == (idx != 5) for idx, entry in enumerate(vec))
                 mults[which] += nullity
     assert mults == {1: 0, 2: 2}
     elapsed = time.monotonic() - t0
@@ -104,15 +104,12 @@ def test_criterion_2_example_iv_distinguisher():
         total1 += nullity
         (vec,) = kernel
         # Proportional to (0, pi i, 0, 1, pi i) up to the sign of tau.
-        from nilspec.exactnum.poly import POLY_P, UniPoly
-        from nilspec.exactnum.scalars import GaussRat
-
         sign = 1 if tau[0] > 0 else -1
-        assert vec[0].is_zero() and vec[2].is_zero()
-        ref = vec[3].a
-        pi_i = UniPoly([GaussRat(0, sign)]) * POLY_P
+        assert vec[0] == vec[2] == ((), ())
+        ref = vec[3][0]
+        pi_i = poly(0, (0, sign))
         for idx in (1, 4):
-            assert vec[idx].a == ref * pi_i
+            assert vec[idx][0] == pmul(ref, pi_i)
     assert total1 == 2
     for tau in shell2:
         e = assemble_E(alg, met, tau)
@@ -131,7 +128,7 @@ def test_criterion_3_example_v_distinguisher():
     q = F(1, 4)
 
     def tau_of(coeffs):
-        return met.covector_from_frame([F(c) for c in coeffs])
+        return covector_from_frame(met, [F(c) for c in coeffs])
 
     shell1 = set(enumerate_shell(alg, met, full_lattice(record, 1), F(17, 16)))
     shell2 = set(enumerate_shell(alg, met, full_lattice(record, 2), F(17, 16)))
@@ -272,8 +269,6 @@ def test_criterion_8_structural_suite():
         seen.add(alg.dim)
         report = alg.validate()
         assert report.jacobi_ok and report.step == 3
-        from nilspec.vecops import vneg
-
         for _ in range(200):
             x, y, z = (sample_vector(rng, alg.dim) for _ in range(3))
             assert alg.cbh(alg.cbh(x, y), z) == alg.cbh(x, alg.cbh(y, z))

@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import math
+import pathlib
+import shutil
 from fractions import Fraction
 
 import pytest
 
 from nilspec import cli, oneform
-from nilspec.exactnum import QuadExtElem
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
+from nilspec.oneform import Candidate
 from nilspec.registry import load
+
+from oneform_references import pmul, poly
 
 
 def invoke(capsys, *argv):
@@ -280,6 +284,23 @@ def test_nullity_determinant_disagreement_exits_4(monkeypatch, capsys):
     assert err == "internal error: AssertionError: positive nullity at a nonzero determinant\n"
 
 
+def test_corrupt_bundled_candidate_exits_4(tmp_path, monkeypatch, capsys):
+    # Bundled data are trusted, so a candidate whose modulus is a square, p^2,
+    # is corrupt data: an internal error, never an input error or a verdict.
+    from nilspec import registry
+
+    data_dir = pathlib.Path(registry.__file__).resolve().parent / "data"
+    for path in data_dir.glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    example = json.loads((tmp_path / "example_V.json").read_text(encoding="utf-8"))
+    example["eigen_candidate"]["q_coeffs"] = [["0", "0"], ["0", "0"], ["1", "0"]]
+    (tmp_path / "example_V.json").write_text(json.dumps(example), encoding="utf-8")
+    monkeypatch.setenv("NILSPEC_DATA", str(tmp_path))
+    monkeypatch.setattr(registry, "_CACHE", {})
+    code, out, err = invoke(capsys, "distinguish", "V")
+    assert (code, out, err) == (4, "", "internal error: ValueError: modulus must be squarefree\n")
+
+
 def test_certify_replay_roundtrip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "--json", "certify", "II")
     assert code == 0
@@ -342,7 +363,7 @@ def test_numeric_oracle_reads_the_candidate_coefficient():
     record = load("V")
     lam = record.eigen_candidate
     rewritten = dataclasses.replace(
-        record, eigen_candidate=QuadExtElem(lam.a, lam.b * 2, lam.q * Fraction(1, 4))
+        record, eigen_candidate=Candidate(lam.a, pmul(lam.b, poly(2)), pmul(lam.q, poly(Fraction(1, 4))))
     )
     report = oneform.distinguish_pair(rewritten)
     assert report["per_tau"] == oneform.distinguish_pair(record)["per_tau"]

@@ -12,10 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilspec.exactnum import (
-    GaussRat,
     IntLattice,
-    QuadExtElem,
-    UniPoly,
     bareiss_det,
     enumerate_on_shell,
     hnf,
@@ -38,19 +35,9 @@ from nilspec.liealg import Subspace
 
 from fraction_references import cofactor_det, reference_rref, reference_solve
 
-Q17 = UniPoly([Fraction(1), 0, Fraction(17, 4)])  # (17/4)p^2 + 1
-
 
 def rand_frac(rng, d=10):
     return Fraction(rng.randint(-d, d), rng.randint(1, 4))
-
-
-def rand_gauss(rng):
-    return GaussRat(rand_frac(rng), rand_frac(rng))
-
-
-def rand_poly(rng, deg=2):
-    return UniPoly([rand_gauss(rng) for _ in range(deg + 1)])
 
 
 def test_bareiss_det_small():
@@ -88,44 +75,6 @@ def test_pfaffian_squares_to_determinant():
             assert pfaffian(skew) ** 2 == bareiss_det(skew)
             count += 1
     assert count >= 200
-
-
-def test_quadext_ring_axioms():
-    rng = random.Random(13)
-    s = QuadExtElem(UniPoly(), UniPoly.const(1), Q17)
-    assert (s * s).a == Q17 and (s * s).b.is_zero()
-    for _ in range(60):
-        x = QuadExtElem(rand_poly(rng), rand_poly(rng), Q17)
-        y = QuadExtElem(rand_poly(rng), rand_poly(rng), Q17)
-        z = QuadExtElem(rand_poly(rng), rand_poly(rng), Q17)
-        assert (x * y) * z == x * (y * z)
-        assert x * y == y * x
-        assert x * (y + z) == x * y + x * z
-
-
-def test_quadext_zero_test_and_modulus_guard():
-    zero = QuadExtElem(UniPoly(), UniPoly(), Q17)
-    assert zero.is_zero()
-    p2 = UniPoly.monomial(1, 2)
-    assert QuadExtElem(p2 - p2, UniPoly(), Q17).is_zero()
-    x = QuadExtElem(UniPoly.const(1), UniPoly(), Q17)
-    other = QuadExtElem(UniPoly.const(1), UniPoly(), UniPoly([0, 1]))
-    from nilspec.exactnum import ModulusMismatch
-
-    with pytest.raises(ModulusMismatch):
-        _ = x + other
-
-
-def test_poly_division_and_gcd():
-    rng = random.Random(19)
-    for _ in range(40):
-        a = rand_poly(rng, deg=rng.randint(0, 4))
-        b = rand_poly(rng, deg=rng.randint(0, 3))
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.degree() < b.degree() or r.is_zero()
 
 
 def test_perfect_square_root():

@@ -10,8 +10,9 @@ from nilspec.geometry import (
 from nilspec.exactnum import bareiss_det
 from nilspec.liealg import NilLieAlgebra
 from nilspec.registry import EXAMPLE_IDS, load
+from nilspec.vecops import vdot
 
-from conftest import build_dim5, build_dim7
+from conftest import build_dim5, build_dim7, standard_metric
 from oneform_references import connection_identities_hold, nabla_chart
 
 F = Fraction
@@ -104,8 +105,8 @@ def check_chart(chart, expected, rows, dim):
 def test_connection_identities_all_metrics():
     alg7, alg5 = build_dim7(), build_dim5()
     for alg, metric in (
-        (alg7, Metric.standard(alg7)),
-        (alg5, Metric.standard(alg5)),
+        (alg7, standard_metric(alg7)),
+        (alg5, standard_metric(alg5)),
         (alg7, metric_v(alg7)),
     ):
         table = koszul_connection(alg, metric)
@@ -114,13 +115,13 @@ def test_connection_identities_all_metrics():
 
 def test_chart_standard_dim7():
     alg = build_dim7()
-    chart = nabla_chart(alg, Metric.standard(alg), directions=range(4))
+    chart = nabla_chart(alg, standard_metric(alg), directions=range(4))
     check_chart(chart, CHART_III, range(4), 7)
 
 
 def test_chart_standard_dim5():
     alg = build_dim5()
-    chart = nabla_chart(alg, Metric.standard(alg), directions=range(3))
+    chart = nabla_chart(alg, standard_metric(alg), directions=range(3))
     check_chart(chart, CHART_IV, range(3), 5)
 
 
@@ -132,13 +133,13 @@ def test_chart_frame_metric_dim7():
 
 def test_abelian_chart_zero():
     ab = NilLieAlgebra(3, ["a", "b", "c"], {})
-    chart = nabla_chart(ab, Metric.standard(ab))
+    chart = nabla_chart(ab, standard_metric(ab))
     assert all(not terms for terms in chart.values())
 
 
 def test_invariant_laplacian_dim7():
     alg = build_dim7()
-    lap = laplacian_on_invariant_oneforms(alg, Metric.standard(alg))
+    lap = laplacian_on_invariant_oneforms(alg, standard_metric(alg))
     expected = [[F(0)] * 7 for _ in range(7)]
     expected[4][4] = F(2)
     expected[5][5] = F(1)
@@ -148,7 +149,7 @@ def test_invariant_laplacian_dim7():
 
 def test_invariant_laplacian_dim5():
     alg = build_dim5()
-    lap = laplacian_on_invariant_oneforms(alg, Metric.standard(alg))
+    lap = laplacian_on_invariant_oneforms(alg, standard_metric(alg))
     expected = [[F(0)] * 5 for _ in range(5)]
     expected[3][3] = F(1)
     expected[4][4] = F(2)
@@ -168,7 +169,7 @@ def test_invariant_laplacian_frame_metric():
 
 def test_laplacian_symmetric_psd():
     alg = build_dim7()
-    for metric in (Metric.standard(alg), metric_v(alg)):
+    for metric in (standard_metric(alg), metric_v(alg)):
         lap = laplacian_on_invariant_oneforms(alg, metric)
         assert lap == tuple(zip(*lap))
         for k in range(1, 8):
@@ -184,7 +185,7 @@ def test_metric_quotient():
     assert m.algebra is quot
     assert len(m.columns) == 6
     assert m.columns[5] == (F(0), F(0), F(0), F(0), H, F(1))
-    std = Metric.standard(alg).quotient(ideal, quot, proj)
+    std = standard_metric(alg).quotient(ideal, quot, proj)
     assert std.columns[0] == (F(1), F(0), F(0), F(0), F(0), F(0))
 
 
@@ -204,7 +205,7 @@ def test_inner_product_and_frames():
     m = metric_v(alg)
     for j, col in enumerate(m.columns):
         for k, col2 in enumerate(m.columns):
-            assert m.inner(col, col2) == (1 if j == k else 0)
+            assert vdot(m.to_frame(col), m.to_frame(col2)) == (1 if j == k else 0)
 
 
 def test_frame_brackets_are_computed_once():
@@ -235,10 +236,10 @@ def _fresh_tables(metric):
 def test_connection_and_laplacian_are_built_once_per_metric(root):
     if root in EXAMPLE_IDS:
         record = load(root)
-        metrics = [record.metric, record.pair().quotient_data()[2], Metric.standard(record.algebra)]
+        metrics = [record.metric, record.pair().quotient_data()[2], standard_metric(record.algebra)]
     else:
         alg = build_dim7()
-        metrics = [Metric.standard(alg), metric_v(alg)]
+        metrics = [standard_metric(alg), metric_v(alg)]
     for metric in metrics:
         alg = metric.algebra
         table = koszul_connection(alg, metric)

@@ -30,14 +30,13 @@ from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.repspec import (
     MultiplicityRecord,
     central_dual_generator,
-    is_square_integrable,
     moore_wolf_multiplicity,
     pesce_occurrence_and_multiplicity,
 )
 from nilspec.vecops import basis_vec, is_zero_vec, vdot, vec, vsub
 
 from conftest import build_heisenberg_plus_line
-from fraction_references import reference_ad_matrix, reference_table
+from fraction_references import is_square_integrable, reference_ad_matrix, reference_table
 
 F = Fraction
 

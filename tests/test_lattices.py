@@ -12,10 +12,10 @@ from nilspec.exactnum.matrix import identity, invert_rational, mat_vec
 from nilspec.lattices import LatticeSpec, maps_onto, quotient_covolume
 from nilspec.liealg import NilLieAlgebra, Subspace
 from nilspec.registry import EXAMPLE_IDS, load
-from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale
+from nilspec.vecops import basis_vec, is_zero_vec, vadd, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
-from fraction_references import reference_cbh
+from fraction_references import assemble, reference_cbh, vneg
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def test_roundtrip_random_words():
         n = spec.algebra.dim
         for _ in range(200):
             coords = [F(rng.randint(-4, 4)) for _ in range(n)]
-            g = spec.assemble(coords)
+            g = assemble(spec, coords)
             assert spec.malcev_coordinates(g) == coords
             assert spec.contains(g)
 
@@ -93,8 +93,8 @@ def test_membership_closed_under_product_and_inverse():
         spec = make_spec(pair_id)
         n = spec.algebra.dim
         for _ in range(60):
-            a = spec.assemble([F(rng.randint(-3, 3)) for _ in range(n)])
-            b = spec.assemble([F(rng.randint(-3, 3)) for _ in range(n)])
+            a = assemble(spec, [F(rng.randint(-3, 3)) for _ in range(n)])
+            b = assemble(spec, [F(rng.randint(-3, 3)) for _ in range(n)])
             assert spec.contains(spec.algebra.cbh(a, b))
             assert spec.contains(vneg(a))
 
@@ -277,11 +277,11 @@ def test_malcev_peel_matches_fraction_peel_on_words(bundled, root, side, data):
     spec = bundled[(root, side)]
     n = spec.algebra.dim
     word = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-    g = spec.assemble(word)
+    g = assemble(spec, word)
     assert _agrees_with_reference(spec, g) == word
     assert spec.contains(g)
     # Halving the last exponent leaves the lattice when that exponent is odd.
-    halved = spec.assemble(word[:-1] + [F(word[-1], 2)])
+    halved = assemble(spec, word[:-1] + [F(word[-1], 2)])
     assert _agrees_with_reference(spec, halved)[-1] == F(word[-1], 2)
     assert spec.contains(halved) == (word[-1] % 2 == 0)
 
@@ -296,7 +296,7 @@ def test_contains_scaled_matches_contains(bundled, root, side, data):
     num = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
     assert spec.contains_scaled(num, den) == spec.contains(tuple(F(x, den) for x in num))
     # A lattice member written over a denominator larger than its own.
-    g = spec.assemble(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    g = assemble(spec, data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
     common = lcm(*(x.denominator for x in g)) * den
     scaled = [int(x * common) for x in g]
     assert spec.contains_scaled(scaled, common)

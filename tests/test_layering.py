@@ -79,13 +79,24 @@ def test_numpy_only_inside_the_float_oracle():
                 assert (module, scope) == ("nilspec.oneform", "numeric_spectrum")
 
 
-def test_matrix_core_imports_no_polynomial_rings():
-    # The one-form layer eliminates over Z[i][t]/(t^2 - d) itself, so the
-    # generic matrix routines serve Z and Q only.
-    imports = {module: imports for _, module, imports in _modules()}["nilspec.exactnum.matrix"]
-    for names, _ in imports:
-        for ring in ("nilspec.exactnum.poly", "nilspec.exactnum.quadext"):
-            assert not _refers_to(names, ring), names
+COEFF_KEYS = ("a_coeffs", "b_coeffs", "q_coeffs")
+
+
+def test_no_polynomial_ring_classes_and_one_reader_of_candidate_coefficients():
+    # A candidate eigenvalue is coefficient data, (re, im) pairs per degree,
+    # which the one-form layer eliminates on integers itself: exactnum keeps
+    # no ring of polynomials in pi, and only oneform reads the tuples or
+    # their JSON keys.
+    assert not (PACKAGE / "exactnum" / "poly.py").exists()
+    assert not (PACKAGE / "exactnum" / "quadext.py").exists()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = (path.name, getattr(node, "lineno", None))
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+            assert name not in ("UniPoly", "QuadExtElem", "GaussRat"), where
+            if path.name != "oneform.py":
+                assert not (isinstance(node, ast.Attribute) and node.attr in ("a", "b", "q")), where
+                assert not (isinstance(node, ast.Constant) and node.value in COEFF_KEYS), where
 
 
 def test_only_lattices_constructs_lattice_specs():
@@ -156,36 +167,47 @@ def test_only_solve_integer_calls_snf():
     assert _callers("snf") == {("intlattice.py", ("solve_integer",))}
 
 
-# Public functions with no caller in the package, each used only by tests.
-# The list only shrinks: move a helper into tests/ or give it a caller.
-# s2_values_up_to serves tests/test_acceptance.py.
+# Public functions and methods with no caller in the package, each used only
+# by tests, with the reason it stays.  The list only shrinks: move a helper
+# into tests/ or give it a caller.
 UNCALLED_ALLOWED = {
+    # Serves tests/test_acceptance.py; candidate-free one-form verdicts scan shells with it.
     ("nilspec.oneform", "s2_values_up_to"),
-    ("nilspec.repspec", "is_square_integrable"),
-    ("nilspec.vecops", "vneg"),
+    # Proved non-isomorphism from finite quotients reads the pc relators' coordinates with it.
+    ("nilspec.lattices", "LatticeSpec.malcev_coordinates"),
 }
 
 
 def _uncalled_public_functions():
-    """(module, name) of each public top-level function outside the CLI that no
-    code in the package names outside the function's own body."""
+    """(module, name) of each public top-level function or method outside the
+    CLI that no code in the package names outside its own body.
+
+    A method is named ``Class.method``; a use of the bare name anywhere else
+    in the package counts as a call.
+    """
     defs, users = [], {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(("nilspec",) + path.relative_to(PACKAGE).with_suffix("").parts)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            owner = getattr(top, "name", None)
-            if isinstance(top, ast.FunctionDef) and not owner.startswith("_"):
-                defs.append((module, owner))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    users.setdefault(node.id, set()).add((module, owner))
-                elif isinstance(node, ast.Attribute):
-                    users.setdefault(node.attr, set()).add((module, owner))
+            owners = [(top, getattr(top, "name", None))]
+            if isinstance(top, ast.ClassDef):
+                owners = [
+                    (node, f"{top.name}.{node.name}" if isinstance(node, ast.FunctionDef) else top.name)
+                    for node in top.body
+                ]
+            for root, owner in owners:
+                if isinstance(root, ast.FunctionDef) and not root.name.startswith("_"):
+                    defs.append((module, owner, root.name))
+                for node in ast.walk(root):
+                    if isinstance(node, ast.Name):
+                        users.setdefault(node.id, set()).add((module, owner))
+                    elif isinstance(node, ast.Attribute):
+                        users.setdefault(node.attr, set()).add((module, owner))
     return {
-        (module, name)
-        for module, name in defs
-        if module != "nilspec.cli" and not users.get(name, set()) - {(module, name)}
+        (module, owner)
+        for module, owner, name in defs
+        if module != "nilspec.cli" and not users.get(name, set()) - {(module, owner)}
     }
 
 

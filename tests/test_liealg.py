@@ -16,9 +16,9 @@ from nilspec.liealg import (
     sample_vector,
 )
 from nilspec.exactnum.matrix import identity, mat_vec
-from nilspec.vecops import basis_vec, is_zero_vec, vadd, vneg, vscale, vsub, vzero
+from nilspec.vecops import basis_vec, is_zero_vec, vadd, vscale, vsub
 
-from fraction_references import reference_ad_matrix, reference_rref
+from fraction_references import reference_ad_matrix, reference_rref, vneg, vzero
 
 F = Fraction
 

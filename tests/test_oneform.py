@@ -1,5 +1,8 @@
+import cmath
 import itertools
+import json
 import math
+import pathlib
 from itertools import islice
 import random
 from fractions import Fraction
@@ -8,12 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilspec.exactnum import IntLattice, UniPoly
-from nilspec.exactnum.quadext import QuadExtElem
-from nilspec.exactnum.scalars import GaussRat
-from nilspec.geometry import Metric
+from nilspec.exactnum import IntLattice, bareiss_det
 from nilspec.lattices import LatticeSpec
 from nilspec.oneform import (
+    Candidate,
     CharacterMatrix,
     assemble_E,
     det_at,
@@ -25,15 +26,22 @@ from nilspec.oneform import (
     s2_values_up_to,
 )
 from nilspec.registry import load
-from nilspec.vecops import basis_vec, vzero
+from nilspec.vecops import basis_vec
 
-from conftest import build_dim5, build_dim7, lattice_gens
-from fraction_references import cofactor_det
+from conftest import build_dim5, build_dim7, lattice_gens, standard_metric
+from fraction_references import cofactor_det, vzero
 from oneform_references import (
+    Ext,
+    covector_from_frame,
     as_int_matrix,
     as_polys,
+    ext,
     leading_pi_coefficient,
+    padd,
     plain_candidate,
+    pmul,
+    poly,
+    psub,
     reference_assemble_E,
     reference_nullity_at,
     s_squared,
@@ -49,29 +57,34 @@ Q17 = [1, 0, F(17, 4)]
 
 def char7(tau):
     alg = build_dim7()
-    return alg, Metric.standard(alg), tuple(F(t) for t in tau)
+    return alg, standard_metric(alg), tuple(F(t) for t in tau)
 
 
 def char5(tau):
     alg = build_dim5()
-    return alg, Metric.standard(alg), tuple(F(t) for t in tau)
+    return alg, standard_metric(alg), tuple(F(t) for t in tau)
 
 
 def char_v(frame_coeffs):
     alg = build_dim7()
     met = metric_v(alg)
-    return alg, met, met.covector_from_frame([F(c) for c in frame_coeffs])
+    return alg, met, covector_from_frame(met, [F(c) for c in frame_coeffs])
 
 
-def poly(const=0, lin_im=0, quad=0):
-    return UniPoly([GaussRat(F(const)), GaussRat(0, F(lin_im)), GaussRat(F(quad))])
+def entry(const=0, lin_im=0, quad=0):
+    return poly(const, (0, lin_im), quad)
+
+
+def conj(e):
+    """Coefficient-wise conjugate; the indeterminate p is real."""
+    return tuple((re, -im) for re, im in e)
 
 
 def golden_matrix_7(a1, a2, b1, b2):
     s2 = a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2
-    d = lambda c=0: poly(const=c, quad=4 * s2)
-    o = lambda im: poly(lin_im=im)
-    z = UniPoly()
+    d = lambda c=0: entry(const=c, quad=4 * s2)
+    o = lambda im: entry(lin_im=im)
+    z = ()
     return [
         [d(), z, z, z, o(-2 * b1), o(-2 * b2), z],
         [z, d(), z, z, o(-2 * b2), z, z],
@@ -85,9 +98,9 @@ def golden_matrix_7(a1, a2, b1, b2):
 
 def golden_matrix_5(a1, b1, b2):
     s2 = a1 * a1 + b1 * b1 + b2 * b2
-    d = lambda c=0: poly(const=c, quad=4 * s2)
-    o = lambda im: poly(lin_im=im)
-    z = UniPoly()
+    d = lambda c=0: entry(const=c, quad=4 * s2)
+    o = lambda im: entry(lin_im=im)
+    z = ()
     return [
         [d(), z, z, o(-2 * b1), z],
         [z, d(), z, o(2 * a1), o(-2 * b2)],
@@ -100,8 +113,8 @@ def golden_matrix_5(a1, b1, b2):
 def golden_matrix_v_upper(a1, a2, a3, a4):
     """Upper triangle of the displayed frame-metric matrix (see test below)."""
     s2 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
-    d = lambda c=0: poly(const=c, quad=4 * s2)
-    o = lambda im: poly(lin_im=im)
+    d = lambda c=0: entry(const=c, quad=4 * s2)
+    o = lambda im: entry(lin_im=im)
     entries = {
         (0, 4): o(2 * a3),
         (0, 5): o(2 * a4),
@@ -114,7 +127,7 @@ def golden_matrix_v_upper(a1, a2, a3, a4):
         (3, 5): o(-2 * a1),
         (3, 6): o(-a1 / 2 + a2 / 2 - 2 * a3),
         (4, 6): o(-2 * a1),
-        (5, 6): poly(const=F(1, 4), lin_im=-2 * a2),
+        (5, 6): entry(const=F(1, 4), lin_im=-2 * a2),
     }
     diag = [d(), d(), d(), d(), d(2), d(1), d(F(817, 256))]
     return entries, diag
@@ -153,7 +166,7 @@ def test_golden_matrix_frame_metric():
         for j in range(7):
             assert got[j][j] == diag[j]
             for k in range(j + 1, 7):
-                want = entries.get((j, k), UniPoly())
+                want = entries.get((j, k), ())
                 assert got[k][j] == want, (j, k)
 
 
@@ -165,12 +178,12 @@ def test_assemble_zero_tau_is_invariant_laplacian():
     lap = laplacian_on_invariant_oneforms(alg, met)
     for j in range(7):
         for k in range(7):
-            assert got[j][k] == UniPoly([GaussRat(lap[j][k])])
+            assert got[j][k] == poly(lap[j][k])
 
 
 def test_character_wave_rejects_nonvanishing_tau():
     alg = build_dim7()
-    met = Metric.standard(alg)
+    met = standard_metric(alg)
     with pytest.raises(ValueError, match="does not vanish on the derived algebra"):
         assemble_E(alg, met, basis_vec(7, 4))  # zeta1* does not kill g^(1)
 
@@ -215,11 +228,11 @@ def test_det_zero_pattern_dim7():
     for t in zero_taus:
         alg, met, tau = char7(t + [0, 0, 0])
         det, is_eig = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
-        assert is_eig and det.is_zero()
+        assert is_eig and det == ((), ())
     for t in nonzero_taus:
         alg, met, tau = char7(t + [0, 0, 0])
         det, is_eig = det_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
-        assert not is_eig and not det.is_zero()
+        assert not is_eig and det != ((), ())
 
 
 def test_det_zero_pattern_dim5():
@@ -262,28 +275,22 @@ def test_nullity_and_kernels():
     nullity, kernel = nullity_at(assemble_E(alg, met, tau), LAM_PI2_PLUS_1)
     assert nullity == 1
     (veck,) = kernel
-    for idx, entry in enumerate(veck):
+    for idx, x in enumerate(veck):
         if idx == 5:  # zeta2 direction
-            assert not entry.is_zero()
+            assert x != ((), ())
         else:
-            assert entry.is_zero()
+            assert x == ((), ())
 
     alg5, met5, tau5 = char5([F(1, 2), 0, 0, 0, 0])
     nullity5, kernel5 = nullity_at(assemble_E(alg5, met5, tau5), LAM_PI2_PLUS_1)
     assert nullity5 == 1
     (k5,) = kernel5
     # Proportional to (0, pi*i, 0, 1, pi*i) in basis (alpha1, beta1, beta2, zeta, omega).
-    target = [
-        UniPoly(),
-        UniPoly([GaussRat(0), GaussRat(0, 1)]),
-        UniPoly(),
-        UniPoly([GaussRat(1)]),
-        UniPoly([GaussRat(0), GaussRat(0, 1)]),
-    ]
-    assert k5[0].is_zero() and k5[2].is_zero()
+    target = [(), poly(0, (0, 1)), (), poly(1), poly(0, (0, 1))]
+    assert k5[0] == k5[2] == ((), ())
     for i in range(5):
         for j in range(5):
-            assert k5[i].a * target[j] == k5[j].a * target[i]
+            assert pmul(k5[i][0], target[j]) == pmul(k5[j][0], target[i])
 
 
 def test_nullity_zero_at_noneigenvalue():
@@ -354,7 +361,7 @@ def shell_lattices(pair_root):
 
 def test_shell_enumeration_dim7():
     alg = build_dim7()
-    met = Metric.standard(alg)
+    met = standard_metric(alg)
     half = F(1, 2)
     _, (lat1, lat2) = shell_lattices("III")
     shell1 = enumerate_shell(alg, met, lat1, F(1, 4))
@@ -383,7 +390,7 @@ def test_shell_enumeration_dim7():
 
 def test_shell_enumeration_dim5():
     alg = build_dim5()
-    met = Metric.standard(alg)
+    met = standard_metric(alg)
     _, (lat1, lat2) = shell_lattices("IV")
     shell1 = enumerate_shell(alg, met, lat1, F(1, 4))
     shell2 = enumerate_shell(alg, met, lat2, F(1, 4))
@@ -407,7 +414,7 @@ def test_shell_enumeration_frame_metric():
     q = F(1, 4)
 
     def tau_of(coeffs):
-        return met.covector_from_frame([F(c) for c in coeffs])
+        return covector_from_frame(met, [F(c) for c in coeffs])
 
     want1 = {
         tau_of([0, q, 1, 0]),
@@ -432,7 +439,7 @@ def test_shell_enumeration_frame_metric():
 def test_character_s2_multisets_match():
     for root in ("I", "II", "III", "IV", "V"):
         alg, (lat1, lat2) = shell_lattices(root)
-        met = metric_v(alg) if root == "V" else Metric.standard(alg)
+        met = metric_v(alg) if root == "V" else standard_metric(alg)
         vals1 = s2_values_up_to(alg, met, lat1, F(10))
         vals2 = s2_values_up_to(alg, met, lat2, F(10))
         assert vals1 == vals2
@@ -457,10 +464,10 @@ def test_numeric_spectrum():
 
 
 def _shifted(entries, lam):
-    """E - lambda I over Q(i)[p][s]/(s^2 - q), from E's UniPoly entries."""
-    zero = lam.with_parts(UniPoly(), UniPoly())
+    """E - lambda I over Q(i)[p][s]/(s^2 - q), from E's coefficient-tuple entries."""
+    shift, zero = Ext(lam.a, lam.b, lam.q), Ext((), (), lam.q)
     return [
-        [lam.with_parts(e, UniPoly()) - (lam if j == k else zero) for k, e in enumerate(row)]
+        [Ext(e, (), lam.q) - (shift if j == k else zero) for k, e in enumerate(row)]
         for j, row in enumerate(entries)
     ]
 
@@ -482,7 +489,7 @@ def _reference_rank(m):
 
 
 def _check_nullity(matrix, entries, lam):
-    """nullity_at against _reference_rank on E's UniPoly entries; its kernel is
+    """nullity_at against _reference_rank on E's entries; its kernel is
     exact and independent, equal to the per-minor Cramer construction, and the
     nullity is positive exactly where det_at finds det(E - lambda I) = 0."""
     n = matrix.dim
@@ -492,15 +499,16 @@ def _check_nullity(matrix, entries, lam):
     assert (nullity > 0) == det_at(matrix, lam)[1]
     assert (nullity, kernel) == reference_nullity_at(matrix, lam)
     assert len(kernel) == nullity
-    for vec in kernel:
+    vectors = [[ext(v, lam.q) for v in vec] for vec in kernel]
+    for vec in vectors:
         for row in m:
-            acc = lam.with_parts(UniPoly(), UniPoly())
+            acc = Ext((), (), lam.q)
             for x, v in zip(row, vec):
                 acc = acc + x * v
             assert acc.is_zero()
     # Independent: some nullity x nullity minor of the kernel vectors is nonzero.
     assert any(
-        cofactor_det([[vec[c] for c in cols] for vec in kernel]) != 0
+        cofactor_det([[vec[c] for c in cols] for vec in vectors]) != 0
         for cols in itertools.combinations(range(n), nullity)
     )
     return nullity
@@ -520,8 +528,8 @@ def gauss_poly(draw, real=False, max_degree=2):
     for _ in range(degree + 1):
         re = draw(small_rational)
         im = F(0) if real else draw(small_rational)
-        coeffs.append(GaussRat(re, im))
-    return UniPoly(coeffs)
+        coeffs.append((re, im))
+    return poly(*coeffs)
 
 
 @st.composite
@@ -532,38 +540,38 @@ def hermitian_matrix(draw, n=None):
         entries[j][j] = draw(gauss_poly(real=True))
         for k in range(j + 1, n):
             # Mostly sparse, like the assembled matrices.
-            e = draw(gauss_poly()) if draw(st.integers(0, 2)) == 0 else UniPoly()
-            entries[j][k], entries[k][j] = e, e.conj()
+            e = draw(gauss_poly()) if draw(st.integers(0, 2)) == 0 else ()
+            entries[j][k], entries[k][j] = e, conj(e)
     return entries
 
 
 @st.composite
 def candidate(draw):
-    q = UniPoly(draw(st.sampled_from(MODULI)))
+    q = poly(*draw(st.sampled_from(MODULI)))
     kind = draw(st.sampled_from(["plain", "sqrt", "mixed"]))
     if kind == "plain":
-        return QuadExtElem(draw(gauss_poly(real=True)), UniPoly(), q)
+        return Candidate(draw(gauss_poly(real=True)), (), q)
     if kind == "sqrt":
-        return QuadExtElem(q, UniPoly([1]), q)
+        return Candidate(q, poly(1), q)
     b = draw(gauss_poly(real=True, max_degree=1))
-    return QuadExtElem(draw(gauss_poly(real=True)), b, q)
+    return Candidate(draw(gauss_poly(real=True)), b, q)
 
 
 @settings(max_examples=40, deadline=None)
 @given(entries=hermitian_matrix(), lam=candidate(), singular=st.booleans())
 def test_det_at_matches_bareiss_over_polynomials(entries, lam, singular):
     n = len(entries)
-    if singular and lam.b.is_zero():
+    if singular and not lam.b:
         # Split off lambda as a 1 x 1 block, so that it is an eigenvalue.
         for k in range(1, n):
-            entries[0][k] = entries[k][0] = UniPoly()
+            entries[0][k] = entries[k][0] = ()
         entries[0][0] = lam.a
     matrix = as_int_matrix(entries)
     det, is_zero = det_at(matrix, lam)
     expected = _reference_det_at(entries, lam)
-    assert det == expected
+    assert det == expected.parts
     assert is_zero == expected.is_zero()
-    if singular and lam.b.is_zero():
+    if singular and not lam.b:
         assert is_zero
 
 
@@ -577,7 +585,7 @@ def test_det_at_matches_bareiss_on_shells(root):
         for tau in enumerate_shell(algebra, metric, lattice, record.s2_target):
             e = assemble_E(algebra, metric, tau)
             det, is_zero = det_at(e, lam)
-            assert det == _reference_det_at(reference_assemble_E(algebra, metric, tau), lam)
+            assert det == _reference_det_at(reference_assemble_E(algebra, metric, tau), lam).parts
             zeros += is_zero
     assert zeros > 0
 
@@ -586,18 +594,18 @@ def test_det_at_matches_bareiss_on_shells(root):
 # eigenvalues a +- b s, so it is a singular 2 x 2 block of E - (a + b s) I.
 SPLIT_MODULI = {
     (1, 0, F(17, 4)): [
-        ([0, 2], [1, GaussRat(0, F(1, 2))]),
-        ([0, F(1, 2)], [1, GaussRat(0, 2)]),
+        (poly(0, 2), poly(1, (0, F(1, 2)))),
+        (poly(0, F(1, 2)), poly(1, (0, 2))),
     ],
-    (1, 0, 1): [([0, 1], [1]), ([], [1, GaussRat(0, 1)])],
+    (1, 0, 1): [(poly(0, 1), poly(1)), ((), poly(1, (0, 1)))],
 }
 
-# Unitary 2 x 2 matrices over Q(i).
+# Unitary 2 x 2 matrices over Q(i), as constant polynomials.
 UNITARIES = [
-    [[GaussRat(F(3, 5)), GaussRat(F(-4, 5))], [GaussRat(F(4, 5)), GaussRat(F(3, 5))]],
+    [[poly(F(3, 5)), poly(F(-4, 5))], [poly(F(4, 5)), poly(F(3, 5))]],
     [
-        [GaussRat(F(1, 2), F(1, 2)), GaussRat(F(1, 2), F(-1, 2))],
-        [GaussRat(F(1, 2), F(-1, 2)), GaussRat(F(1, 2), F(1, 2))],
+        [poly((F(1, 2), F(1, 2))), poly((F(1, 2), F(-1, 2)))],
+        [poly((F(1, 2), F(-1, 2))), poly((F(1, 2), F(1, 2)))],
     ],
 ]
 
@@ -612,23 +620,21 @@ def forced_rank_matrix(draw):
     """
     deficiency = draw(st.integers(1, 2))
     if draw(st.booleans()):
-        lam = QuadExtElem(
-            draw(gauss_poly(real=True)), UniPoly(), UniPoly(draw(st.sampled_from(MODULI)))
-        )
+        lam = Candidate(draw(gauss_poly(real=True)), (), poly(*draw(st.sampled_from(MODULI))))
         blocks = [[[lam.a]]] * deficiency
     else:
         q = draw(st.sampled_from(sorted(SPLIT_MODULI)))
         a = draw(gauss_poly(real=True))
-        b = draw(gauss_poly(real=True, max_degree=1).filter(lambda b: not b.is_zero()))
-        lam = QuadExtElem(a, b, UniPoly(q))
+        b = draw(gauss_poly(real=True, max_degree=1).filter(bool))
+        lam = Candidate(a, b, poly(*q))
         blocks = []
         for _ in range(deficiency):
-            x, y = (UniPoly(cs) for cs in draw(st.sampled_from(SPLIT_MODULI[q])))
-            blocks.append([[a + b * x, b * y], [b * y.conj(), a - b * x]])
+            x, y = draw(st.sampled_from(SPLIT_MODULI[q]))
+            blocks.append([[padd(a, pmul(b, x)), pmul(b, y)], [pmul(b, conj(y)), psub(a, pmul(b, x))]])
     size = sum(len(block) for block in blocks)
     blocks.append(draw(hermitian_matrix(n=draw(st.integers(1, 6 - size)))))
     n = size + len(blocks[-1])
-    entries = [[UniPoly()] * n for _ in range(n)]
+    entries = [[()] * n for _ in range(n)]
     start = 0
     for block in blocks:
         for j, row in enumerate(block):
@@ -639,13 +645,13 @@ def forced_rank_matrix(draw):
     (u00, u01), (u10, u11) = draw(st.sampled_from(UNITARIES))
     # U E U^* for the unitary U acting on coordinates i and j.
     entries[i], entries[j] = (
-        [x * u00 + y * u01 for x, y in zip(entries[i], entries[j])],
-        [x * u10 + y * u11 for x, y in zip(entries[i], entries[j])],
+        [padd(pmul(x, u00), pmul(y, u01)) for x, y in zip(entries[i], entries[j])],
+        [padd(pmul(x, u10), pmul(y, u11)) for x, y in zip(entries[i], entries[j])],
     )
     for row in entries:
         row[i], row[j] = (
-            row[i] * u00.conj() + row[j] * u01.conj(),
-            row[i] * u10.conj() + row[j] * u11.conj(),
+            padd(pmul(row[i], conj(u00)), pmul(row[j], conj(u01))),
+            padd(pmul(row[i], conj(u10)), pmul(row[j], conj(u11))),
         )
     perm = draw(st.permutations(range(n)))
     return [[entries[a][b] for b in perm] for a in perm], lam, deficiency
@@ -656,7 +662,7 @@ def forced_rank_matrix(draw):
 def test_nullity_at_matches_minors_over_polynomials(case):
     entries, lam, deficiency = case
     n = len(entries)
-    assert all(entries[j][k] == entries[k][j].conj() for j in range(n) for k in range(n))
+    assert all(entries[j][k] == conj(entries[k][j]) for j in range(n) for k in range(n))
     assert _check_nullity(as_int_matrix(entries), entries, lam) >= deficiency
 
 
@@ -676,10 +682,6 @@ def test_nullity_at_matches_minors_on_shells(root):
 # -- the fast paths against their references ------------------------------------
 
 
-def _poly(*coeffs):
-    return UniPoly([GaussRat(F(c)) for c in coeffs])
-
-
 # For plain_candidate([0]) the first good points are p = 2, -2, 3, -3, ...
 # (d = p must not be zero or a square).
 LAM_ZERO = plain_candidate([0])
@@ -688,7 +690,7 @@ LAM_ZERO = plain_candidate([0])
 def test_cramer_minors_skip_a_point_where_the_minor_vanishes():
     # Rank 1; the 1 x 1 minor p + 2 chosen at p = 2 vanishes at p = -2, the
     # second good point, where its row is (0, 1).
-    matrix = as_int_matrix([[_poly(2, 1), _poly(1)]] * 2)
+    matrix = as_int_matrix([[poly(2, 1), poly(1)]] * 2)
     shifted = _ShiftedAtPoints(matrix, LAM_ZERO)
     points = list(islice(shifted.points(), 3))
     assert [p0 for p0, _, _ in points] == [2, -2, 3]
@@ -697,7 +699,7 @@ def test_cramer_minors_skip_a_point_where_the_minor_vanishes():
     nullity, kernel = nullity_at(matrix, LAM_ZERO)
     assert nullity == 1
     assert (nullity, kernel) == reference_nullity_at(matrix, LAM_ZERO)
-    assert [v.a for v in kernel[0]] == [_poly(-1), _poly(2, 1)]
+    assert [v[0] for v in kernel[0]] == [poly(-1), poly(2, 1)]
 
 
 def test_cramer_minors_carry_the_row_swap_sign():
@@ -705,16 +707,16 @@ def test_cramer_minors_carry_the_row_swap_sign():
     # nonzero at p = 2, where rows 0 and 1 are chosen, and zero at p = -2,
     # where the elimination must swap them.
     entries = [
-        [_poly(2, 1), _poly(1), _poly(3, 1)],
-        [_poly(1), _poly(), _poly(1)],
-        [_poly(3, 1), _poly(1), _poly(4, 1)],
+        [poly(2, 1), poly(1), poly(3, 1)],
+        [poly(1), (), poly(1)],
+        [poly(3, 1), poly(1), poly(4, 1)],
     ]
     matrix = as_int_matrix(entries)
     nullity, kernel = nullity_at(matrix, LAM_ZERO)
     assert nullity == 1
     assert (nullity, kernel) == reference_nullity_at(matrix, LAM_ZERO)
     # det [[p + 2, 1], [1, 0]] = -1; the kernel vector is (1, 1, -1) times it.
-    assert [v.a for v in kernel[0]] == [_poly(1), _poly(1), _poly(-1)]
+    assert [v[0] for v in kernel[0]] == [poly(1), poly(1), poly(-1)]
     shifted = _ShiftedAtPoints(matrix, LAM_ZERO)
     (_, d, m), = islice((pt for pt in shifted.points() if pt[0] == -2), 1)
     rows = [m[0], m[1]]
@@ -747,3 +749,144 @@ def test_assemble_E_matches_fraction_reference(coeffs, frame_metric):
     e = assemble_E(alg, met, tau)
     assert as_polys(e) == reference_assemble_E(alg, met, tau)
     assert e.s2 == s_squared(met, tau)
+
+
+# -- the candidate as coefficient data ------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _json_poly(*coeffs):
+    return [[str(re), str(im)] for re, im in coeffs]
+
+
+# Each malformed modulus with the text it is refused with.  A modulus that is
+# wrong twice gets the earlier text: degree, then real coefficients, then
+# squarefree.
+BAD_MODULI = [
+    ([], "modulus must have degree >= 1"),
+    (_json_poly((3, 0)), "modulus must have degree >= 1"),
+    (_json_poly((0, 1)), "modulus must have degree >= 1"),
+    (_json_poly((1, 0), (0, 0)), "modulus must have degree >= 1"),
+    (_json_poly((0, 1), (1, 0)), "modulus must have rational real coefficients"),
+    (_json_poly((0, 0), (0, 1), (1, 0)), "modulus must have rational real coefficients"),
+    (_json_poly((0, 1), (0, 0), (1, 0)), "modulus must have rational real coefficients"),
+    (_json_poly((0, 0), (0, 0), (1, 0)), "modulus must be squarefree"),
+    (_json_poly((0, 0), (1, 0), (2, 0), (1, 0)), "modulus must be squarefree"),
+    (_json_poly((4, 0), (-4, 0), (1, 0), (0, 0)), "modulus must be squarefree"),
+]
+
+
+@pytest.mark.parametrize("q, message", BAD_MODULI)
+def test_candidate_from_json_refuses_a_malformed_modulus(q, message):
+    data = {"a_coeffs": _json_poly((1, 0)), "b_coeffs": _json_poly((1, 0)), "q_coeffs": q}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Candidate.from_json(data)
+
+
+def test_candidate_from_json_accepts_squarefree_moduli():
+    for q, want in [
+        (_json_poly((0, 0), (1, 0), (0, 0)), poly(0, 1)),
+        (_json_poly((1, 0), (0, 0), ("17/4", 0)), poly(1, 0, F(17, 4))),
+        (_json_poly((0, 0), (1, 0), (1, 0)), poly(0, 1, 1)),
+    ]:
+        data = {"a_coeffs": [], "b_coeffs": _json_poly((1, 0)), "q_coeffs": q}
+        assert Candidate.from_json(data) == Candidate((), poly(1), want)
+
+
+@pytest.mark.parametrize("root", ["III", "IV", "V"])
+def test_candidate_to_json_is_the_golden_lambda(root):
+    golden = json.loads((GOLDEN / f"distinguish_{root}.out").read_text(encoding="utf-8"))
+    assert load(root).eigen_candidate.to_json() == golden["lambda"]
+
+
+def _squarefree_by_discriminant(q):
+    """Res(q, q') != 0, from the Sylvester matrix: q has no repeated root."""
+    f = q[::-1]
+    g = [k * c for k, c in enumerate(q)][:0:-1]
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_det([[F(x) for x in row] for row in rows]) != 0
+
+
+real_modulus = st.lists(small_rational, min_size=2, max_size=4).filter(lambda q: q[-1] != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=real_modulus, r=small_rational, square=st.booleans())
+def test_candidate_squarefree_check_matches_the_discriminant(q, r, square):
+    if square:
+        # Times (p - r)^2, which puts a repeated root at r.
+        for _ in range(2):
+            q = [b - r * a for a, b in zip(q + [0], [0] + q)]
+    assert not (square and _squarefree_by_discriminant(q))
+    raw = {"a_coeffs": [], "b_coeffs": [], "q_coeffs": _json_poly(*((x, 0) for x in q))}
+    if _squarefree_by_discriminant(q):
+        assert Candidate.from_json(raw).q == poly(*q)
+    else:
+        with pytest.raises(ValueError, match="^modulus must be squarefree$"):
+            Candidate.from_json(raw)
+
+
+def _unreduced(x, k):
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=gauss_poly(),
+    b=gauss_poly(),
+    q=real_modulus.filter(_squarefree_by_discriminant),
+    k=st.integers(2, 4),
+    pad=st.integers(0, 2),
+)
+def test_candidate_json_round_trip_normalises(a, b, q, k, pad):
+    c = Candidate(a, b, poly(*q))
+    assert Candidate.from_json(c.to_json()) == c
+    # Unreduced fractions ("2/4") and trailing zero pairs read as the same candidate.
+    raw = {
+        f"{name}_coeffs": [[_unreduced(re, k), _unreduced(im, k)] for re, im in coeffs] + [["0", f"0/{k}"]] * pad
+        for name, coeffs in zip(c._fields, c)
+    }
+    assert Candidate.from_json(raw) == c
+    # to_json drops trailing zero pairs itself.
+    padded = Candidate(*(coeffs + ((F(0), F(0)),) * pad for coeffs in c))
+    assert padded.to_json() == c.to_json()
+
+
+def _complex_value(c, p):
+    """a(p) + b(p) sqrt(q(p)) by complex Horner steps per part, as the float
+    oracle evaluated a candidate before it was coefficient data."""
+
+    def at(coeffs):
+        acc = 0j
+        for re, im in reversed(coeffs):
+            acc = acc * complex(p) + (complex(re) + 1j * complex(im))
+        return acc
+
+    return at(c.a) + at(c.b) * cmath.sqrt(at(c.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=gauss_poly(),
+    b=gauss_poly(),
+    q=real_modulus,
+    p=st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+def test_candidate_value_at_matches_the_complex_formula(a, b, q, p):
+    c = Candidate(a, b, poly(*q))
+    want = _complex_value(c, p)
+    assert abs(c.value_at(p) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+Q_V = 17 / 4 * math.pi**2 + 1
+BUNDLED_LAMBDA = {"III": math.pi**2 + 1, "IV": math.pi**2 + 1, "V": Q_V + math.sqrt(Q_V)}
+
+
+@pytest.mark.parametrize("root", sorted(BUNDLED_LAMBDA))
+def test_candidate_value_at_on_the_bundled_candidates(root):
+    lam = load(root).eigen_candidate
+    assert abs(lam.value_at(math.pi) - _complex_value(lam, math.pi)) <= 1e-12 * BUNDLED_LAMBDA[root]
+    assert abs(lam.value_at(math.pi) - BUNDLED_LAMBDA[root]) <= 1e-12 * BUNDLED_LAMBDA[root]

@@ -85,13 +85,12 @@ def test_example_records_roundtrip_bit_exact():
 
 def test_eigen_candidates():
     iii = load("III")
-    assert iii.eigen_candidate.a.coeff(0).re == 1
-    assert iii.eigen_candidate.a.coeff(2).re == 1
-    assert iii.eigen_candidate.b.is_zero()
+    assert iii.eigen_candidate.a == ((1, 0), (0, 0), (1, 0))
+    assert iii.eigen_candidate.b == ()
     assert iii.s2_target == F(1, 4)
     v = load("V")
-    assert v.eigen_candidate.b.coeff(0).re == 1
-    assert v.eigen_candidate.q.coeff(2).re == F(17, 4)
+    assert v.eigen_candidate.b == ((1, 0),)
+    assert v.eigen_candidate.q == ((1, 0), (0, 0), (F(17, 4), 0))
     assert v.s2_target == F(17, 16)
 
 

@@ -16,13 +16,14 @@ from nilspec.repspec import (
     frame_matrix,
     is_isometry,
     is_signed_permutation,
-    is_square_integrable,
     moore_wolf_multiplicity,
     orbit_pairing_report,
     pesce_occurrence_and_multiplicity,
 )
 from nilspec.exactnum.matrix import identity
-from nilspec.vecops import basis_vec, vzero
+from nilspec.vecops import basis_vec
+
+from fraction_references import is_square_integrable, vzero
 
 F = Fraction
 
