@@ -65,7 +65,8 @@ def _load_record(example_id: str):
     try:
         return load(example_id)
     except KeyError as exc:
-        raise InputError(str(exc)) from exc
+        # str() of a KeyError is the repr of its message; print the message.
+        raise InputError(exc.args[0]) from exc
 
 
 def _emit(args, payload: dict, text_lines):

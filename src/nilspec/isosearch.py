@@ -13,6 +13,13 @@ solution, which a Hermite-form span test decides (`integer_solvable`); the
 depth-first search needs a solution and the kernel (`_solve_column_system`):
 the solution comes from the Smith form, the kernel from a Hermite form.
 
+Before it lists a column, the probe asks whether its target lies in the
+Z-span of the brackets of the two column bases (`_outside_bracket_span`):
+every bracket [x, u] of column points lies in that span, so a target outside
+it kills the pair with no candidate listed.  Each column's boxed points are
+enumerated and sorted once; Malcev membership in the second lattice is
+tested, once per point, only for a candidate the search takes.
+
 A negative outcome means precisely: no automorphism maps the first lattice
 onto the second while sending each generator v_i to a point of the log-cover
 lattice inside the L-infinity box of radius bound * |v_i|_1.  It is evidence
@@ -21,9 +28,9 @@ bounded by that box, never a nonisomorphism proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import IntLattice, integer_kernel, integer_solvable, solve_integer
 from .exactnum.matrix import invert_rational, mat_mul
@@ -39,14 +46,12 @@ class SearchSpaceExceeded(RuntimeError):
 PROBE_CEILING = 60_000  # enumeration ceiling of one bilinear probe column
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(NamedTuple):
     bound: int = 4
     node_ceiling: int = 200_000
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     found: list | None
     exhausted: bool
     nodes: int
@@ -92,6 +97,7 @@ class _Column:
         self.spec2 = spec2
         self.central = False
         self._cached = None
+        self._member = {}
         gnum, gden = clear_denominators(gen)
         self._gen_den = gden
         self._gen_scaled = [g * self.den for g in gnum]
@@ -110,7 +116,11 @@ class _Column:
         return (sum(abs(x * g - t) for x, t in zip(u, self._gen_scaled)), [-x for x in u])
 
     def is_member(self, u):
-        return self.spec2.contains_scaled(u, self.den)
+        """Malcev membership of u / den in the second lattice, tested once per point."""
+        hit = self._member.get(u)
+        if hit is None:
+            hit = self._member[u] = self.spec2.contains_scaled(u, self.den)
+        return hit
 
     def satisfies(self, u, constraints):
         """Whether [u, u_j] = rhs holds for every constraint of _solve_column_system."""
@@ -122,11 +132,15 @@ class _Column:
         return True
 
     def all_candidates(self, ceiling, counter):
-        """Boxed lattice members, enumerated and filtered once, then reused."""
+        """Boxed points of the column lattice, enumerated and sorted once, then reused.
+
+        The first caller's counter pays for the enumeration.  Membership is
+        left to the caller, which asks `is_member` of the candidates it takes.
+        """
         if self._cached is None:
             u0, directions = _solve_column_system(self, [])
             raw = _enumerate_affine(u0, directions, self.box, ceiling, counter)
-            self._cached = sorted((u for u in raw if self.is_member(u)), key=self.sort_key)
+            self._cached = sorted(raw, key=self.sort_key)
         return self._cached
 
 
@@ -181,6 +195,21 @@ def _column_rows(col: _Column, constraints):
         g = scale // dr
         int_rhs.extend(g * r for r in rhs)
     return int_rows, int_rhs
+
+
+def _outside_bracket_span(first: _Column, second: _Column, target) -> bool:
+    """Whether target lies outside the Z-span of the brackets [c_j, b_i].
+
+    b_i and c_j run over the lattice bases of the first and second column.
+    Any [x, u] with x in the second lattice and u in the first is an integer
+    combination of them, so a target outside the span has no solution for
+    any candidate u.  The converse does not hold: inside the span, the probe
+    still tries candidates one by one.  target is (ints, den) as in
+    `_column_rows`, whose blocks x -> [x, b_i] share one scale and target.
+    """
+    blocks = [_column_rows(second, [((b, first.den), target)]) for b in first.basis]
+    rows = [[x for block, _ in blocks for x in block[a]] for a in range(len(target[0]))]
+    return not integer_solvable(rows, blocks[0][1])
 
 
 def _solve_column_system(col: _Column, constraints):
@@ -334,7 +363,7 @@ def _central_assignments(cols, spec2, budget, counter):
         col = central_cols[idx]
         cands = col.all_candidates(budget.node_ceiling, counter)
         for u in cands:
-            if not target.member_scaled(u, col.den):
+            if not target.member_scaled(u, col.den) or not col.is_member(u):
                 continue
             chosen[col.index] = u
             rec(idx + 1, chosen)
@@ -369,21 +398,25 @@ def bounded_lattice_isomorphism_search(
         return SearchOutcome(None, True, counter[0], "no central assignment")
 
     # Global bilinear probes: a pair with no integer solution for any
-    # boxed first column kills the whole search.
+    # boxed first column kills the whole search.  A target outside the span
+    # of the column brackets needs no candidate listed.
     pairs = _probe_pairs(algebra, brackets, cols)
     for i, j, coords in pairs:
         first, second = (i, j) if cols[i].subspace.dim <= cols[j].subspace.dim else (j, i)
+        col, other = cols[first], cols[second]
         killed = True
         for cmap in central_maps:
             rhs, rhs_den = _image(coords, cmap, cols)
             # The system is x -> [x, u]; with u the image of v_i the bracket
             # [u, x] = rhs flips the sign of the target.
             target = ([-r for r in rhs] if first == i else rhs, rhs_den)
-            den = cols[first].den
+            if _outside_bracket_span(col, other, target):
+                continue
             probe_counter = [0]
             try:
-                for u in cols[first].all_candidates(PROBE_CEILING, probe_counter):
-                    if integer_solvable(*_column_rows(cols[second], [((u, den), target)])):
+                for u in col.all_candidates(PROBE_CEILING, probe_counter):
+                    rows = _column_rows(other, [((u, col.den), target)])
+                    if integer_solvable(*rows) and col.is_member(u):
                         killed = False
                         break
             except SearchSpaceExceeded:
@@ -428,14 +461,12 @@ def bounded_lattice_isomorphism_search(
             if any(c != 0 and m not in assigned for m, c in enumerate(coords[0])):
                 continue
             constraints.append(((assigned[j], cols[j].den), _image(coords, assigned, cols)))
-        need_member = False
         if constraints:
             solved = _solve_column_system(col, constraints)
             if solved is None:
                 return
             u0, directions = solved
             if len(directions) <= 3:
-                need_member = True
                 cands = sorted(
                     _enumerate_affine(u0, directions, col.box, budget.node_ceiling, counter),
                     key=col.sort_key,
@@ -449,7 +480,7 @@ def bounded_lattice_isomorphism_search(
         else:
             cands = col.all_candidates(budget.node_ceiling, counter)
         for u in cands:
-            if need_member and not col.is_member(u):
+            if not col.is_member(u):
                 continue
             counter[0] += 1
             if counter[0] > budget.node_ceiling:

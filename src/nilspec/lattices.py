@@ -13,7 +13,7 @@ step-3 group law, c <- c - t v_i - (t/2) ad_i(c) + (t^2 ad_i^2(c) +
 t [c, ad_i(c)]) / 12, and because [g, tail_i] lies in tail_{i+1} the next
 coordinate is read off directly.  This step stays specialised rather than
 calling ``cbh_int``: it brackets with v_i alone and reuses ad_i(c), and
-membership tests are the search's main cost.  Numerators and denominator
+each candidate the search takes is tested.  Numerators and denominator
 are reduced by their gcd after every generator.  Validation reads the same
 tables: the tails are ideals when no [v_a, v_b], a < b, has a v_k with
 k < b, the basis is adapted when each exp(v_i) exp(v_j) peels to integers,
@@ -23,10 +23,10 @@ closure off the projected spec's tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+from typing import NamedTuple
 
 from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
 from .exactnum.matrix import invert_rational, mat_vec
@@ -249,8 +249,7 @@ def maps_onto(psi, spec1: LatticeSpec, spec2: LatticeSpec) -> bool:
     )
 
 
-@dataclass
-class CentralLattice:
+class CentralLattice(NamedTuple):
     center: Subspace
     lattice: IntLattice
 

@@ -28,10 +28,10 @@ positive rescaling of ``A`` or of the vector changes neither.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import rat_from_str, rat_to_str
 from .exactnum.matrix import (
@@ -443,8 +443,7 @@ class NilLieAlgebra:
         )
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     jacobi_ok: bool
     jacobi_violations: list
     nilpotent: bool
@@ -452,8 +451,7 @@ class ValidationReport:
     series: list | None
 
 
-@dataclass
-class SampledVerdict:
+class SampledVerdict(NamedTuple):
     """Outcome of an exact check on a structured plus sampled set of points."""
 
     ok: bool

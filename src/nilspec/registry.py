@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -60,22 +59,37 @@ def parse_witness(data: dict) -> Witness:
     )
 
 
-@dataclass
 class ExampleRecord:
-    id: str
-    algebra: NilLieAlgebra
-    metric: Metric
-    spec1: LatticeSpec
-    spec2: LatticeSpec
-    quotient_witness: Witness
-    rep_equivalent_witness: Witness | None
-    sector_flag: SectorFlag
-    sector_modes: dict
-    pairing_map: list | None
-    iso_witness: list | None
-    eigen_candidate: Candidate | None
-    s2_target: Fraction | None
-    _pair: Pair | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        id: str,
+        algebra: NilLieAlgebra,
+        metric: Metric,
+        spec1: LatticeSpec,
+        spec2: LatticeSpec,
+        quotient_witness: Witness,
+        rep_equivalent_witness: Witness | None,
+        sector_flag: SectorFlag,
+        sector_modes: dict,
+        pairing_map: list | None,
+        iso_witness: list | None,
+        eigen_candidate: Candidate | None,
+        s2_target: Fraction | None,
+    ):
+        self.id = id
+        self.algebra = algebra
+        self.metric = metric
+        self.spec1 = spec1
+        self.spec2 = spec2
+        self.quotient_witness = quotient_witness
+        self.rep_equivalent_witness = rep_equivalent_witness
+        self.sector_flag = sector_flag
+        self.sector_modes = sector_modes
+        self.pairing_map = pairing_map
+        self.iso_witness = iso_witness
+        self.eigen_candidate = eigen_candidate
+        self.s2_target = s2_target
+        self._pair = None
 
     def pair(self) -> Pair:
         """The record's Pair, built once, so its quotient data is computed once."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -45,8 +44,7 @@ from .liealg import (
 from .vecops import clear_denominators, clear_rows, vdot, vec
 
 
-@dataclass(frozen=True)
-class MultiplicityRecord:
+class MultiplicityRecord(NamedTuple):
     tau: tuple
     occurs: bool
     multiplicity: Fraction
@@ -61,7 +59,6 @@ class MultiplicityRecord:
         }
 
 
-@dataclass
 class SectorFlag:
     """Increasing chain of central subspaces classifying functionals.
 
@@ -69,15 +66,14 @@ class SectorFlag:
     but not on chain[j]; labels[-1] is the everything-vanishes sector.
     """
 
-    chain: list
-    labels: list
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.chain) + 1:
+    def __init__(self, chain: list, labels: list):
+        if len(labels) != len(chain) + 1:
             raise ValueError("need one label per chain step plus one")
-        for a, b in zip(self.chain, self.chain[1:]):
+        for a, b in zip(chain, chain[1:]):
             if not (b.contains_subspace(a) and b.dim > a.dim):
                 raise ValueError("chain must be strictly increasing")
+        self.chain = chain
+        self.labels = labels
 
     def classify(self, tau) -> str:
         for j, sub in enumerate(self.chain):
@@ -271,11 +267,10 @@ def central_dual_generator(spec: LatticeSpec) -> tuple:
 # -- witnesses ------------------------------------------------------------------
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     kind: str  # "almost_inner" | "inner" | "isometry" | "composite"
     matrix: list | None = None
-    factors: list = field(default_factory=list)
+    factors: list | tuple = ()
     name: str = ""
 
     def total_matrix(self):
@@ -330,14 +325,14 @@ def is_isometry(metric: Metric, m) -> bool:
 # -- certificates -----------------------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    kind: str  # "isospectral" | "rep_equivalent" | "not_rep_equivalent"
-    ok: bool
-    pair: str
-    checked_claims: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    failed_check: str | None = None
+    def __init__(self, kind: str, ok: bool, pair: str):
+        self.kind = kind  # "isospectral" | "rep_equivalent" | "not_rep_equivalent"
+        self.ok = ok
+        self.pair = pair
+        self.checked_claims = []
+        self.witnesses = []
+        self.failed_check = None
 
     def claim(self, name: str, ok: bool, **details):
         entry = {"name": name, "ok": bool(ok)}

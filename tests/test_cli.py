@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 import math
 import pathlib
@@ -362,9 +362,8 @@ def test_numeric_oracle_reads_the_candidate_coefficient():
     # V's candidate q + s with s^2 = q, written as q + 2 s' with s'^2 = q / 4.
     record = load("V")
     lam = record.eigen_candidate
-    rewritten = dataclasses.replace(
-        record, eigen_candidate=Candidate(lam.a, pmul(lam.b, poly(2)), pmul(lam.q, poly(Fraction(1, 4))))
-    )
+    rewritten = copy.copy(record)
+    rewritten.eigen_candidate = Candidate(lam.a, pmul(lam.b, poly(2)), pmul(lam.q, poly(Fraction(1, 4))))
     report = oneform.distinguish_pair(rewritten)
     assert report["per_tau"] == oneform.distinguish_pair(record)["per_tau"]
     assert cli._numeric_cross_check(rewritten, report, math.pi)["ok"] is True
@@ -472,6 +471,15 @@ def test_table1_rejects_unknown_ids(ids, capsys):
     assert code == 2
     assert out == ""
     assert "unknown example id: 'VI'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["table1", "certify", "search-iso"])
+def test_unknown_id_prints_the_plain_message(command, capsys):
+    # The message itself, not the repr a KeyError's str() would give it.
+    code, out, err = invoke(capsys, command, "VI")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown example id: 'VI'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -6,17 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilspec.cli import run
 from nilspec.exactnum import IntLattice, hnf, integer_kernel, integer_solvable, solve_integer
 from nilspec.exactnum.matrix import invert_rational, mat_vec
 from nilspec.isosearch import (
     PROBE_CEILING,
     SearchBudget,
+    SearchSpaceExceeded,
     _bracket_coords,
     _central_assignments,
     _column_data,
     _column_rows,
     _enumerate_affine,
     _image,
+    _outside_bracket_span,
     _probe_pairs,
     _solve_column_system,
     bounded_lattice_isomorphism_search,
@@ -336,3 +340,148 @@ def test_pruned_enumeration_matches_the_full_z_box(case):
     counter = [0]
     assert list(_enumerate_affine(u0, directions, box, 10**6, counter)) == expected
     assert counter == [len(expected)]
+
+
+# -- the span test and lazy membership ---------------------------------------
+
+
+def _eager_members(col, ceiling, counter):
+    """The eager candidate list: every boxed point filtered by Malcev
+    membership, then sorted.  The points are listed first, so a column over
+    the ceiling raises before any membership test."""
+    u0, directions = _solve_column_system(col, [])
+    raw = list(_enumerate_affine(u0, directions, col.box, ceiling, counter))
+    return sorted((u for u in raw if col.spec2.contains_scaled(u, col.den)), key=col.sort_key)
+
+
+@lru_cache(maxsize=None)
+def _reference_members(col):
+    return _eager_members(col, PROBE_CEILING, [0])
+
+
+def _reference_probe_kills(first, second, target):
+    """The per-candidate probe loop with no span test in front: True when no
+    boxed member u of the first column makes [x, u] = target solvable in the
+    second column's lattice."""
+    den = first.den
+    for u in _reference_members(first):
+        if integer_solvable(*_column_rows(second, [((u, den), target)])):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _probe_cases(example_id, bound):
+    """(first, second, target) for every probe pair and central map, as the search builds them."""
+    record = load(example_id)
+    budget = SearchBudget(bound=bound)
+    cols = _column_data(record.algebra, record.spec1, record.spec2, budget)
+    brackets = _bracket_coords(record.spec1)
+    central_maps = _central_assignments(cols, record.spec2, budget, [0])
+    cases = []
+    for i, j, coords in _probe_pairs(record.algebra, brackets, cols):
+        first, second = (i, j) if cols[i].subspace.dim <= cols[j].subspace.dim else (j, i)
+        for cmap in central_maps:
+            rhs, rhs_den = _image(coords, cmap, cols)
+            target = ([-r for r in rhs] if first == i else rhs, rhs_den)
+            cases.append((cols[first], cols[second], target))
+    return cases
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_span_test_never_kills_what_the_probe_loop_keeps(example_id, bound):
+    cases = _probe_cases(example_id, bound)
+    assert cases
+    for first, second, target in cases:
+        # Outside the span no candidate solves: a solving candidate is inside.
+        kills = _reference_probe_kills(first, second, target)
+        assert kills or not _outside_bracket_span(first, second, target)
+
+
+def test_span_test_kills_iii_and_iv_and_keeps_ii():
+    # III and IV are refuted with no candidate listed; II's targets are inside
+    # the span, where the per-candidate loop finds its solving candidates.
+    def outside(example_id):
+        return [_outside_bracket_span(*case) for case in _probe_cases(example_id, 2)]
+
+    assert any(outside("III")) and any(outside("IV"))
+    assert not any(outside("II"))
+
+
+@st.composite
+def column_targets(draw):
+    """A bundled probe column pair at bound 1 and an integer target: a small
+    combination of the brackets [c_j, b_i], sometimes moved off it."""
+    example_id = draw(st.sampled_from(EXAMPLE_IDS))
+    first, second, _ = draw(st.sampled_from(_probe_cases(example_id, 1)))
+    algebra = first.algebra
+    total = [F(0)] * algebra.dim
+    for b in first.basis:
+        u = tuple(F(x, first.den) for x in b)
+        for c in second.basis:
+            y = draw(st.integers(-2, 2))
+            if y:
+                bracket = algebra.bracket(tuple(F(x, second.den) for x in c), u)
+                total = [t + y * v for t, v in zip(total, bracket)]
+    if draw(st.booleans()):
+        shift = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+        total = [t + draw(shift) for t in total]
+    return first, second, clear_denominators(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=column_targets())
+def test_span_test_on_random_targets(case):
+    first, second, target = case
+    assert _reference_probe_kills(first, second, target) or not _outside_bracket_span(
+        first, second, target
+    )
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_lazy_membership_takes_the_eager_candidates(example_id, bound, monkeypatch):
+    record = load(example_id)
+    cols = _column_data(record.algebra, record.spec1, record.spec2, SearchBudget(bound=bound))
+    tests = [0]
+    original = LatticeSpec.contains_scaled
+
+    def counting(self, vnum, vden):
+        tests[0] += 1
+        return original(self, vnum, vden)
+
+    monkeypatch.setattr(LatticeSpec, "contains_scaled", counting)
+    for col in cols:
+        counter, eager_counter = [0], [0]
+        try:
+            eager = _eager_members(col, PROBE_CEILING, eager_counter)
+        except SearchSpaceExceeded:
+            with pytest.raises(SearchSpaceExceeded):
+                col.all_candidates(PROBE_CEILING, counter)
+            continue
+        tests[0] = 0
+        candidates = col.all_candidates(PROBE_CEILING, counter)
+        # Listing tests no membership, and costs the counter what it did.
+        assert tests[0] == 0
+        assert counter == eager_counter
+        # Each point is tested once: a second pass reads the memo.
+        for _ in range(2):
+            assert [u for u in candidates if col.is_member(u)] == eager
+            assert tests[0] == len(candidates)
+
+
+def test_search_iso_ii_tests_membership_only_on_taken_candidates(monkeypatch, capsys):
+    load("II")
+    calls = [0]
+    original = LatticeSpec.contains_scaled
+
+    def counting(self, vnum, vden):
+        calls[0] += 1
+        return original(self, vnum, vden)
+
+    monkeypatch.setattr(LatticeSpec, "contains_scaled", counting)
+    assert run(["--json", "search-iso", "II", "--bound", "2"]) == 0
+    assert '"note": "found"' in capsys.readouterr().out
+    # Filtering both 1035-point columns up front would test every point.
+    assert calls[0] <= 100

@@ -242,3 +242,11 @@ def test_sectors_are_compared_in_repspec_alone():
     assert {c for c in _callers("sample_fraction") if c[0] != "liealg.py"} == {
         ("repspec.py", ("_sector_samples",))
     }
+
+
+def test_no_module_imports_dataclasses():
+    # Records are NamedTuples or plain classes: dataclasses pulls in inspect,
+    # which no command otherwise loads, so every process would pay for it.
+    for _, module, imports in _modules():
+        for names, scope in imports:
+            assert not _refers_to(names, "dataclasses"), (module, scope)

@@ -6,7 +6,6 @@ old ``distinguish_pair`` sector dicts, and ``Pair.pesce`` / ``Pair.moore_wolf``
 must be the direct multiplicity calls on the two lattices.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -150,8 +149,8 @@ def test_orbit_pairing_failures_match_the_old_loop(defect, monkeypatch):
     def pesce(algebra, log_lattice, tau):
         r = original(algebra, log_lattice, tau)
         if defect == "records differ":
-            return replace(r, occurs=True, multiplicity=Fraction(2 if r.tau in sampled else 4))
-        return replace(r, occurs=True, multiplicity=Fraction(1))
+            return r._replace(occurs=True, multiplicity=Fraction(2 if r.tau in sampled else 4))
+        return r._replace(occurs=True, multiplicity=Fraction(1))
 
     for module in (repspec, sector_references):
         if defect == "paired orbits coincide":
