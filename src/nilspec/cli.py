@@ -57,6 +57,8 @@ def _parse_file(path: str, parse, *args):
     data = _read_json(path)
     try:
         return parse(data, *args)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
     except _BAD_FILE as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -295,7 +297,7 @@ def _numeric_cross_check(record, report, pi_value: float) -> dict:
 def cmd_table1(args) -> int:
     for example_id in args.ids:
         _load_record(example_id)
-    rows = table_one(args.ids or EXAMPLE_IDS)
+    rows = table_one(args.ids or EXAMPLE_IDS, args.seed, args.samples)
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0

@@ -1,8 +1,10 @@
 """Exact rational, matrix, and integer-lattice arithmetic.
 
-Rationals are plain ``fractions.Fraction`` values.  Polynomials in pi over
-Q(i) are not a ring here: the one-form layer keeps them as (re, im)
-coefficient tuples and eliminates on integers itself.
+Rationals are plain ``fractions.Fraction`` values.  The elimination core,
+``bareiss_echelon``, runs on int matrices only; rational matrices reach it
+through ``rref`` and ``bareiss_det``, which clear denominators first.
+Polynomials in pi over Q(i) are not a ring here: the one-form layer keeps
+them as (re, im) coefficient tuples and eliminates on integers itself.
 """
 
 from .matrix import (

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ..vecops import clear_rows
-from .matrix import invert_rational, transpose
+from ..vecops import clear_denominators, clear_rows
+from .matrix import identity, invert_rational, transpose
 
 
 def _xgcd(a: int, b: int):
@@ -117,8 +117,8 @@ def snf(mat):
     m = [list(map(int, r)) for r in mat]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    u = identity(nr)
+    v = identity(nc)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -261,10 +261,7 @@ class IntLattice:
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
     def member(self, v) -> bool:
-        vec = [Fraction(x) * self.den for x in v]
-        if any(x.denominator != 1 for x in vec):
-            return False
-        return _in_span(self.rows, [int(x) for x in vec])
+        return self.member_scaled(*clear_denominators(v))
 
     def member_scaled(self, num, den) -> bool:
         """Membership of num / den, for integers num over a positive den."""

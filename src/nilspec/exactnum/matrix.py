@@ -1,45 +1,32 @@
 """Exact dense matrix routines over Z and Q.
 
 Matrices are lists of row lists.  There is one forward elimination,
-fraction-free (Bareiss) ``bareiss_echelon``, which keeps every intermediate
-value inside the ring.  On plain Python ints it stays on ints: exact division
-is floor division that raises ``ArithmeticError`` on a remainder, and the
-starting pivot is the int 1.  ``bareiss_echelon`` checks that once per call,
-not per entry: mixed input goes through ``_exact_div``.
+fraction-free (Bareiss) ``bareiss_echelon``, on int matrices only: exact
+division is floor division that raises ``ArithmeticError`` on a remainder,
+and a non-int entry raises ``TypeError``.  Rationals enter only through
+``rref`` and ``bareiss_det``, which scale rows to integers first.
 
 Over Q, ``rref`` clears each row's denominators, runs ``bareiss_echelon`` on
 the integer rows, and makes one reduction pass up from the last pivot.
 Kernels, particular solutions and inverses are read off that reduced form.
-``pfaffian`` needs no division, so it serves any commutative ring.
+``bareiss_det`` clears the whole matrix over one denominator den and
+divides the integer determinant by den^n.  ``pfaffian`` needs no division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..vecops import clear_denominators
-
-
-def _exact_div(x, y):
-    if type(x) is int and type(y) is int:
-        q, r = divmod(x, y)
-        if r:
-            raise ArithmeticError(f"inexact integer division {x} / {y}")
-        return q
-    return x / y
-
-
-def _one_like(x):
-    return 1 if type(x) is int else Fraction(1)
+from ..vecops import clear_denominators, clear_rows
 
 
 def dims(m):
     return len(m), len(m[0]) if m else 0
 
 
-def identity(n: int, one=Fraction(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n: int):
+    """The n x n unit matrix, on ints."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -62,18 +49,20 @@ def transpose(m):
 
 
 def bareiss_echelon(m):
-    """Fraction-free elimination with column pivoting.
+    """Fraction-free elimination with column pivoting, on an int matrix.
 
     Returns (rows, pivot_cols, det) where det is the exact determinant for
     square input (None otherwise).  All divisions are exact by the Sylvester
-    identity, over Z (staying on ints) and Q.
+    identity, so the rows stay on ints; a remainder raises ArithmeticError.
+    Any other entry type raises TypeError.
     """
     rows = [list(r) for r in m]
+    if not all(type(x) is int for row in rows for x in row):
+        raise TypeError("bareiss_echelon takes int entries; clear denominators first")
     nr, nc = dims(rows)
     if nr == 0 or nc == 0:
-        return rows, [], Fraction(1) if nr == nc else None
-    prev = _one_like(rows[0][0])
-    ints = all(type(x) is int for row in rows for x in row)
+        return rows, [], 1 if nr == nc else None
+    prev = 1
     pivot_cols = []
     sign_flip = False
     r = 0
@@ -93,20 +82,17 @@ def bareiss_echelon(m):
             head = row[c]
             for j in range(c, nc):
                 x = piv * row[j] - head * pivot_row[j]
-                if ints:
-                    q, rem = divmod(x, prev)
-                    if rem:
-                        raise ArithmeticError(f"inexact integer division {x} / {prev}")
-                    row[j] = q
-                else:
-                    row[j] = _exact_div(x, prev)
+                q, rem = divmod(x, prev)
+                if rem:
+                    raise ArithmeticError(f"inexact integer division {x} / {prev}")
+                row[j] = q
         prev = piv
         pivot_cols.append(c)
         r += 1
     det = None
     if nr == nc:
         if len(pivot_cols) < nr:
-            det = prev - prev
+            det = 0
         else:
             det = rows[nr - 1][nc - 1]
             if sign_flip:
@@ -115,12 +101,17 @@ def bareiss_echelon(m):
 
 
 def bareiss_det(m):
+    """Exact determinant of a square int or rational matrix.
+
+    The matrix is cleared over one denominator den, so its determinant is
+    the integer one over den^n; int input gives an int.
+    """
     nr, nc = dims(m)
     if nr != nc:
         raise ValueError("determinant of a non-square matrix")
-    if nr == 0:
-        return Fraction(1)
-    return bareiss_echelon(m)[2]
+    rows, den = clear_rows(m)
+    det = bareiss_echelon(rows)[2]
+    return det if den == 1 else Fraction(det, den**nr)
 
 
 def rank_and_kernel(m):

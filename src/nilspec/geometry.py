@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import rat_from_str, rat_to_str
+from .exactnum import rat_from_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import vec
@@ -68,12 +68,6 @@ class Metric:
             if j not in inside
         ]
         return Metric(quot_algebra, cols)
-
-    def to_json(self, algebra_ref: str) -> dict:
-        return {
-            "algebra_ref": algebra_ref,
-            "orthonormal_columns": [[rat_to_str(x) for x in c] for c in self.columns],
-        }
 
     @staticmethod
     def from_json(data: dict, algebra: NilLieAlgebra) -> "Metric":

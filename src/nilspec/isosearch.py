@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactnum import IntLattice, integer_kernel, integer_solvable, solve_integer
-from .exactnum.matrix import invert_rational, mat_mul
+from .exactnum.matrix import identity, invert_rational, mat_mul
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra
 from .vecops import clear_denominators
@@ -236,7 +236,7 @@ def _solve_column_system(col: _Column, constraints):
         kern = integer_kernel(int_rows)
     else:
         x0 = [0] * k
-        kern = [[int(i == j) for j in range(k)] for i in range(k)]
+        kern = identity(k)
 
     def image(x):
         return tuple(sum(x[j] * basis[j][m] for j in range(k)) for m in range(n))

@@ -28,7 +28,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 from typing import NamedTuple
 
-from .exactnum import IntLattice, bareiss_det, rat_from_str, rat_to_str
+from .exactnum import IntLattice, bareiss_det, rat_from_str
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale
@@ -218,14 +218,6 @@ class LatticeSpec:
                 return lattice
             lattice = IntLattice(n, basis + extra)
         raise ValueError("log cover did not stabilize")
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self, algebra_ref: str) -> dict:
-        return {
-            "algebra_ref": algebra_ref,
-            "generators": [[rat_to_str(x) for x in g] for g in self.generators],
-        }
 
     @staticmethod
     def from_json(data: dict, algebra: NilLieAlgebra, name: str = "") -> "LatticeSpec":

@@ -12,8 +12,8 @@ compiled at construction: the package's one integer structure-constant
 kernel.  On vectors with cleared denominators, ``bracket_int`` and
 ``ad_int`` are den times the bracket and ``cbh_int`` is the step-3 group
 law.  The rational methods (``bracket``, ``basis_bracket``, ``cbh``,
-``is_automorphism``, ``to_json``) keep their interfaces and convert at the
-boundary; ``validate`` checks the Jacobi identity on integer unit vectors.
+``is_automorphism``) keep their interfaces and convert at the boundary;
+``validate`` checks the Jacobi identity on integer unit vectors.
 ``in_basis`` writes the algebra in another basis or on quotient
 representatives, for ``quotient`` and for a lattice's generator basis.
 ``ad_scaled`` and ``form_scaled`` give ad(x) and tau([e_i, e_j]) as integer
@@ -33,10 +33,11 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
-from .exactnum import rat_from_str, rat_to_str
+from .exactnum import rat_from_str
 from .exactnum.matrix import (
     bareiss_det,
     bareiss_echelon,
+    identity,
     mat_vec,
     rank_and_kernel,
     rref,
@@ -180,14 +181,6 @@ class NilLieAlgebra:
                 raise ValueError(f"bracket ({i}, {j}) is listed twice")
             brackets[(i, j)] = [(k, rat_from_str(c)) for k, c in terms]
         return NilLieAlgebra(data["dim"], data["names"], brackets)
-
-    def to_json(self) -> dict:
-        out = []
-        for i, j, k, c in self._entries:
-            if not out or out[-1][:2] != [i, j]:
-                out.append([i, j, []])
-            out[-1][2].append([k, rat_to_str(Fraction(c, self._den))])
-        return {"dim": self.dim, "names": self.names, "brackets": out}
 
     # -- bracket and series ----------------------------------------------------
 
@@ -386,7 +379,7 @@ class NilLieAlgebra:
 
     def validate(self) -> "ValidationReport":
         # den^2 times each Jacobi sum, on integer unit vectors: the same zeros.
-        unit = [[int(a == b) for b in range(self.dim)] for a in range(self.dim)]
+        unit = identity(self.dim)
         br = self.bracket_int
         violations = []
         for i, j, k in combinations(range(self.dim), 3):
@@ -435,7 +428,7 @@ class NilLieAlgebra:
         if bareiss_det(rows) == 0:
             raise ValueError("map is singular")
         cols = [list(c) for c in zip(*rows)]
-        unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        unit = identity(self.dim)
         return all(
             [d * sum(a * b for a, b in zip(row, self.bracket_int(unit[i], unit[j]))) for row in rows]
             == self.bracket_int(cols[i], cols[j])

@@ -1,7 +1,7 @@
 """The Fraction implementations the integer structure-constant kernel replaced.
 
 Kept as test references, independent of ``NilLieAlgebra``'s integer tables:
-they read the structure constants as Fractions off ``algebra.to_json()``.
+they read the structure constants as Fractions off ``json_writers.algebra_json``.
 
 - ``reference_bracket`` and ``reference_ad_matrix``: the Fraction bracket
   loop ``NilLieAlgebra`` used to run over its own Fraction table, and ad(x)
@@ -47,13 +47,15 @@ from nilspec.exactnum.matrix import dims, invert_rational, mat_vec, solve_ration
 from nilspec.liealg import Subspace
 from nilspec.vecops import basis_vec, clear_denominators, is_zero_vec, vadd, vec, vscale
 
+from json_writers import algebra_json
+
 
 @lru_cache(maxsize=None)
 def reference_table(algebra):
-    """((i, j), ((k, c), ...)) for each listed pair, c a Fraction, read off ``to_json``."""
+    """((i, j), ((k, c), ...)) for each listed pair, c a Fraction, read off ``algebra_json``."""
     return tuple(
         ((i, j), tuple((k, rat_from_str(c)) for k, c in terms))
-        for i, j, terms in algebra.to_json()["brackets"]
+        for i, j, terms in algebra_json(algebra)["brackets"]
     )
 
 

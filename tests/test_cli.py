@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import pathlib
@@ -13,6 +14,7 @@ from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.oneform import Candidate
 from nilspec.registry import load
 
+from json_writers import algebra_json, write_files_input
 from oneform_references import pmul, poly
 
 
@@ -24,7 +26,7 @@ def invoke(capsys, *argv):
 
 def test_validate_good_algebra(tmp_path, capsys):
     path = tmp_path / "alg.json"
-    path.write_text(json.dumps(load("I").algebra.to_json()))
+    path.write_text(json.dumps(algebra_json(load("I").algebra)))
     code, out, _ = invoke(capsys, "validate", str(path))
     assert code == 0
     assert "step 3" in out
@@ -86,33 +88,14 @@ def test_certify_unknown_example(capsys):
     assert "unknown example" in err
 
 
-def _write_files(tmp_path, example_id):
-    """The example's algebra, metric, lattices and witness as --files input."""
-    record = load(example_id)
-    ref = f"dim{record.algebra.dim}"
-    data = {
-        "alg": record.algebra.to_json(),
-        "met": record.metric.to_json(ref),
-        "l1": record.spec1.to_json(ref),
-        "l2": record.spec2.to_json(ref),
-        "w": record.rep_equivalent_witness.to_json(),
-    }
-    paths = {}
-    for key, value in data.items():
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(value))
-    files = ["--files"] + [str(paths[k]) for k in ("alg", "met", "l1", "l2")]
-    return files + ["--witness", str(paths["w"])]
-
-
 def test_certify_from_files(tmp_path, capsys):
-    code, out, _ = invoke(capsys, "certify", *_write_files(tmp_path, "II"))
+    code, out, _ = invoke(capsys, "certify", *write_files_input(tmp_path, load("II")))
     assert code == 0
     assert "representation equivalent: yes" in out
 
 
 def test_certify_replay_of_files_certificate(tmp_path, capsys):
-    files = _write_files(tmp_path, "II")
+    files = write_files_input(tmp_path, load("II"))
     code, out, _ = invoke(capsys, "--json", "certify", *files)
     assert code == 0
     payload = json.loads(out)
@@ -129,7 +112,7 @@ def test_certify_replay_of_files_certificate(tmp_path, capsys):
 
 
 def test_bad_user_file_is_input_error(tmp_path, capsys):
-    files = _write_files(tmp_path, "II")
+    files = write_files_input(tmp_path, load("II"))
     lattice = tmp_path / "l1.json"
     data = json.loads(lattice.read_text())
     data["generators"] = data["generators"][:-1]
@@ -138,6 +121,30 @@ def test_bad_user_file_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "l1.json" in err and "need one generator per dimension" in err
+
+
+def test_validate_names_a_missing_key(tmp_path, capsys):
+    data = algebra_json(load("I").algebra)
+    del data["dim"]
+    path = tmp_path / "bad_alg.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: missing key 'dim'\n"
+
+
+@pytest.mark.parametrize(
+    "name, key", [("alg", "dim"), ("met", "orthonormal_columns"), ("l2", "generators"), ("w", "kind")]
+)
+def test_certify_files_names_a_missing_key(name, key, tmp_path, capsys):
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / f"{name}.json"
+    data = json.loads(path.read_text())
+    del data[key]
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: missing key {key!r}\n"
 
 
 UNIT4 = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
@@ -236,7 +243,7 @@ def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
          "target-and-replay", "no-pair"],
 )
 def test_certify_inputs_it_would_not_read_are_input_errors(argv, flag, tmp_path, capsys):
-    files = _write_files(tmp_path, "II")[:5]
+    files = write_files_input(tmp_path, load("II"))[:5]
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({"pair": "II", "kind": "rep_equivalence"}))
     expanded = []
@@ -452,6 +459,30 @@ def test_table1_single_row(capsys):
     assert rows[0]["same_length_spectrum"] == "out of scope"
 
 
+def test_table1_reads_seed_and_samples(monkeypatch, capsys):
+    import nilspec.registry as reg
+
+    seen = []
+
+    def spy(fn):
+        signature = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((fn.__name__, bound.arguments["n_samples"], bound.arguments["seed"]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(reg, "certify_isospectral", spy(reg.certify_isospectral))
+    monkeypatch.setattr(reg, "distinguish_pair", spy(reg.distinguish_pair))
+    code, _, _ = invoke(capsys, "--seed", "7", "--samples", "50", "table1", "II")
+    assert code == 0
+    # distinguish_pair keeps its own sector sample count; only --seed reaches it.
+    assert seen == [("certify_isospectral", 50, 7), ("distinguish_pair", 20, 7)]
+
+
 @pytest.mark.parametrize("example_id", ["I", "II"])
 def test_numeric_oracle_on_pairs_without_a_candidate(example_id, capsys):
     code, out, err = invoke(capsys, "--json", "distinguish", example_id, "--pi", "3.14")
@@ -488,7 +519,7 @@ def test_unknown_id_prints_the_plain_message(command, capsys):
     ids=["2x2", "ragged"],
 )
 def test_witness_of_the_wrong_shape_is_input_error(matrix, tmp_path, capsys):
-    files = _write_files(tmp_path, "II")
+    files = write_files_input(tmp_path, load("II"))
     witness = tmp_path / "w.json"
     witness.write_text(json.dumps({"kind": "almost_inner", "name": "bad", "matrix": matrix}))
     code, out, err = invoke(capsys, "certify", *files)

@@ -30,7 +30,7 @@ from nilspec.exactnum import (
     solve_rational,
 )
 from nilspec.exactnum.intlattice import _kernel_split
-from nilspec.exactnum.matrix import _exact_div, bareiss_echelon, transpose
+from nilspec.exactnum.matrix import bareiss_echelon, transpose
 from nilspec.liealg import Subspace
 
 from fraction_references import cofactor_det, reference_rref, reference_solve
@@ -251,14 +251,23 @@ def test_bareiss_rank_on_ints_matches_rref(m):
 
 @settings(max_examples=60, deadline=None)
 @given(m=int_matrices(), data=st.data())
-def test_bareiss_int_path_matches_fraction_and_mixed_input(m, data):
-    as_fractions = [[Fraction(x) for x in row] for row in m]
-    # Mixed: some entries Fractions, the rest ints, so the int path is off.
+def test_bareiss_echelon_raises_on_any_fraction_entry(m, data):
+    # All Fractions, or a mix with at least one: integral values included,
+    # since the core checks the entry type, not the value.
     mixed = [[Fraction(x) if data.draw(st.booleans()) else x for x in row] for row in m]
-    mixed[0][0] = Fraction(mixed[0][0])
-    want = bareiss_echelon(m)
-    assert bareiss_echelon(as_fractions) == want
-    assert bareiss_echelon(mixed) == want
+    i = data.draw(st.integers(0, len(m) - 1))
+    j = data.draw(st.integers(0, len(m[0]) - 1))
+    mixed[i][j] = Fraction(m[i][j])
+    for bad in ([[Fraction(x) for x in row] for row in m], mixed):
+        with pytest.raises(TypeError, match="int entries"):
+            bareiss_echelon(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=int_matrices(square=True), scales=st.lists(st.integers(1, 12), min_size=7, max_size=7))
+def test_bareiss_det_of_a_rational_matrix_matches_cofactor(m, scales):
+    rational = [[Fraction(x, scales[i]) for x in row] for i, row in enumerate(m)]
+    assert bareiss_det(rational) == cofactor_det(rational)
 
 
 def test_bareiss_int_path_raises_on_a_remainder(monkeypatch):
@@ -269,18 +278,6 @@ def test_bareiss_int_path_raises_on_a_remainder(monkeypatch):
     monkeypatch.setattr(matrix, "divmod", lambda x, y: (x // y, 1), raising=False)
     with pytest.raises(ArithmeticError, match=r"^inexact integer division 0 / 1$"):
         bareiss_echelon([[1, 0], [0, 1]])
-    assert bareiss_echelon([[Fraction(1), 0], [0, 1]])[2] == 1
-
-
-@given(q=st.integers(-10**6, 10**6), d=st.integers(2, 10**4), r=st.integers(1, 10**4))
-def test_inexact_integer_division_raises(q, d, r):
-    r %= d
-    if r == 0:
-        r = 1
-    for y in (d, -d):
-        assert _exact_div(q * y, y) == q
-        with pytest.raises(ArithmeticError):
-            _exact_div(q * y + r, y)
 
 
 # -- rref, solves and kernels against Gauss-Jordan ------------------------------

@@ -16,6 +16,7 @@ from nilspec.vecops import basis_vec, is_zero_vec, vadd, vscale
 
 from conftest import build_dim5, build_dim7, lattice_gens
 from fraction_references import assemble, reference_cbh, vneg
+from json_writers import lattice_json
 
 F = Fraction
 
@@ -204,10 +205,10 @@ def test_log_cover_lattice():
 
 def test_lattice_json_roundtrip():
     spec = make_spec("V.2")
-    data = spec.to_json("dim7")
+    data = lattice_json(spec, "dim7")
     back = LatticeSpec.from_json(data, build_dim7())
     assert back.generators == spec.generators
-    assert back.to_json("dim7") == data
+    assert lattice_json(back, "dim7") == data
 
 
 def test_maps_onto_checks_both_directions():

@@ -7,11 +7,12 @@ import pytest
 
 from nilspec.geometry import Metric
 from nilspec.lattices import LatticeSpec
-from nilspec.liealg import NilLieAlgebra
+from nilspec.liealg import DEFAULT_SEED, NilLieAlgebra
 from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.vecops import basis_vec
 
 from conftest import build_dim5, build_dim7, example_v_map, lattice_gens
+from json_writers import algebra_json, lattice_json, metric_json
 
 F = Fraction
 
@@ -58,7 +59,7 @@ def test_records_match_reference_definitions():
     for ex in EXAMPLE_IDS:
         record = load(ex)
         ref_alg = dim5 if ex in ("II", "IV") else dim7
-        assert record.algebra.to_json() == ref_alg.to_json()
+        assert algebra_json(record.algebra) == algebra_json(ref_alg)
         assert record.spec1.generators == lattice_gens(f"{ex}.1")
         assert record.spec2.generators == lattice_gens(f"{ex}.2")
     v = load("V")
@@ -76,11 +77,11 @@ def test_example_records_roundtrip_bit_exact():
         raw = json.loads((DATA_DIR / f"example_{ex}.json").read_text())
         alg_raw = json.loads((DATA_DIR / "algebras.json").read_text())
         algebra = NilLieAlgebra.from_json(alg_raw[raw["algebra_ref"]])
-        assert algebra.to_json() == alg_raw[raw["algebra_ref"]]
+        assert algebra_json(algebra) == alg_raw[raw["algebra_ref"]]
         spec = LatticeSpec.from_json(raw["lattices"][0], algebra)
-        assert spec.to_json(raw["algebra_ref"]) == raw["lattices"][0]
+        assert lattice_json(spec, raw["algebra_ref"]) == raw["lattices"][0]
         met = Metric.from_json(raw["metric"], algebra)
-        assert met.to_json(raw["algebra_ref"]) == raw["metric"]
+        assert metric_json(met, raw["algebra_ref"]) == raw["metric"]
 
 
 def test_eigen_candidates():
@@ -138,5 +139,5 @@ def test_table_one_computes_each_rows_quotient_once(monkeypatch):
         return quotient_data(pair)
 
     monkeypatch.setattr(Pair, "quotient_data", counted)
-    reg.table_one(["II", "III"])
+    reg.table_one(["II", "III"], DEFAULT_SEED, 200)
     assert misses == ["II", "III"]

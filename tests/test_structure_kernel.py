@@ -5,7 +5,7 @@ The generator-basis table a ``LatticeSpec`` reads off ``gen_algebra``, its
 must agree with the Fraction code they replaced (``fraction_references``), on
 the ten bundled specs, their projected quotient specs, and randomly
 perturbed generator sets.  ``bracket``, ``basis_bracket`` and ``validate``'s
-Jacobi check must agree with the Fraction bracket loop, and ``to_json`` with
+Jacobi check must agree with the Fraction bracket loop, and ``algebra_json`` with
 the structure constants the algebra was built from, on the bundled,
 quotient and generator-basis algebras and on random algebras with
 fractional constants, Jacobi identity or not.
@@ -250,7 +250,7 @@ def rescaled_bundled(draw):
 def test_random_algebras_match_the_fraction_loop(drawn, data):
     n, brackets = drawn
     algebra = NilLieAlgebra(n, [f"e{i}" for i in range(n)], brackets)
-    # to_json lists the nonzero terms as given, pairs in order.
+    # algebra_json lists the nonzero terms as given, pairs in order.
     expected = []
     for pair, terms in sorted(brackets.items()):
         kept = tuple((k, F(c)) for k, c in terms if c)
