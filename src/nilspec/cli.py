@@ -297,7 +297,7 @@ def _numeric_cross_check(record, report, pi_value: float) -> dict:
 def cmd_table1(args) -> int:
     for example_id in args.ids:
         _load_record(example_id)
-    rows = table_one(args.ids or EXAMPLE_IDS, args.seed, args.samples)
+    rows = table_one(args.ids or EXAMPLE_IDS, args.seed)
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0

@@ -143,22 +143,19 @@ def load(example_id: str) -> ExampleRecord:
     return record
 
 
-def table_one(ids, seed: int, n_samples: int) -> list:
+def table_one(ids, seed: int) -> list:
     """Recompute the comparison table for the requested examples.
 
     Columns: isospectral (certificate), representation equivalence
     (certificate or constructive refutation), same one-form spectrum,
     isomorphic fundamental groups (verified witness when bundled, otherwise
     a bounded search, labeled as evidence only), and the out-of-scope
-    length-spectrum columns.  The sampled checks run with ``seed``, and the
-    isospectrality certificate with ``n_samples`` samples.
+    length-spectrum columns.  The sampled checks run with ``seed``.
     """
     rows = []
     for example_id in ids:
         record = load(example_id)
-        iso_cert = certify_isospectral(
-            record.pair(), record.quotient_witness, n_samples=n_samples, seed=seed
-        )
+        iso_cert = certify_isospectral(record.pair(), record.quotient_witness, seed=seed)
         # one_form_isospectral is distinguish_pair's verdict exactly when the
         # pair is certified representation equivalent.
         verdict = distinguish_pair(record, seed=seed)["verdict"]

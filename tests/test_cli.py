@@ -459,7 +459,7 @@ def test_table1_single_row(capsys):
     assert rows[0]["same_length_spectrum"] == "out of scope"
 
 
-def test_table1_reads_seed_and_samples(monkeypatch, capsys):
+def test_table1_reads_seed(monkeypatch, capsys):
     import nilspec.registry as reg
 
     seen = []
@@ -470,17 +470,16 @@ def test_table1_reads_seed_and_samples(monkeypatch, capsys):
         def wrapped(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            seen.append((fn.__name__, bound.arguments["n_samples"], bound.arguments["seed"]))
+            seen.append((fn.__name__, bound.arguments["seed"]))
             return fn(*args, **kwargs)
 
         return wrapped
 
     monkeypatch.setattr(reg, "certify_isospectral", spy(reg.certify_isospectral))
     monkeypatch.setattr(reg, "distinguish_pair", spy(reg.distinguish_pair))
-    code, _, _ = invoke(capsys, "--seed", "7", "--samples", "50", "table1", "II")
+    code, _, _ = invoke(capsys, "--seed", "7", "table1", "II")
     assert code == 0
-    # distinguish_pair keeps its own sector sample count; only --seed reaches it.
-    assert seen == [("certify_isospectral", 50, 7), ("distinguish_pair", 20, 7)]
+    assert seen == [("certify_isospectral", 7), ("distinguish_pair", 7)]
 
 
 @pytest.mark.parametrize("example_id", ["I", "II"])

@@ -139,5 +139,5 @@ def test_table_one_computes_each_rows_quotient_once(monkeypatch):
         return quotient_data(pair)
 
     monkeypatch.setattr(Pair, "quotient_data", counted)
-    reg.table_one(["II", "III"], DEFAULT_SEED, 200)
+    reg.table_one(["II", "III"], DEFAULT_SEED)
     assert misses == ["II", "III"]
