@@ -1,5 +1,3 @@
 """nilspec: exact-arithmetic isospectrality certification for nilmanifold pairs."""
 
 __version__ = "0.1.0"
-
-DEFAULT_SEED = 1729

@@ -28,7 +28,7 @@ from .isosearch import (
     bounded_lattice_isomorphism_search,
 )
 from .lattices import LatticeSpec
-from .liealg import DEFAULT_SEED, NilLieAlgebra
+from .liealg import CERTIFY_SAMPLES, DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
 from .oneform import assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
 from .registry import EXAMPLE_IDS, load, parse_algebra, parse_witness, table_one
 from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
@@ -111,8 +111,8 @@ def _pair_from_files(args):
     alg_path, metric_path, path1, path2 = args.files
     alg = _parse_file(alg_path, parse_algebra)
     metric = _parse_file(metric_path, Metric.from_json, alg)
-    spec1 = _parse_file(path1, LatticeSpec.from_json, alg, "file.1")
-    spec2 = _parse_file(path2, LatticeSpec.from_json, alg, "file.2")
+    spec1 = _parse_file(path1, LatticeSpec.from_json, alg)
+    spec2 = _parse_file(path2, LatticeSpec.from_json, alg)
     witness = _parse_file(args.witness, parse_witness) if args.witness else None
     pair = Pair("files", alg, metric, spec1, spec2)
     try:
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    parser.add_argument("--samples", type=int, default=200, help="sample count for certify's sampled checks, at least 1")
+    parser.add_argument("--samples", type=int, default=CERTIFY_SAMPLES, help="sample count for certify's sampled checks, at least 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate an algebra definition file")
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distinguish", help="one-form spectrum comparison")
     p.add_argument("target")
     p.add_argument("--pi", type=float, default=None, help="run the numeric oracle at this finite value")
-    p.add_argument("--samples-small", type=int, default=12, help="sector sampling size, at least 1")
+    p.add_argument("--samples-small", type=int, default=SECTOR_SAMPLES, help="sector sampling size, at least 1")
 
     p = sub.add_parser("table1", help="recompute the comparison table")
     p.add_argument("ids", nargs="*", help="example ids (default: all)")

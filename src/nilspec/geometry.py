@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import rat_from_str
-from .exactnum.matrix import invert_rational, mat_vec
+from .exactnum.matrix import invert_rational, mat_mul, mat_vec
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import vec
 
@@ -39,6 +39,10 @@ class Metric:
 
     def to_frame(self, v):
         return tuple(mat_vec(self._inv, v))
+
+    def frame_matrix(self, m):
+        """Matrix of the linear map m in the orthonormal frame."""
+        return mat_mul(self._inv, mat_mul(m, self.matrix))
 
     def frame_brackets(self):
         """Structure constants in the frame: [E_i, E_j] = sum_k c[i][j][k] E_k.

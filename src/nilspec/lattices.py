@@ -37,9 +37,8 @@ from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale
 class LatticeSpec:
     """Ordered adapted generator logs of a cocompact discrete subgroup."""
 
-    def __init__(self, algebra: NilLieAlgebra, generators, name: str = ""):
+    def __init__(self, algebra: NilLieAlgebra, generators):
         self.algebra = algebra
-        self.name = name
         gens = [tuple(Fraction(x) for x in g) for g in generators]
         n = algebra.dim
         if len(gens) != n:
@@ -176,7 +175,7 @@ class LatticeSpec:
         surviving = [p for p in projected if not is_zero_vec(p)]
         if len(surviving) != quot_alg.dim:
             raise ValueError("projected generators do not form a basis")
-        spec = LatticeSpec(quot_alg, surviving, name=f"{self.name}~" if self.name else "")
+        spec = LatticeSpec(quot_alg, surviving)
         # The Z-span is the set of integer generator coordinates of spec.
         sd = spec.gen_algebra.structure_tensor()[1]
         for a, b in product(range(quot_alg.dim), repeat=2):
@@ -220,9 +219,9 @@ class LatticeSpec:
         raise ValueError("log cover did not stabilize")
 
     @staticmethod
-    def from_json(data: dict, algebra: NilLieAlgebra, name: str = "") -> "LatticeSpec":
+    def from_json(data: dict, algebra: NilLieAlgebra) -> "LatticeSpec":
         gens = [[rat_from_str(x) for x in g] for g in data["generators"]]
-        return LatticeSpec(algebra, gens, name=name)
+        return LatticeSpec(algebra, gens)
 
 
 def maps_onto(psi, spec1: LatticeSpec, spec2: LatticeSpec) -> bool:

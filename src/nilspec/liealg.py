@@ -2,9 +2,10 @@
 
 Brackets, lower central series, centers and centralizers, quotients, the
 truncated group law in logarithmic coordinates, and the exact sampling
-checks used by the certification layer.  Vectors are tuples of Fractions in
-the structure basis; linear maps are row-major matrices sending coordinate
-columns to coordinate columns.
+checks used by the certification layer, with the package's one sampling
+policy.  Vectors are tuples of Fractions in the structure basis; linear
+maps are row-major matrices sending coordinate columns to coordinate
+columns.
 
 The structure constants are held once, as an integer tensor over one
 common denominator den (``structure_tensor``) with per-index ad lists,
@@ -53,7 +54,10 @@ from .vecops import (
     vsub,
 )
 
+# The sampling policy: the defaults of every sampled check and of the CLI's flags.
 DEFAULT_SEED = 1729
+CERTIFY_SAMPLES = 200  # almost-innerness, and the floor of strict nonsingularity
+SECTOR_SAMPLES = 12  # functionals per sampled sector check
 SAMPLE_NUMERATOR_BOUND = 10
 SAMPLE_DENOMINATORS = (1, 2, 3, 4)
 
@@ -291,7 +295,6 @@ class NilLieAlgebra:
             for j in range(i + 1, self.dim)
         ]
         sub = Subspace(self.dim, current)
-        guard = 0
         while sub.dim > 0:
             series.append(sub)
             nxt = [
@@ -303,9 +306,6 @@ class NilLieAlgebra:
             if new_sub.dim >= sub.dim:
                 raise ValueError("lower central series does not terminate")
             sub = new_sub
-            guard += 1
-            if guard > self.dim + 1:
-                raise ValueError("lower central series does not terminate")
         series.append(sub)  # the zero subspace
         self._series = series
         return series
@@ -450,7 +450,6 @@ class SampledVerdict(NamedTuple):
     ok: bool
     checked: int
     counterexample: tuple | None = None
-    seed: int = DEFAULT_SEED
 
 
 def _structured_vectors(dim: int):
@@ -460,6 +459,12 @@ def _structured_vectors(dim: int):
             out.append(vadd(basis_vec(dim, i), basis_vec(dim, j)))
             out.append(vsub(basis_vec(dim, i), basis_vec(dim, j)))
     return out
+
+
+def _sample_points(dim: int, n_samples: int, seed: int) -> list:
+    """The structured vectors, then n_samples draws from ``Random(seed)``."""
+    rng = random.Random(seed)
+    return _structured_vectors(dim) + [sample_vector(rng, dim) for _ in range(n_samples)]
 
 
 def _first_outside_span(a, cols):
@@ -476,7 +481,7 @@ def _first_outside_span(a, cols):
 
 
 def is_strictly_nonsingular_sampled(
-    algebra: NilLieAlgebra, n_samples: int = 1000, seed: int = DEFAULT_SEED
+    algebra: NilLieAlgebra, n_samples: int = CERTIFY_SAMPLES, seed: int = DEFAULT_SEED
 ) -> SampledVerdict:
     """Check z(g) in ad(X)(g) for every sampled noncentral X, exactly.
 
@@ -487,21 +492,16 @@ def is_strictly_nonsingular_sampled(
     """
     zbasis = algebra.center().basis()
     zcols = [clear_denominators(z)[0] for z in zbasis]
-    rng = random.Random(seed)
-    pts = _structured_vectors(algebra.dim)
-    pts += [sample_vector(rng, algebra.dim) for _ in range(n_samples)]
     checked = 0
-    for x in pts:
+    for x in _sample_points(algebra.dim, n_samples, seed):
         adx = algebra.ad_scaled(clear_denominators(x)[0])
         if not any(map(any, adx)):
             continue
         miss = _first_outside_span(adx, zcols)
         if miss is not None:
-            return SampledVerdict(
-                ok=False, checked=checked, counterexample=(x, tuple(zbasis[miss])), seed=seed
-            )
+            return SampledVerdict(ok=False, checked=checked, counterexample=(x, tuple(zbasis[miss])))
         checked += 1
-    return SampledVerdict(ok=True, checked=checked, seed=seed)
+    return SampledVerdict(ok=True, checked=checked)
 
 
 def find_inner_witness(algebra: NilLieAlgebra, m):
@@ -523,7 +523,7 @@ def find_inner_witness(algebra: NilLieAlgebra, m):
 
 
 def is_almost_inner_2step(
-    algebra: NilLieAlgebra, m, n_samples: int = 200, seed: int = DEFAULT_SEED
+    algebra: NilLieAlgebra, m, n_samples: int = CERTIFY_SAMPLES, seed: int = DEFAULT_SEED
 ) -> SampledVerdict:
     """Per-element conjugacy check for automorphisms of 2-step algebras.
 
@@ -538,17 +538,14 @@ def is_almost_inner_2step(
     n = algebra.dim
     # phi - 1 as integers over one denominator.
     shift, _ = clear_rows([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
-    rng = random.Random(seed)
-    pts = _structured_vectors(n)
-    pts += [sample_vector(rng, n) for _ in range(n_samples)]
     checked = 0
-    for x in pts:
+    for x in _sample_points(n, n_samples, seed):
         xs = clear_denominators(x)[0]
         target = [sum(a * b for a, b in zip(row, xs)) for row in shift]
         if any(target) and _first_outside_span(algebra.ad_scaled(xs), [target]) is not None:
-            return SampledVerdict(ok=False, checked=checked, counterexample=(x,), seed=seed)
+            return SampledVerdict(ok=False, checked=checked, counterexample=(x,))
         checked += 1
-    return SampledVerdict(ok=True, checked=checked, seed=seed)
+    return SampledVerdict(ok=True, checked=checked)
 
 
 def coadjoint_orbit_equal_2step(algebra: NilLieAlgebra, tau1, tau2) -> bool:

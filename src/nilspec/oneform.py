@@ -58,7 +58,7 @@ from .exactnum import IntLattice, enumerate_on_shell, enumerate_up_to
 from .exactnum.matrix import mat_vec
 from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
-from .liealg import DEFAULT_SEED, NilLieAlgebra
+from .liealg import DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
 from .repspec import certify_rep_equivalent, sector_check
 from .vecops import clear_denominators, clear_rows, vdot
 
@@ -523,7 +523,7 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
 # -- pairwise verdicts ------------------------------------------------------------
 
 
-def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> dict:
+def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """One-form comparison report for a loaded ``registry.ExampleRecord``.
 
     Representation-equivalent pairs are reported as equal on one-forms.  For
@@ -532,7 +532,6 @@ def distinguish_pair(record, n_samples: int = 20, seed: int | None = None) -> di
     eigenvalue, and the resulting multiplicities.  Each remaining sector is
     compared by ``repspec.sector_check`` in the mode configured per example.
     """
-    seed = DEFAULT_SEED if seed is None else seed
     pair = record.pair()
     out = {"example": record.id}
     cor = certify_rep_equivalent(pair, record.rep_equivalent_witness, seed=seed)

@@ -111,8 +111,8 @@ def load(example_id: str) -> ExampleRecord:
     data = json.loads(_data_text(f"example_{example_id}.json"))
     algebra = parse_algebra(algebras[data["algebra_ref"]])
     metric = Metric.from_json(data["metric"], algebra)
-    spec1 = LatticeSpec.from_json(data["lattices"][0], algebra, name=f"{example_id}.1")
-    spec2 = LatticeSpec.from_json(data["lattices"][1], algebra, name=f"{example_id}.2")
+    spec1 = LatticeSpec.from_json(data["lattices"][0], algebra)
+    spec2 = LatticeSpec.from_json(data["lattices"][1], algebra)
     chain = [
         Subspace(algebra.dim, _parse_matrix(vectors))
         for vectors in data["sector_chain"]
@@ -150,7 +150,7 @@ def table_one(ids, seed: int) -> list:
     (certificate or constructive refutation), same one-form spectrum,
     isomorphic fundamental groups (verified witness when bundled, otherwise
     a bounded search, labeled as evidence only), and the out-of-scope
-    length-spectrum columns.  The sampled checks run with ``seed``.
+    length-spectrum columns.  Sampled checks use ``seed`` and the default counts.
     """
     rows = []
     for example_id in ids:

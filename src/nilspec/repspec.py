@@ -33,7 +33,9 @@ from .exactnum.scalars import rat_to_str
 from .geometry import Metric
 from .lattices import LatticeSpec, maps_onto, quotient_covolume
 from .liealg import (
+    CERTIFY_SAMPLES,
     DEFAULT_SEED,
+    SECTOR_SAMPLES,
     NilLieAlgebra,
     coadjoint_orbit_equal_2step,
     find_inner_witness,
@@ -310,13 +312,8 @@ def is_signed_permutation(m) -> bool:
     return len(seen_cols) == n
 
 
-def frame_matrix(metric: Metric, m):
-    """Matrix of the map in the orthonormal frame."""
-    return mat_mul(metric._inv, mat_mul(m, metric.matrix))
-
-
 def is_isometry(metric: Metric, m) -> bool:
-    f = frame_matrix(metric, m)
+    f = metric.frame_matrix(m)
     n = len(f)
     ft = [[f[j][i] for j in range(n)] for i in range(n)]
     return mat_mul(ft, f) == identity(n)
@@ -366,7 +363,7 @@ def _verify_atom(cert: Certificate, qalg, qmetric, atom: Witness,
         cert.claim(
             f"{label}:isometry",
             ok,
-            signed_permutation=is_signed_permutation(frame_matrix(qmetric, atom.matrix)),
+            signed_permutation=is_signed_permutation(qmetric.frame_matrix(atom.matrix)),
         )
         return ok
     if atom.kind == "inner":
@@ -397,7 +394,7 @@ def _witness_maps_lattices(cert: Certificate, label, qspec1, qspec2, total) -> b
 
 
 def certify_isospectral(
-    pair: Pair, witness: Witness, n_samples: int = 200, seed: int = DEFAULT_SEED
+    pair: Pair, witness: Witness, n_samples: int = CERTIFY_SAMPLES, seed: int = DEFAULT_SEED
 ) -> Certificate:
     """Isospectrality certificate for a lattice pair.
 
@@ -408,7 +405,9 @@ def certify_isospectral(
     """
     cert = Certificate(kind="isospectral", ok=False, pair=pair.name)
     cert.witnesses.append(witness.to_json())
-    sns = is_strictly_nonsingular_sampled(pair.algebra, n_samples=max(n_samples, 200), seed=seed)
+    sns = is_strictly_nonsingular_sampled(
+        pair.algebra, n_samples=max(n_samples, CERTIFY_SAMPLES), seed=seed
+    )
     cert.claim(
         "strictly_nonsingular",
         sns.ok,
@@ -480,7 +479,7 @@ def find_occurrence_mismatch(pair: Pair):
 def certify_rep_equivalent(
     pair: Pair,
     witness: Witness | None = None,
-    n_samples: int = 200,
+    n_samples: int = CERTIFY_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Certificate:
     """Representation-equivalence verdict for a lattice pair.
@@ -541,7 +540,7 @@ def orbit_pairing_report(
     sector: SectorFlag,
     sector_label: str,
     phi_full,
-    n_samples: int = 30,
+    n_samples: int = SECTOR_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> dict:
     """Pairing of a sector with its image under an isometric automorphism.

@@ -25,7 +25,6 @@ from nilspec.repspec import (
     certify_rep_equivalent,
     certify_isospectral,
     is_signed_permutation,
-    frame_matrix,
     moore_wolf_multiplicity,
     pesce_occurrence_and_multiplicity,
 )
@@ -212,7 +211,7 @@ def test_criterion_6_certificates():
     qalg, _, qmetric, _, _ = record.pair().quotient_data()
     psi1, psi2 = record.quotient_witness.factors
     assert psi1.kind == "isometry"
-    assert is_signed_permutation(frame_matrix(qmetric, psi1.matrix))
+    assert is_signed_permutation(qmetric.frame_matrix(psi1.matrix))
     assert psi2.kind == "almost_inner"
     claims = {c["name"]: c for c in iso_cert.checked_claims}
     assert claims["central_shift:almost_inner"]["details"]["note"] == "verified_on_sample"

@@ -460,8 +460,11 @@ def test_table1_single_row(capsys):
 
 
 def test_table1_reads_seed(monkeypatch, capsys):
+    # table1 reads --seed only; its certificate and its one-form column sample
+    # as certify and distinguish do at their defaults. III samples sectors.
     import nilspec.registry as reg
 
+    defaults = cli.build_parser().parse_args(["distinguish", "III"])
     seen = []
 
     def spy(fn):
@@ -470,16 +473,19 @@ def test_table1_reads_seed(monkeypatch, capsys):
         def wrapped(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            seen.append((fn.__name__, bound.arguments["seed"]))
+            seen.append((fn.__name__, bound.arguments["seed"], bound.arguments["n_samples"]))
             return fn(*args, **kwargs)
 
         return wrapped
 
     monkeypatch.setattr(reg, "certify_isospectral", spy(reg.certify_isospectral))
     monkeypatch.setattr(reg, "distinguish_pair", spy(reg.distinguish_pair))
-    code, _, _ = invoke(capsys, "--seed", "7", "table1", "II")
+    code, _, _ = invoke(capsys, "--seed", "7", "table1", "III")
     assert code == 0
-    assert seen == [("certify_isospectral", 7), ("distinguish_pair", 7)]
+    assert seen == [
+        ("certify_isospectral", 7, defaults.samples),
+        ("distinguish_pair", 7, defaults.samples_small),
+    ]
 
 
 @pytest.mark.parametrize("example_id", ["I", "II"])

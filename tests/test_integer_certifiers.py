@@ -57,11 +57,9 @@ def _reference_strictly_nonsingular(algebra, n_samples, seed):
         adx = reference_ad_matrix(algebra, x)
         for z in zbasis:
             if solve_rational(adx, list(z)) is None:
-                return SampledVerdict(
-                    ok=False, checked=checked, counterexample=(x, tuple(z)), seed=seed
-                )
+                return SampledVerdict(ok=False, checked=checked, counterexample=(x, tuple(z)))
         checked += 1
-    return SampledVerdict(ok=True, checked=checked, seed=seed)
+    return SampledVerdict(ok=True, checked=checked)
 
 
 def _reference_almost_inner(algebra, m, n_samples, seed):
@@ -76,9 +74,9 @@ def _reference_almost_inner(algebra, m, n_samples, seed):
             continue
         neg = [[-v for v in row] for row in reference_ad_matrix(algebra, x)]
         if solve_rational(neg, list(target)) is None:
-            return SampledVerdict(ok=False, checked=checked, counterexample=(x,), seed=seed)
+            return SampledVerdict(ok=False, checked=checked, counterexample=(x,))
         checked += 1
-    return SampledVerdict(ok=True, checked=checked, seed=seed)
+    return SampledVerdict(ok=True, checked=checked)
 
 
 def _reference_orbit_equal(algebra, tau1, tau2):

@@ -25,7 +25,7 @@ def make_spec(pair_id):
     alg = build_dim7() if pair_id[0] in "IV" and len(pair_id.split(".")[0]) != 2 else None
     root = pair_id.split(".")[0]
     alg = build_dim5() if root in ("II", "IV") else build_dim7()
-    return LatticeSpec(alg, lattice_gens(pair_id), name=pair_id)
+    return LatticeSpec(alg, lattice_gens(pair_id))
 
 
 def top_quotient(spec):
@@ -421,6 +421,6 @@ def test_construction_and_quotient_skip_the_fraction_path(bundled, monkeypatch):
     for owner, name in ((NilLieAlgebra, "cbh"), (NilLieAlgebra, "is_ideal"), (IntLattice, "member")):
         monkeypatch.setattr(owner, name, forbidden)
     for key, spec in bundled.items():
-        rebuilt = LatticeSpec(spec.algebra, spec.generators, name=spec.name)
+        rebuilt = LatticeSpec(spec.algebra, spec.generators)
         for qalg, proj in projections[key]:
             rebuilt.quotient(qalg, proj)

@@ -250,3 +250,81 @@ def test_no_module_imports_dataclasses():
     for _, module, imports in _modules():
         for names, scope in imports:
             assert not _refers_to(names, "dataclasses"), (module, scope)
+
+
+def _parsed():
+    """(module name, parsed source) of each module in the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(("nilspec",) + path.relative_to(PACKAGE).with_suffix("").parts)
+        yield module, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_private_attributes_are_read_only_where_they_are_set():
+    # A one-underscore attribute belongs to the module that defines or assigns
+    # it. Reading it off another module's object (anything but self or cls)
+    # couples the reader to that module's representation; the owner offers a
+    # method instead, as Metric.frame_matrix does for the frame inverse.
+    owners, reads = {}, []
+    for module, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name, stored = node.name, True
+            elif isinstance(node, ast.Name):
+                name, stored = node.id, isinstance(node.ctx, ast.Store)
+            elif isinstance(node, ast.Attribute):
+                name, stored = node.attr, isinstance(node.ctx, ast.Store)
+                own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                if _private(name) and not stored and not own:
+                    reads.append((module, name, node.lineno))
+            else:
+                continue
+            if stored and _private(name):
+                owners.setdefault(name, set()).add(module)
+    assert [r for r in reads if r[0] not in owners.get(r[1], ())] == []
+
+
+# The sampling policy, defined once in liealg: the default seed of every
+# sampled check and its two sample counts, with the CLI flag each one backs.
+SAMPLING_POLICY = {"DEFAULT_SEED": "--seed", "CERTIFY_SAMPLES": "--samples", "SECTOR_SAMPLES": "--samples-small"}
+SAMPLING_PARAMETERS = {"seed": {"DEFAULT_SEED"}, "n_samples": {"CERTIFY_SAMPLES", "SECTOR_SAMPLES"}}
+
+
+def _defaults(node):
+    """(parameter, default expression) of each defaulted parameter of a def."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [(a.arg, d) for a, d in pairs]
+
+
+def test_one_sampling_policy_in_liealg():
+    # Each sampled entry point defaults to the liealg names, and the CLI's
+    # flags read the same names, so certify, distinguish and table1 sample
+    # alike at their defaults. No literal count or seed, and no None
+    # sentinel, stands in for the policy anywhere in the package.
+    defined, flags, bad = [], {}, []
+    for module, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                defined += [(module, t.id) for t in node.targets if getattr(t, "id", None) in SAMPLING_POLICY]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for param, default in _defaults(node):
+                    allowed = SAMPLING_PARAMETERS.get(param)
+                    if allowed and getattr(default, "id", None) not in allowed:
+                        bad.append((module, node.name, param, ast.unparse(default)))
+            elif isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if kw.arg in SAMPLING_PARAMETERS and any(
+                        isinstance(c, ast.Constant) for c in ast.walk(kw.value)
+                    ):
+                        bad.append((module, node.lineno, kw.arg, ast.unparse(kw.value)))
+                first = node.args[0] if node.args else None
+                if getattr(node.func, "attr", None) == "add_argument" and isinstance(first, ast.Constant):
+                    default = next((kw.value for kw in node.keywords if kw.arg == "default"), None)
+                    flags[first.value] = getattr(default, "id", None)
+    assert sorted(defined) == [("nilspec.liealg", name) for name in sorted(SAMPLING_POLICY)]
+    assert bad == []
+    assert {flag: flags.get(flag) for flag in SAMPLING_POLICY.values()} == {
+        flag: name for name, flag in SAMPLING_POLICY.items()
+    }

@@ -13,7 +13,6 @@ from nilspec.repspec import (
     certify_rep_equivalent,
     certify_isospectral,
     find_occurrence_mismatch,
-    frame_matrix,
     is_isometry,
     is_signed_permutation,
     moore_wolf_multiplicity,
@@ -190,7 +189,7 @@ def test_isometry_and_signed_permutation_checks():
     psi1, psi2 = record.quotient_witness.factors
     assert qalg.is_automorphism(psi1.matrix)
     assert is_isometry(qmetric, psi1.matrix)
-    fm = frame_matrix(qmetric, psi1.matrix)
+    fm = qmetric.frame_matrix(psi1.matrix)
     assert is_signed_permutation(fm)
     diag = [fm[i][i] for i in range(6)]
     assert diag == [F(-1), F(1), F(-1), F(1), F(1), F(-1)]
