@@ -64,11 +64,10 @@ def _parse_file(path: str, parse, *args):
 
 
 def _load_record(example_id: str):
-    try:
-        return load(example_id)
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its message; print the message.
-        raise InputError(exc.args[0]) from exc
+    # Only the id is user input; a bundled file that fails to load is an internal error.
+    if example_id not in EXAMPLE_IDS:
+        raise InputError(f"unknown example id: {example_id!r}")
+    return load(example_id)
 
 
 def _emit(args, payload: dict, text_lines):
@@ -158,9 +157,8 @@ def cmd_certify(args) -> int:
             "--files ALGEBRA METRIC LAT1 LAT2 (and --witness)"
         )
     else:
-        record = _load_record(saved["pair"].split(".")[0] if args.replay else args.target)
-        pair = record.pair()
-        iso_witness, rep_witness = record.quotient_witness, record.rep_equivalent_witness
+        pair = _load_record(saved["pair"] if args.replay else args.target)
+        iso_witness, rep_witness = pair.quotient_witness, pair.rep_equivalent_witness
     if args.replay:
         if saved["kind"] == "isospectral":
             if iso_witness is None:
@@ -211,7 +209,6 @@ def _multiplicity_row(records) -> dict:
 def cmd_multiplicities(args) -> int:
     _require_positive("--range", args.range)
     record = _load_record(args.target)
-    pair = record.pair()
     flag = record.sector_flag
     if args.sector not in flag.labels:
         raise InputError(
@@ -221,14 +218,14 @@ def cmd_multiplicities(args) -> int:
     cs = [c for c in range(-args.range, args.range + 1) if c]
     if idx == 0:
         gen = central_dual_generator(record.spec1)
-        rows = [_multiplicity_row(pair.moore_wolf(tuple(Fraction(c) * t for t in gen))) for c in cs]
+        rows = [_multiplicity_row(record.moore_wolf(tuple(Fraction(c) * t for t in gen))) for c in cs]
     elif idx < len(flag.chain):
-        proj = pair.quotient_data()[1]
+        proj = record.quotient_data()[1]
         # Dual direction of the sector's own central coordinate.
         new = next(b for b in flag.chain[idx].basis() if not flag.chain[idx - 1].contains(b))
         support = [x != 0 for x in mat_vec(proj, new)]
         rows = [
-            _multiplicity_row(pair.pesce(tuple(Fraction(c if s else 0) for s in support)))
+            _multiplicity_row(record.pesce(tuple(Fraction(c if s else 0) for s in support)))
             for c in cs
         ]
     else:
@@ -395,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-iso", help="bounded lattice isomorphism search")
     p.add_argument("target")
-    p.add_argument("--bound", type=int, default=4, help="box radius factor, at least 1")
+    p.add_argument("--bound", type=int, default=SearchBudget().bound, help="box radius factor, at least 1")
     return parser
 
 

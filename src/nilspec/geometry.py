@@ -3,8 +3,9 @@
 A metric is a choice of orthonormal frame E_1..E_n given by columns in the
 structure basis.  All geometric data is computed in that frame: connection
 coefficients from the Koszul formula, and the Laplacian on invariant
-one-forms as the exact Gram matrix of the exterior derivative.  Each table
-is built once per metric, on first use, and kept as nested tuples.
+one-forms as the exact Gram matrix of the exterior derivative.  Both are
+functions of the metric alone (it knows its algebra): each table is built
+once per metric, on first use, and returned as the nested tuples it keeps.
 """
 
 from __future__ import annotations
@@ -79,47 +80,36 @@ class Metric:
         return Metric(algebra, cols)
 
 
-class ConnectionTable:
-    """Levi-Civita coefficients in the frame: nabla_{E_i} E_j = sum_k g[i][j][k] E_k.
+def koszul_connection(metric: Metric) -> tuple:
+    """Levi-Civita coefficients in the frame, built on first use.
 
-    Because covectors are moved by duality, the same table gives
+    nabla_{E_i} E_j = sum_k g[i][j][k] E_k, with g returned as nested
+    tuples.  Because covectors are moved by duality, the same table gives
     nabla_{E_i} eps_m = sum_k g[i][m][k] eps_k.
     """
-
-    def __init__(self, metric: Metric):
-        self.metric = metric
+    if metric._connection is None:
         n = metric.algebra.dim
         c = metric.frame_brackets()
         half = Fraction(1, 2)
-        self.gamma = tuple(
+        metric._connection = tuple(
             tuple(
                 tuple(half * (c[k][i][j] + c[k][j][i] + c[i][j][k]) for k in range(n))
                 for j in range(n)
             )
             for i in range(n)
         )
-
-
-def koszul_connection(algebra: NilLieAlgebra, metric: Metric) -> ConnectionTable:
-    """The metric's connection table, built on first use."""
-    if metric.algebra is not algebra:
-        raise ValueError("metric belongs to a different algebra")
-    if metric._connection is None:
-        metric._connection = ConnectionTable(metric)
     return metric._connection
 
 
-def laplacian_on_invariant_oneforms(algebra: NilLieAlgebra, metric: Metric):
+def laplacian_on_invariant_oneforms(metric: Metric):
     """Matrix of delta d on invariant one-forms in the dual frame, built on first use.
 
     d eps_m (E_i, E_j) = -eps_m([E_i, E_j]); the codifferential of every
     invariant one-form vanishes, so the Laplacian is the Gram matrix of d
     with respect to the orthonormal bases of one- and two-forms.
     """
-    if metric.algebra is not algebra:
-        raise ValueError("metric belongs to a different algebra")
     if metric._laplacian is None:
-        n = algebra.dim
+        n = metric.algebra.dim
         c = metric.frame_brackets()
         out = [[F0] * n for _ in range(n)]
         for i in range(n):

@@ -351,7 +351,7 @@ def _central_assignments(cols, spec2, budget, counter):
     central_cols = [c for c in cols if c.central]
     if not central_cols:
         return [{}]
-    target = spec2.center_intersection().lattice
+    target = spec2.center_intersection()
     out = []
 
     def rec(idx, chosen):

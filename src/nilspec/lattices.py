@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
-from typing import NamedTuple
 
 from .exactnum import IntLattice, bareiss_det, rat_from_str
 from .exactnum.matrix import invert_rational, mat_vec
@@ -145,8 +144,12 @@ class LatticeSpec:
 
     # -- center ------------------------------------------------------------------
 
-    def center_intersection(self) -> "CentralLattice":
-        """Lattice log(Gamma cap Z(G)), from the central generator suffix."""
+    def center_intersection(self) -> IntLattice:
+        """The IntLattice log(Gamma cap Z(G)): the Z-span of the central generator suffix.
+
+        Raises ValueError unless that suffix spans the center
+        (``algebra.center()``) and is maximal in the lattice.
+        """
         center = self.algebra.center()
         n = self.algebra.dim
         suffix = n
@@ -155,11 +158,10 @@ class LatticeSpec:
         tail = self.generators[suffix:]
         if Subspace(n, tail) != center:
             raise ValueError("central generator suffix does not span the center")
-        lattice = IntLattice(n, tail)
         for g in tail:
             if self.contains(vscale(Fraction(1, 2), g)):
                 raise ValueError("central suffix is not maximal in the lattice")
-        return CentralLattice(center=center, lattice=lattice)
+        return IntLattice(n, tail)
 
     # -- quotient ------------------------------------------------------------------
 
@@ -238,11 +240,6 @@ def maps_onto(psi, spec1: LatticeSpec, spec2: LatticeSpec) -> bool:
     return all(spec2.contains(mat_vec(psi, g)) for g in spec1.generators) and all(
         spec1.contains(mat_vec(inv, g)) for g in spec2.generators
     )
-
-
-class CentralLattice(NamedTuple):
-    center: Subspace
-    lattice: IntLattice
 
 
 def quotient_covolume(log_lattice: IntLattice, orthonormal_columns) -> Fraction:

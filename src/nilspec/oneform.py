@@ -144,7 +144,7 @@ class CharacterMatrix:
 
     def _check_shape(self):
         n = self.algebra.dim
-        lap = laplacian_on_invariant_oneforms(self.algebra, self.metric)
+        lap = laplacian_on_invariant_oneforms(self.metric)
         quad = 4 * self.s2 * self.den
         for j in range(n):
             for k in range(n):
@@ -178,8 +178,8 @@ def assemble_E(algebra: NilLieAlgebra, metric: Metric, tau) -> CharacterMatrix:
         if vdot(tau, b) != 0:
             raise ValueError("functional does not vanish on the derived algebra")
     n = algebra.dim
-    lap = laplacian_on_invariant_oneforms(algebra, metric)
-    gamma = koszul_connection(algebra, metric).gamma
+    lap = laplacian_on_invariant_oneforms(metric)
+    gamma = koszul_connection(metric)
     t = [vdot(tau, col) for col in metric.columns]
     s2 = vdot(t, t)
     support = [j for j in range(n) if t[j]]
@@ -464,7 +464,7 @@ def numeric_spectrum(matrix: CharacterMatrix, pi_value: float, tolerance: float)
 
 
 def character_dual_data(algebra: NilLieAlgebra, metric: Metric, log_lattice: IntLattice):
-    """Dual lattice of the projected log lattice, with its S^2 Gram form.
+    """S^2 Gram form on the dual of the projected log lattice, and its lift.
 
     Characters are functionals vanishing on the derived algebra; the ones
     occurring for the lattice are exactly the integer-valued ones on the
@@ -504,19 +504,19 @@ def character_dual_data(algebra: NilLieAlgebra, metric: Metric, log_lattice: Int
             for m in range(algebra.dim)
         )
 
-    return dual, gram, lift
+    return gram, lift
 
 
 def enumerate_shell(algebra, metric, log_lattice, s2_target) -> list:
     """All character functionals of the lattice with S^2 equal to the target."""
-    _, gram, lift = character_dual_data(algebra, metric, log_lattice)
+    gram, lift = character_dual_data(algebra, metric, log_lattice)
     taus = [lift(m) for m in enumerate_on_shell(gram, Fraction(s2_target))]
     return sorted(taus)
 
 
 def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
     """Multiset of S^2 over all characters with S^2 <= bound (sorted)."""
-    _, gram, _ = character_dual_data(algebra, metric, log_lattice)
+    gram, _ = character_dual_data(algebra, metric, log_lattice)
     return sorted(val for _, val in enumerate_up_to(gram, Fraction(bound)))
 
 
@@ -524,7 +524,7 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
 
 
 def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
-    """One-form comparison report for a loaded ``registry.ExampleRecord``.
+    """One-form comparison report for a loaded ``registry.ExampleRecord``, itself a Pair.
 
     Representation-equivalent pairs are reported as equal on one-forms.  For
     the rest, the character sector is compared exactly: shells at the
@@ -532,9 +532,8 @@ def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAUL
     eigenvalue, and the resulting multiplicities.  Each remaining sector is
     compared by ``repspec.sector_check`` in the mode configured per example.
     """
-    pair = record.pair()
-    out = {"example": record.id}
-    cor = certify_rep_equivalent(pair, record.rep_equivalent_witness, seed=seed)
+    out = {"example": record.name}
+    cor = certify_rep_equivalent(record, record.rep_equivalent_witness, seed=seed)
     if cor.kind == "rep_equivalent" and cor.ok:
         out["verdict"] = "one_form_isospectral"
         out["reason"] = "representation equivalent fundamental groups"
@@ -576,7 +575,7 @@ def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAUL
 
     out["sector_checks"] = {
         label: sector_check(
-            pair, record.sector_flag, label, mode, record.pairing_map, n_samples, seed
+            record, record.sector_flag, label, mode, record.pairing_map, n_samples, seed
         )
         for label, mode in sorted(record.sector_modes.items())
     }

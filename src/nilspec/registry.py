@@ -2,7 +2,8 @@
 
 Five pairs ship as JSON under ``nilspec/data`` (override the directory with
 the ``NILSPEC_DATA`` environment variable).  ``load`` returns a fully
-validated record; ``table_one`` recomputes the comparison table from
+validated record, a ``repspec.Pair`` that also carries the example's
+witnesses and targets; ``table_one`` recomputes the comparison table from
 scratch.
 """
 
@@ -59,10 +60,12 @@ def parse_witness(data: dict) -> Witness:
     )
 
 
-class ExampleRecord:
+class ExampleRecord(Pair):
+    """A bundled Pair with its witnesses, sector data and eigenvalue target."""
+
     def __init__(
         self,
-        id: str,
+        name: str,
         algebra: NilLieAlgebra,
         metric: Metric,
         spec1: LatticeSpec,
@@ -76,11 +79,7 @@ class ExampleRecord:
         eigen_candidate: Candidate | None,
         s2_target: Fraction | None,
     ):
-        self.id = id
-        self.algebra = algebra
-        self.metric = metric
-        self.spec1 = spec1
-        self.spec2 = spec2
+        super().__init__(name, algebra, metric, spec1, spec2)
         self.quotient_witness = quotient_witness
         self.rep_equivalent_witness = rep_equivalent_witness
         self.sector_flag = sector_flag
@@ -89,13 +88,6 @@ class ExampleRecord:
         self.iso_witness = iso_witness
         self.eigen_candidate = eigen_candidate
         self.s2_target = s2_target
-        self._pair = None
-
-    def pair(self) -> Pair:
-        """The record's Pair, built once, so its quotient data is computed once."""
-        if self._pair is None:
-            self._pair = Pair(self.id, self.algebra, self.metric, self.spec1, self.spec2)
-        return self._pair
 
 
 _CACHE: dict = {}
@@ -119,7 +111,7 @@ def load(example_id: str) -> ExampleRecord:
     ]
     flag = SectorFlag(chain=chain, labels=list(data["sector_labels"]))
     record = ExampleRecord(
-        id=example_id,
+        name=example_id,
         algebra=algebra,
         metric=metric,
         spec1=spec1,
@@ -155,7 +147,7 @@ def table_one(ids, seed: int) -> list:
     rows = []
     for example_id in ids:
         record = load(example_id)
-        iso_cert = certify_isospectral(record.pair(), record.quotient_witness, seed=seed)
+        iso_cert = certify_isospectral(record, record.quotient_witness, seed=seed)
         # one_form_isospectral is distinguish_pair's verdict exactly when the
         # pair is certified representation equivalent.
         verdict = distinguish_pair(record, seed=seed)["verdict"]

@@ -211,7 +211,7 @@ def _central_data(spec: LatticeSpec) -> _CentralData:
     # Sections of the projection differ by central vectors, which brackets
     # kill, so any lift computes tau([.,.]) on the quotient.
     section, _ = solve_rational(proj, identity(qalg.dim))
-    central_rows, central_den = clear_rows(central.lattice.basis_vectors())
+    central_rows, central_den = clear_rows(central.basis_vectors())
     lift_rows, lift_den = clear_rows(mat_vec(section, v) for v in qlat.basis_vectors())
     data = _CentralData(_off_center(algebra), central_rows, central_den, lift_rows, lift_den)
     _CENTRAL_DATA[spec] = data
@@ -252,12 +252,11 @@ def central_dual_generator(spec: LatticeSpec) -> tuple:
 
     Only implemented for rank-one centers, which covers the bundled data.
     """
-    central = spec.center_intersection()
-    basis = central.lattice.basis_vectors()
+    basis = spec.center_intersection().basis_vectors()
     if len(basis) != 1:
         raise ValueError("central dual generator needs a rank-one center")
     b = basis[0]
-    pivots = central.center.pivots
+    pivots = spec.algebra.center().pivots
     tau = [Fraction(0)] * spec.algebra.dim
     # Supported on the center, pairing to 1: solve on the pivot coordinates.
     sol = solve_rational([[b[m] for m in pivots]], [Fraction(1)])
@@ -415,9 +414,10 @@ def certify_isospectral(
         seed=seed,
         note="verified_on_sample",
     )
-    c1 = pair.spec1.center_intersection()
-    c2 = pair.spec2.center_intersection()
-    cert.claim("center_lattices_equal", c1.lattice == c2.lattice)
+    cert.claim(
+        "center_lattices_equal",
+        pair.spec1.center_intersection() == pair.spec2.center_intersection(),
+    )
     qalg, _, qmetric, (qspec1, qlat1), (qspec2, qlat2) = pair.quotient_data()
     cert.claim(
         "quotient_covolumes_equal",
@@ -490,9 +490,7 @@ def certify_rep_equivalent(
     between the two quotients.
     """
     qalg, _, qmetric, (qspec1, _), (qspec2, _) = pair.quotient_data()
-    c1 = pair.spec1.center_intersection()
-    c2 = pair.spec2.center_intersection()
-    centers_equal = c1.lattice == c2.lattice
+    centers_equal = pair.spec1.center_intersection() == pair.spec2.center_intersection()
 
     witness_ok = False
     if witness is not None and centers_equal:

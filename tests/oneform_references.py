@@ -128,7 +128,7 @@ def nabla_chart(algebra, metric, directions=None, covectors=None):
     Returns {(i, m): [(k, coeff), ...]} restricted to the requested frame
     indices; defaults cover the whole frame.
     """
-    gamma = koszul_connection(algebra, metric).gamma
+    gamma = koszul_connection(metric)
     n = algebra.dim
     directions = list(range(n)) if directions is None else list(directions)
     covectors = list(range(n)) if covectors is None else list(covectors)
@@ -140,11 +140,11 @@ def nabla_chart(algebra, metric, directions=None, covectors=None):
     return chart
 
 
-def connection_identities_hold(table) -> bool:
-    """Metric compatibility and torsion-freeness, exactly."""
-    n = table.metric.algebra.dim
-    c = table.metric.frame_brackets()
-    gamma = table.gamma
+def connection_identities_hold(metric) -> bool:
+    """Metric compatibility and torsion-freeness of the metric's connection, exactly."""
+    n = metric.algebra.dim
+    c = metric.frame_brackets()
+    gamma = koszul_connection(metric)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -215,8 +215,8 @@ def reference_assemble_E(algebra, metric, tau):
     n = algebra.dim
     t = [sum((Fraction(x) * c for x, c in zip(tau, col)), Fraction(0)) for col in metric.columns]
     s2 = sum((v * v for v in t), Fraction(0))
-    lap = laplacian_on_invariant_oneforms(algebra, metric)
-    gamma = koszul_connection(algebra, metric).gamma
+    lap = laplacian_on_invariant_oneforms(metric)
+    gamma = koszul_connection(metric)
     entries = []
     for l in range(n):
         row = []

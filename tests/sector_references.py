@@ -128,8 +128,8 @@ def reference_orbit_pairing_report(pair, sector, sector_label, phi_full, n_sampl
     return {"ok": checked >= 1, "checked": checked, "seed": seed, "note": "verified_on_sample"}
 
 
-def reference_sector_check(record, pair, label, mode, n_samples, seed) -> dict:
-    qalg, _, _, (_, qlat1), (_, qlat2) = pair.quotient_data()
+def reference_sector_check(record, label, mode, n_samples, seed) -> dict:
+    qalg, _, _, (_, qlat1), (_, qlat2) = record.quotient_data()
     if mode == "moore_wolf":
         gen1 = central_dual_generator(record.spec1)
         ok = True
@@ -142,7 +142,7 @@ def reference_sector_check(record, pair, label, mode, n_samples, seed) -> dict:
                 break
         return {"mode": "moore_wolf", "ok": ok}
     if mode == "pesce_equal":
-        draws = _draw(pair, record.sector_flag, label, seed)
+        draws = _draw(record, record.sector_flag, label, seed)
         checked = 0
         ok = True
         while checked < n_samples:
@@ -164,15 +164,14 @@ def reference_sector_check(record, pair, label, mode, n_samples, seed) -> dict:
         }
     if mode == "pairing":
         report = reference_orbit_pairing_report(
-            pair, record.sector_flag, label, record.pairing_map, n_samples, seed
+            record, record.sector_flag, label, record.pairing_map, n_samples, seed
         )
         return {"mode": "pairing", **report}
     raise ValueError(f"unknown sector mode {mode!r}")
 
 
 def reference_sector_checks(record, n_samples, seed) -> dict:
-    pair = record.pair()
     return {
-        label: reference_sector_check(record, pair, label, mode, n_samples, seed)
+        label: reference_sector_check(record, label, mode, n_samples, seed)
         for label, mode in sorted(record.sector_modes.items())
     }

@@ -172,8 +172,7 @@ def test_criterion_4_golden_matrices_and_charts():
 
 def test_criterion_5_multiplicity_formulas():
     record = load("III")
-    pair = record.pair()
-    qalg, _, _, (_, lat1), (_, lat2) = pair.quotient_data()
+    qalg, _, _, (_, lat1), (_, lat2) = record.quotient_data()
     for c1 in (1, 2, 3):
         tau = cov(6, [(4, c1)])
         for lat in (lat1, lat2):
@@ -196,19 +195,19 @@ def test_criterion_6_certificates():
     t0 = time.monotonic()
     for ex in ("I", "II"):
         record = load(ex)
-        cert = certify_rep_equivalent(record.pair(), record.rep_equivalent_witness)
+        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
         assert cert.kind == "rep_equivalent" and cert.ok
     for ex in ("III", "IV"):
         record = load(ex)
-        iso_cert = certify_isospectral(record.pair(), record.quotient_witness)
+        iso_cert = certify_isospectral(record, record.quotient_witness)
         assert iso_cert.ok
-        cor = certify_rep_equivalent(record.pair(), None)
+        cor = certify_rep_equivalent(record, None)
         assert cor.kind == "not_rep_equivalent" and cor.ok
         assert cor.checked_claims[0]["name"] == "occurrence_mismatch"
     record = load("V")
-    iso_cert = certify_isospectral(record.pair(), record.quotient_witness)
+    iso_cert = certify_isospectral(record, record.quotient_witness)
     assert iso_cert.ok
-    qalg, _, qmetric, _, _ = record.pair().quotient_data()
+    qalg, _, qmetric, _, _ = record.quotient_data()
     psi1, psi2 = record.quotient_witness.factors
     assert psi1.kind == "isometry"
     assert is_signed_permutation(qmetric.frame_matrix(psi1.matrix))
@@ -227,7 +226,7 @@ def test_criterion_7_central_multiplicity_suite():
         record = load(ex)
         c1 = record.spec1.center_intersection()
         c2 = record.spec2.center_intersection()
-        assert c1.lattice == c2.lattice
+        assert c1 == c2
         n = record.algebra.dim
         for c in range(-5, 6):
             if c == 0:
@@ -237,8 +236,7 @@ def test_criterion_7_central_multiplicity_suite():
             r2 = moore_wolf_multiplicity(record.spec2, tau)
             assert r1.occurs and r2.occurs and r1.multiplicity == r2.multiplicity
         # Cross-oracle on the 2-step quotient.
-        pair = record.pair()
-        qalg, _, _, (qspec1, qlat1), (qspec2, qlat2) = pair.quotient_data()
+        qalg, _, _, (qspec1, qlat1), (qspec2, qlat2) = record.quotient_data()
         pivots = [next(i for i, x in enumerate(r) if x) for r in qalg.center().rows]
         checked = 0
         while checked < 50:

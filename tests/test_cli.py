@@ -291,21 +291,47 @@ def test_nullity_determinant_disagreement_exits_4(monkeypatch, capsys):
     assert err == "internal error: AssertionError: positive nullity at a nonzero determinant\n"
 
 
-def test_corrupt_bundled_candidate_exits_4(tmp_path, monkeypatch, capsys):
-    # Bundled data are trusted, so a candidate whose modulus is a square, p^2,
-    # is corrupt data: an internal error, never an input error or a verdict.
+def _corrupt_example_v(tmp_path, monkeypatch, corrupt):
+    """Point NILSPEC_DATA at a copy of the bundled data with example V edited by corrupt."""
     from nilspec import registry
 
     data_dir = pathlib.Path(registry.__file__).resolve().parent / "data"
     for path in data_dir.glob("*.json"):
         shutil.copy(path, tmp_path / path.name)
     example = json.loads((tmp_path / "example_V.json").read_text(encoding="utf-8"))
-    example["eigen_candidate"]["q_coeffs"] = [["0", "0"], ["0", "0"], ["1", "0"]]
+    corrupt(example)
     (tmp_path / "example_V.json").write_text(json.dumps(example), encoding="utf-8")
     monkeypatch.setenv("NILSPEC_DATA", str(tmp_path))
     monkeypatch.setattr(registry, "_CACHE", {})
+
+
+def test_corrupt_bundled_candidate_exits_4(tmp_path, monkeypatch, capsys):
+    # Bundled data are trusted, so a candidate whose modulus is a square, p^2,
+    # is corrupt data: an internal error, never an input error or a verdict.
+    def square_modulus(example):
+        example["eigen_candidate"]["q_coeffs"] = [["0", "0"], ["0", "0"], ["1", "0"]]
+
+    _corrupt_example_v(tmp_path, monkeypatch, square_modulus)
     code, out, err = invoke(capsys, "distinguish", "V")
     assert (code, out, err) == (4, "", "internal error: ValueError: modulus must be squarefree\n")
+
+
+def test_bundled_data_missing_a_key_exits_4(tmp_path, monkeypatch, capsys):
+    # Only the example id is user input; a KeyError from reading a known
+    # example's file is corrupt data, like any other load failure.
+    _corrupt_example_v(tmp_path, monkeypatch, lambda example: example.pop("metric"))
+    code, out, err = invoke(capsys, "certify", "V")
+    assert (code, out, err) == (4, "", "internal error: KeyError: 'metric'\n")
+
+
+def test_replay_reads_the_certificate_pair_whole(tmp_path, capsys):
+    # No example id has a dot, so "III.1" names no example and is not III.
+    code, out, _ = invoke(capsys, "--json", "certify", "III")
+    cert = json.loads(out)["rep_equivalence"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(dict(cert, pair="III.1")))
+    code, out, err = invoke(capsys, "certify", "--replay", str(cert_path))
+    assert (code, out, err) == (2, "", "error: unknown example id: 'III.1'\n")
 
 
 def test_certify_replay_roundtrip(tmp_path, capsys):

@@ -104,13 +104,8 @@ def check_chart(chart, expected, rows, dim):
 
 def test_connection_identities_all_metrics():
     alg7, alg5 = build_dim7(), build_dim5()
-    for alg, metric in (
-        (alg7, standard_metric(alg7)),
-        (alg5, standard_metric(alg5)),
-        (alg7, metric_v(alg7)),
-    ):
-        table = koszul_connection(alg, metric)
-        assert connection_identities_hold(table)
+    for metric in (standard_metric(alg7), standard_metric(alg5), metric_v(alg7)):
+        assert connection_identities_hold(metric)
 
 
 def test_chart_standard_dim7():
@@ -139,7 +134,7 @@ def test_abelian_chart_zero():
 
 def test_invariant_laplacian_dim7():
     alg = build_dim7()
-    lap = laplacian_on_invariant_oneforms(alg, standard_metric(alg))
+    lap = laplacian_on_invariant_oneforms(standard_metric(alg))
     expected = [[F(0)] * 7 for _ in range(7)]
     expected[4][4] = F(2)
     expected[5][5] = F(1)
@@ -149,7 +144,7 @@ def test_invariant_laplacian_dim7():
 
 def test_invariant_laplacian_dim5():
     alg = build_dim5()
-    lap = laplacian_on_invariant_oneforms(alg, standard_metric(alg))
+    lap = laplacian_on_invariant_oneforms(standard_metric(alg))
     expected = [[F(0)] * 5 for _ in range(5)]
     expected[3][3] = F(1)
     expected[4][4] = F(2)
@@ -158,7 +153,7 @@ def test_invariant_laplacian_dim5():
 
 def test_invariant_laplacian_frame_metric():
     alg = build_dim7()
-    lap = laplacian_on_invariant_oneforms(alg, metric_v(alg))
+    lap = laplacian_on_invariant_oneforms(metric_v(alg))
     expected = [[F(0)] * 7 for _ in range(7)]
     expected[4][4] = F(2)
     expected[5][5] = F(1)
@@ -170,7 +165,7 @@ def test_invariant_laplacian_frame_metric():
 def test_laplacian_symmetric_psd():
     alg = build_dim7()
     for metric in (standard_metric(alg), metric_v(alg)):
-        lap = laplacian_on_invariant_oneforms(alg, metric)
+        lap = laplacian_on_invariant_oneforms(metric)
         assert lap == tuple(zip(*lap))
         for k in range(1, 8):
             minor = [row[:k] for row in lap[:k]]
@@ -236,16 +231,14 @@ def _fresh_tables(metric):
 def test_connection_and_laplacian_are_built_once_per_metric(root):
     if root in EXAMPLE_IDS:
         record = load(root)
-        metrics = [record.metric, record.pair().quotient_data()[2], standard_metric(record.algebra)]
+        metrics = [record.metric, record.quotient_data()[2], standard_metric(record.algebra)]
     else:
         alg = build_dim7()
         metrics = [standard_metric(alg), metric_v(alg)]
     for metric in metrics:
-        alg = metric.algebra
-        table = koszul_connection(alg, metric)
-        lap = laplacian_on_invariant_oneforms(alg, metric)
-        assert koszul_connection(alg, metric) is table
-        assert laplacian_on_invariant_oneforms(alg, metric) is lap
-        assert table.metric is metric
-        assert (table.gamma, lap) == _fresh_tables(metric)
-        assert connection_identities_hold(table)
+        gamma = koszul_connection(metric)
+        lap = laplacian_on_invariant_oneforms(metric)
+        assert koszul_connection(metric) is gamma
+        assert laplacian_on_invariant_oneforms(metric) is lap
+        assert (gamma, lap) == _fresh_tables(metric)
+        assert connection_identities_hold(metric)

@@ -133,7 +133,7 @@ def _reference_moore_wolf(spec, tau):
     _, qlat = spec.quotient(qalg, proj)
     section, _ = solve_rational(proj, identity(qalg.dim))
     lifts = [vec(mat_vec(section, v)) for v in qlat.basis_vectors()]
-    occurs = all(vdot(tau, vec(g)).denominator == 1 for g in central.lattice.basis_vectors())
+    occurs = all(vdot(tau, vec(g)).denominator == 1 for g in central.basis_vectors())
     pf = pfaffian([[vdot(tau, algebra.bracket(u, v)) for v in lifts] for u in lifts])
     return MultiplicityRecord(tuple(tau), occurs, abs(pf) if occurs else F(0), "moore_wolf")
 
@@ -148,7 +148,7 @@ def _bundled_algebras():
 def _bundled_quotients():
     out = {}
     for x in EXAMPLE_IDS:
-        qalg, _, _, (_, qlat1), (_, qlat2) = load(x).pair().quotient_data()
+        qalg, _, _, (_, qlat1), (_, qlat2) = load(x).quotient_data()
         out[x] = (qalg, qlat1, qlat2)
     return out
 
@@ -219,7 +219,7 @@ def test_strict_nonsingularity_matches_on_fractional_constants(data, seed, n_sam
 
 def _quotient_atoms(example_id):
     record = load(example_id)
-    qalg = record.pair().quotient_data()[0]
+    qalg = record.quotient_data()[0]
     return qalg, [a.matrix for a in record.quotient_witness.atoms()]
 
 

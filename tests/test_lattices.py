@@ -106,9 +106,9 @@ def test_center_intersection_pairs():
         s2 = make_spec(f"{root}.2")
         c1 = s1.center_intersection()
         c2 = s2.center_intersection()
-        assert c1.lattice == c2.lattice
+        assert c1 == c2
         n = s1.algebra.dim
-        assert c1.lattice == IntLattice(n, [basis_vec(n, n - 1)])
+        assert c1 == IntLattice(n, [basis_vec(n, n - 1)])
 
 
 def test_center_intersection_abelian():
@@ -117,7 +117,7 @@ def test_center_intersection_abelian():
     ab = NilLieAlgebra(3, ["a", "b", "c"], {})
     spec = LatticeSpec(ab, [basis_vec(3, i) for i in range(3)])
     c = spec.center_intersection()
-    assert c.lattice == IntLattice(3, identity(3))
+    assert c == IntLattice(3, identity(3))
 
 
 def test_quotient_lattices_match_expected_spans():
@@ -252,6 +252,21 @@ BUNDLED_SPECS = [(root, side) for root in EXAMPLE_IDS for side in ("spec1", "spe
 def bundled():
     records = {root: load(root) for root in EXAMPLE_IDS}
     return {(root, side): getattr(records[root], side) for root, side in BUNDLED_SPECS}
+
+
+@pytest.mark.parametrize("key", BUNDLED_SPECS, ids=lambda k: ".".join(k))
+def test_center_intersection_is_the_suffix_lattice(key, bundled):
+    spec = bundled[key]
+    center, n = spec.algebra.center(), spec.algebra.dim
+    suffix = []
+    for g in reversed(spec.generators):
+        if not center.contains(g):
+            break
+        suffix.insert(0, g)
+    assert suffix and Subspace(n, suffix) == center
+    got = spec.center_intersection()
+    assert isinstance(got, IntLattice)
+    assert got == IntLattice(n, suffix)
 
 
 def _agrees_with_reference(spec, g):

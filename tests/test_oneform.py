@@ -175,7 +175,7 @@ def test_assemble_zero_tau_is_invariant_laplacian():
     got = as_polys(assemble_E(alg, met, tau))
     from nilspec.geometry import laplacian_on_invariant_oneforms
 
-    lap = laplacian_on_invariant_oneforms(alg, met)
+    lap = laplacian_on_invariant_oneforms(met)
     for j in range(7):
         for k in range(7):
             assert got[j][k] == poly(lap[j][k])

@@ -49,7 +49,7 @@ def test_all_records_validate():
         assert report.jacobi_ok and report.step == 3
         c1 = record.spec1.center_intersection()
         c2 = record.spec2.center_intersection()
-        assert c1.lattice == c2.lattice
+        assert c1 == c2
         for atom in record.quotient_witness.atoms():
             assert atom.kind in ("almost_inner", "inner", "isometry")
 
@@ -124,8 +124,8 @@ def test_nilspec_data_override(tmp_path, monkeypatch):
 
 
 def test_table_one_computes_each_rows_quotient_once(monkeypatch):
-    # certify_isospectral and distinguish_pair share the record's Pair, so the
-    # 2-step quotient of each row is computed once.
+    # A loaded record is the Pair that certify_isospectral and distinguish_pair
+    # both read, so the 2-step quotient of each row is computed once, on it.
     import nilspec.registry as reg
     from nilspec.repspec import Pair
 
@@ -135,9 +135,20 @@ def test_table_one_computes_each_rows_quotient_once(monkeypatch):
 
     def counted(pair):
         if pair._quotient is None:
-            misses.append(pair.name)
+            misses.append(pair)
         return quotient_data(pair)
 
     monkeypatch.setattr(Pair, "quotient_data", counted)
     reg.table_one(["II", "III"], DEFAULT_SEED)
-    assert misses == ["II", "III"]
+    assert [p.name for p in misses] == ["II", "III"]
+    assert misses[0] is load("II") and misses[1] is load("III")
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_a_record_is_its_pair(example_id):
+    from nilspec.repspec import Pair
+
+    record = load(example_id)
+    assert isinstance(record, Pair)
+    assert record.name == example_id
+    assert not hasattr(record, "pair") and not hasattr(record, "id")

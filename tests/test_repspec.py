@@ -36,8 +36,7 @@ def qcov(n, vals):
 
 def quotient_of(example_id):
     record = load(example_id)
-    pair = record.pair()
-    return pair, pair.quotient_data()
+    return record, record.quotient_data()
 
 
 def test_pesce_sector_iii_multiplicity():
@@ -93,7 +92,7 @@ def test_pesce_rejects_3step():
     record = load("I")
     with pytest.raises(ValueError):
         pesce_occurrence_and_multiplicity(
-            record.algebra, record.spec1.center_intersection().lattice, vzero(7)
+            record.algebra, record.spec1.center_intersection(), vzero(7)
         )
 
 
@@ -184,8 +183,7 @@ def test_sector_flag_classification():
 
 def test_isometry_and_signed_permutation_checks():
     record = load("V")
-    pair = record.pair()
-    qalg, _, qmetric, _, _ = pair.quotient_data()
+    qalg, _, qmetric, _, _ = record.quotient_data()
     psi1, psi2 = record.quotient_witness.factors
     assert qalg.is_automorphism(psi1.matrix)
     assert is_isometry(qmetric, psi1.matrix)
@@ -205,7 +203,7 @@ def test_isometry_and_signed_permutation_checks():
 def test_certify_isospectral_all_examples():
     for ex in ("I", "II", "III", "IV", "V"):
         record = load(ex)
-        cert = certify_isospectral(record.pair(), record.quotient_witness)
+        cert = certify_isospectral(record, record.quotient_witness)
         assert cert.ok, (ex, cert.failed_check)
         names = [c["name"] for c in cert.checked_claims]
         assert "strictly_nonsingular" in names
@@ -216,7 +214,7 @@ def test_certify_isospectral_all_examples():
 def test_certify_isospectral_rejects_identity_witness():
     record = load("III")
     bad = Witness(kind="isometry", matrix=identity(6), name="identity")
-    cert = certify_isospectral(record.pair(), bad)
+    cert = certify_isospectral(record, bad)
     assert not cert.ok
     assert cert.failed_check == "identity:maps_lattice_onto"
 
@@ -224,13 +222,12 @@ def test_certify_isospectral_rejects_identity_witness():
 def test_certify_rep_equivalent_positive():
     for ex in ("I", "II"):
         record = load(ex)
-        cert = certify_rep_equivalent(record.pair(), record.rep_equivalent_witness)
+        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
         assert cert.kind == "rep_equivalent" and cert.ok
 
 
 def test_certify_rep_equivalent_self_pair():
     record = load("I")
-    pair = record.pair()
     from nilspec.repspec import Pair
 
     self_pair = Pair("I.self", record.algebra, record.metric, record.spec1, record.spec1)
@@ -242,7 +239,7 @@ def test_certify_rep_equivalent_self_pair():
 def test_certify_rep_equivalent_negative():
     for ex in ("III", "IV", "V"):
         record = load(ex)
-        cert = certify_rep_equivalent(record.pair(), record.rep_equivalent_witness)
+        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
         assert cert.kind == "not_rep_equivalent" and cert.ok
         claim = cert.checked_claims[0]
         assert claim["name"] == "occurrence_mismatch"
@@ -261,14 +258,14 @@ def test_example_iii_specific_mismatch_functional():
 def test_find_occurrence_mismatch_examples():
     for ex, expect in (("I", False), ("II", False), ("III", True), ("IV", True), ("V", True)):
         record = load(ex)
-        got = find_occurrence_mismatch(record.pair())
+        got = find_occurrence_mismatch(record)
         assert (got is not None) == expect
 
 
 def test_orbit_pairing_example_iii():
     record = load("III")
     report = orbit_pairing_report(
-        record.pair(), record.sector_flag, "II", record.pairing_map, n_samples=25
+        record, record.sector_flag, "II", record.pairing_map, n_samples=25
     )
     assert report["ok"]
     assert report["checked"] >= 25
@@ -277,7 +274,7 @@ def test_orbit_pairing_example_iii():
 def test_orbit_pairing_without_samples_is_not_ok():
     record = load("III")
     report = orbit_pairing_report(
-        record.pair(), record.sector_flag, "II", record.pairing_map, n_samples=0
+        record, record.sector_flag, "II", record.pairing_map, n_samples=0
     )
     assert report["checked"] == 0 and not report["ok"]
 
@@ -294,17 +291,16 @@ def test_orbit_pairing_rejects_non_isometry():
     shear = identity(7)
     shear[4][0] = F(1)  # X1 -> X1 + Z1: automorphism? irrelevant, not isometry
     with pytest.raises(ValueError):
-        orbit_pairing_report(record.pair(), record.sector_flag, "II", shear)
+        orbit_pairing_report(record, record.sector_flag, "II", shear)
 
 
 def test_certificates_are_replayable():
     record = load("III")
-    pair = record.pair()
-    first = certify_isospectral(pair, record.quotient_witness)
-    second = certify_isospectral(record.pair(), record.quotient_witness)
+    first = certify_isospectral(record, record.quotient_witness)
+    second = certify_isospectral(record, record.quotient_witness)
     assert first.to_json() == second.to_json()
-    neg1 = certify_rep_equivalent(pair, None)
-    neg2 = certify_rep_equivalent(record.pair(), None)
+    neg1 = certify_rep_equivalent(record, None)
+    neg2 = certify_rep_equivalent(record, None)
     assert neg1.to_json() == neg2.to_json()
 
 
@@ -317,7 +313,7 @@ def test_moore_wolf_cache_matches_fresh_load(monkeypatch):
                 tau = tuple(F(c) * t for t in central_dual_generator(record.spec1))
                 for side in ("spec1", "spec2"):
                     spec = getattr(record, side)
-                    calls.append((record.id, side, spec, tau, moore_wolf_multiplicity(spec, tau)))
+                    calls.append((record.name, side, spec, tau, moore_wolf_multiplicity(spec, tau)))
     for example_id, side, spec, tau, got in calls:
         # An empty registry cache gives new specs with nothing computed yet.
         monkeypatch.setattr(registry, "_CACHE", {})
@@ -328,5 +324,5 @@ def test_moore_wolf_cache_matches_fresh_load(monkeypatch):
 
 def test_quotient_data_specs_live_on_the_quotient_algebra():
     for x in registry.EXAMPLE_IDS:
-        qalg, _, _, (qspec1, _), (qspec2, _) = load(x).pair().quotient_data()
+        qalg, _, _, (qspec1, _), (qspec2, _) = load(x).quotient_data()
         assert qspec1.algebra is qalg and qspec2.algebra is qalg

@@ -49,13 +49,13 @@ def test_sector_samples_match_the_old_sampler(example_id, label):
     # image of the first chain step, so its sampler runs dry at once; the
     # last lies past the chain and yields nothing.
     record = load(example_id)
-    pair, flag = record.pair(), record.sector_flag
+    flag = record.sector_flag
     idx = flag.labels.index(label)
     dry = idx == 0 or idx >= len(flag.chain)
     for seed in SEEDS:
         for n in SIZES[:1] if dry else SIZES:
-            got = list(repspec._sector_samples(pair, flag, label, n, seed))
-            assert got == reference_sector_samples(pair, flag, label, n, seed), (seed, n)
+            got = list(repspec._sector_samples(record, flag, label, n, seed))
+            assert got == reference_sector_samples(record, flag, label, n, seed), (seed, n)
             assert (got == []) == dry
 
 
@@ -65,7 +65,7 @@ def test_sampled_labels_are_not_dry():
         record = load(example_id)
         for label, mode in record.sector_modes.items():
             if mode != "moore_wolf":
-                got = list(repspec._sector_samples(record.pair(), record.sector_flag, label, 30, 1))
+                got = list(repspec._sector_samples(record, record.sector_flag, label, 30, 1))
                 assert len(got) == 30, (example_id, label)
 
 
@@ -80,11 +80,11 @@ def test_sector_kernel_is_solved_once_per_sampler(monkeypatch):
     monkeypatch.setattr(repspec, "solve_rational", counted)
     for example_id in SAMPLED:
         record = load(example_id)
-        pair, flag = record.pair(), record.sector_flag
-        pair.quotient_data()
+        flag = record.sector_flag
+        record.quotient_data()
         for label in flag.labels[1 : len(flag.chain)]:
             calls.clear()
-            assert len(list(repspec._sector_samples(pair, flag, label, 12, 1))) == 12
+            assert len(list(repspec._sector_samples(record, flag, label, 12, 1))) == 12
             assert len(calls) == 1, (example_id, label)
 
 
@@ -107,18 +107,17 @@ def _memoized_pesce(monkeypatch):
 def test_sector_check_matches_the_old_sector_block(example_id, monkeypatch):
     _memoized_pesce(monkeypatch)
     record = load(example_id)
-    pair = record.pair()
     for label, mode in sorted(record.sector_modes.items()):
         grid = [(0, 1)] if mode == "moore_wolf" else [(n, s) for s in SEEDS for n in SIZES]
         for n, seed in grid:
-            got = sector_check(pair, record.sector_flag, label, mode, record.pairing_map, n, seed)
-            assert got == reference_sector_check(record, pair, label, mode, n, seed), (label, n, seed)
+            got = sector_check(record, record.sector_flag, label, mode, record.pairing_map, n, seed)
+            assert got == reference_sector_check(record, label, mode, n, seed), (label, n, seed)
 
 
 def test_unknown_sector_mode_raises():
     record = load("III")
     with pytest.raises(ValueError, match="unknown sector mode"):
-        sector_check(record.pair(), record.sector_flag, "II", "bogus", None, 3, 1)
+        sector_check(record, record.sector_flag, "II", "bogus", None, 3, 1)
 
 
 @pytest.mark.parametrize("mode,label", [("pesce_equal", "III"), ("pairing", "II")])
@@ -131,9 +130,9 @@ def test_a_sampler_that_runs_dry_is_not_ok(mode, label, monkeypatch):
         lambda pair, sector, lab, n, seed: islice(original(pair, sector, lab, n, seed), 2),
     )
     record = load("III")
-    got = sector_check(record.pair(), record.sector_flag, label, mode, record.pairing_map, 5, 1)
+    got = sector_check(record, record.sector_flag, label, mode, record.pairing_map, 5, 1)
     assert (got["ok"], got["checked"]) == (False, 2)
-    full = sector_check(record.pair(), record.sector_flag, label, mode, record.pairing_map, 2, 1)
+    full = sector_check(record, record.sector_flag, label, mode, record.pairing_map, 2, 1)
     assert (full["ok"], full["checked"]) == (True, 2)
 
 
@@ -142,8 +141,8 @@ def test_orbit_pairing_failures_match_the_old_loop(defect, monkeypatch):
     # The bundled pairings never fail, so each defect is injected into the
     # calls both loops make, and the failure entries are compared.
     record = load("III")
-    pair, flag = record.pair(), record.sector_flag
-    sampled = set(repspec._sector_samples(pair, flag, "II", 3, 1))
+    flag = record.sector_flag
+    sampled = set(repspec._sector_samples(record, flag, "II", 3, 1))
     original = repspec.pesce_occurrence_and_multiplicity
 
     def pesce(algebra, log_lattice, tau):
@@ -157,8 +156,8 @@ def test_orbit_pairing_failures_match_the_old_loop(defect, monkeypatch):
             monkeypatch.setattr(module, "coadjoint_orbit_equal_2step", lambda *args: True)
         else:
             monkeypatch.setattr(module, "pesce_occurrence_and_multiplicity", pesce)
-    got = orbit_pairing_report(pair, flag, "II", record.pairing_map, n_samples=3, seed=1)
-    assert got == reference_orbit_pairing_report(pair, flag, "II", record.pairing_map, 3, 1)
+    got = orbit_pairing_report(record, flag, "II", record.pairing_map, n_samples=3, seed=1)
+    assert got == reference_orbit_pairing_report(record, flag, "II", record.pairing_map, 3, 1)
     assert (got["ok"], got["checked"]) == (False, 0)
     assert got["failure"].get("reason", "records differ") == defect
 
@@ -166,26 +165,25 @@ def test_orbit_pairing_failures_match_the_old_loop(defect, monkeypatch):
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_pair_records_are_the_direct_calls(example_id):
     record = load(example_id)
-    pair = record.pair()
-    qalg, _, _, (_, qlat1), (_, qlat2) = pair.quotient_data()
+    qalg, _, _, (_, qlat1), (_, qlat2) = record.quotient_data()
     taus = [
         tuple(a if m in (i, qalg.dim - 1) else Fraction(0) for m in range(qalg.dim))
         for i in range(qalg.dim)
         for a in OCCURRENCE_GRID[:4]
     ]
-    mismatch = find_occurrence_mismatch(pair)
+    mismatch = find_occurrence_mismatch(record)
     if mismatch is not None:
         # A functional the two lattices disagree on, so a swap would show.
         taus.append(mismatch[0])
     for tau in taus:
-        assert pair.pesce(tau) == (
+        assert record.pesce(tau) == (
             pesce_occurrence_and_multiplicity(qalg, qlat1, tau),
             pesce_occurrence_and_multiplicity(qalg, qlat2, tau),
         )
     gen = central_dual_generator(record.spec1)
     for c in (1, -2, 3):
         tau = tuple(Fraction(c) * t for t in gen)
-        assert pair.moore_wolf(tau) == (
+        assert record.moore_wolf(tau) == (
             moore_wolf_multiplicity(record.spec1, tau),
             moore_wolf_multiplicity(record.spec2, tau),
         )
@@ -196,7 +194,7 @@ def test_pair_records_follow_the_lattice_order(monkeypatch):
     # tried, so only the arguments show which lattice each record came from.
     monkeypatch.setattr(repspec, "moore_wolf_multiplicity", lambda spec, tau: (spec, tau))
     monkeypatch.setattr(repspec, "pesce_occurrence_and_multiplicity", lambda a, lat, tau: (lat, tau))
-    pair = load("III").pair()
+    pair = load("III")
     _, _, _, (_, qlat1), (_, qlat2) = pair.quotient_data()
     (s1, t1), (s2, t2) = pair.moore_wolf("tau")
     assert s1 is pair.spec1 and s2 is pair.spec2 and t1 == t2 == "tau"
@@ -208,6 +206,6 @@ def test_pair_records_follow_the_lattice_order(monkeypatch):
 def test_one_form_isospectral_exactly_when_rep_equivalent(example_id):
     # table_one reads the rep-equivalence column from this verdict.
     record = load(example_id)
-    cert = certify_rep_equivalent(record.pair(), record.rep_equivalent_witness)
+    cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
     verdict = distinguish_pair(record)["verdict"]
     assert (verdict == "one_form_isospectral") == (cert.kind == "rep_equivalent" and cert.ok)

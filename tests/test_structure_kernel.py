@@ -99,7 +99,7 @@ def _algebras():
     for root in EXAMPLE_IDS:
         record = load(root)
         out[root] = record.algebra
-        out[f"{root}/quotient"] = record.pair().quotient_data()[0]
+        out[f"{root}/quotient"] = record.quotient_data()[0]
         for side in ("spec1", "spec2"):
             out[f"{root}/{side}"] = getattr(record, side).gen_algebra
     return out
