@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .isosearch import (
 )
 from .lattices import LatticeSpec
 from .liealg import CERTIFY_SAMPLES, DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
-from .oneform import assemble_E, distinguish_pair, enumerate_shell, numeric_spectrum
+from .oneform import assemble_E, det_vanishes_by_norm, distinguish_pair, enumerate_shell
 from .registry import EXAMPLE_IDS, load, parse_algebra, parse_witness, table_one
 from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
 
@@ -247,8 +246,6 @@ def cmd_multiplicities(args) -> int:
 
 def cmd_distinguish(args) -> int:
     _require_positive("--samples-small", args.samples_small)
-    if args.pi is not None and not math.isfinite(args.pi):
-        raise InputError(f"--pi must be finite, got {args.pi}")
     record = _load_record(args.target)
     report = distinguish_pair(record, n_samples=args.samples_small, seed=args.seed)
     lines = []
@@ -262,33 +259,26 @@ def cmd_distinguish(args) -> int:
         )
     else:
         lines.append(f"{args.target}: inconclusive")
-    if args.pi is not None:
-        report["numeric_check"] = _numeric_cross_check(record, report, args.pi)
-        check = report["numeric_check"]
-        lines.append(f"numeric oracle at pi={args.pi}: {check['ok'] if check['count'] else 'nothing checked'}")
+    if args.cross_check:
+        check = report["numeric_check"] = _cross_check(record, report)
+        lines.append(f"exact cross-check: {check['ok'] if check['count'] else 'nothing checked'}")
     _emit(args, report, lines)
     return 0
 
 
-def _numeric_cross_check(record, report, pi_value: float) -> dict:
-    """Float eigenvalue check of the exact verdicts (oracle only).
+def _cross_check(record, report) -> dict:
+    """Each row's ``det_zero`` against ``det_vanishes_by_norm``, an elimination of its own.
 
-    ``ok`` is None when nothing was checked, as for representation-equivalent
-    pairs, which carry no eigenvalue candidate.
+    ``ok`` is None when no row was checked, as on a pair without a candidate eigenvalue.
     """
-    lam = record.eigen_candidate
-    if lam is None:
-        return {"ok": None, "count": 0}
-    lam_val = lam.value_at(pi_value)
-    checks = []
-    for side in ("lattice1", "lattice2"):
-        for row in report["per_tau"][side]:
-            tau = tuple(rat_from_str(t) for t in row["tau"])
-            spec = numeric_spectrum(assemble_E(record.algebra, record.metric, tau), pi_value, 1e-9)
-            near = min(abs(x - lam_val) for x in spec)
-            agrees = (near < 1e-6) == row["det_zero"]
-            checks.append({"tau": row["tau"], "agrees": agrees})
-    return {"ok": all(c["agrees"] for c in checks) if checks else None, "count": len(checks)}
+    lam, algebra, metric = record.eigen_candidate, record.algebra, record.metric
+    agrees = [
+        det_vanishes_by_norm(assemble_E(algebra, metric, tuple(map(rat_from_str, row["tau"]))), lam)
+        == row["det_zero"]
+        for rows in report.get("per_tau", {}).values()
+        for row in rows
+    ]
+    return {"ok": all(agrees) if agrees else None, "count": len(agrees)}
 
 
 def cmd_table1(args) -> int:
@@ -384,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distinguish", help="one-form spectrum comparison")
     p.add_argument("target")
-    p.add_argument("--pi", type=float, default=None, help="run the numeric oracle at this finite value")
+    p.add_argument("--cross-check", action="store_true", help="recheck each det_zero by norms over Q")
     p.add_argument("--samples-small", type=int, default=SECTOR_SAMPLES, help="sector sampling size, at least 1")
 
     p = sub.add_parser("table1", help="recompute the comparison table")

@@ -14,7 +14,7 @@ coefficient tuples standing for A(p) + B(p) s.
 
 `assemble_E` builds E once, as integer rows over one denominator: den E has
 entries in Z[i][p], kept as (re, im) integer coefficient pairs.  Its shape
-checks, the elimination below and the float oracle all read those rows.
+checks, the elimination below and the norm cross-check all read those rows.
 
 `det_at` finds det(E - lambda I) = A(p) + B(p) s, with s^2 = q(p), by
 evaluation and interpolation on integers.  Write lambda = a + b s, q = Q / c
@@ -44,17 +44,21 @@ confirms the characters of positive nullity.  The kernel follows by
 Cramer's rule from interpolated minors, all of them at a point from one
 fraction-free Gauss-Jordan elimination, at good points where the chosen
 maximal minor is nonzero.
+
+`det_vanishes_by_norm` decides det(E - lambda I) = 0 apart from that
+elimination.  At a good point K = Q(i)(s), s^2 = q(p0), is a field of degree
+4 over Q.  The 4n x 4n rational matrix of E(p0) - lambda(p0) I acting on K^n
+has as determinant the norm of the determinant over K, zero exactly when it is.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .exactnum import IntLattice, enumerate_on_shell, enumerate_up_to
+from .exactnum import IntLattice, bareiss_det, enumerate_on_shell, enumerate_up_to
 from .exactnum.matrix import mat_vec
 from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
@@ -95,11 +99,6 @@ class Candidate(NamedTuple):
             f"{name}_coeffs": [[rat_to_str(re), rat_to_str(im)] for re, im in _trim(coeffs)]
             for name, coeffs in zip(self._fields, self)
         }
-
-    def value_at(self, p: float) -> complex:
-        """a(p) + b(p) sqrt(q(p)) in floating point, for the float oracle."""
-        a, b, q = (complex(*_eval_gauss(coeffs, p)) for coeffs in self)
-        return a + b * cmath.sqrt(q)
 
 
 def _trim(coeffs) -> tuple:
@@ -231,13 +230,7 @@ class _ShiftedAtPoints:
         self.entries = [[[(k * re, k * im) for re, im in e] for e in row] for row in matrix.rows]
         self.a_int = _gauss_int_coeffs(lam.a, self.scale)
         self.b_int = _gauss_int_coeffs(b_over_c, self.scale)
-        # Weights: p counts 1 and sigma counts deg(q)/2; 2w is kept integral.
-        self.two_w = max(
-            2 * max(len(e) - 1 for row in matrix.rows for e in row),
-            2 * (len(lam.a) - 1),
-            2 * (len(lam.b) - 1) + len(lam.q) - 1,
-            0,
-        )
+        self.two_w = _two_w(matrix, lam)
 
     def needed(self, r: int) -> int:
         """floor(r w) + 1: this many distinct points determine every r-minor."""
@@ -263,6 +256,12 @@ class _ShiftedAtPoints:
         return _gauss_poly(re_a, im_a, 1, den), _gauss_poly(re_b, im_b, self.c, den)
 
 
+def _two_w(matrix: CharacterMatrix, lam: Candidate) -> int:
+    """2w, kept integral: p weighs 1 and s weighs deg(q)/2 (module docstring)."""
+    entry_degree = max(len(e) - 1 for row in matrix.rows for e in row)
+    return max(2 * entry_degree, 2 * len(lam.a) - 2, 2 * len(lam.b) - 3 + len(lam.q), 0)
+
+
 def _gauss_poly(re, im, num, den):
     """The coefficients num (re[k] + im[k] i) / den as (re, im) pairs."""
     return _trim((Fraction(num * x, den), Fraction(num * y, den)) for x, y in zip(re, im))
@@ -277,7 +276,7 @@ def _gauss_int_coeffs(coeffs, scale):
 
 
 def _eval_gauss(coeffs, x):
-    """Value at the integer x of a polynomial with (re, im) integer coefficients."""
+    """Value at the integer x of a polynomial with (re, im) integer or rational coefficients."""
     re = im = 0
     for cr, ci in reversed(coeffs):
         re = re * x + cr
@@ -285,14 +284,16 @@ def _eval_gauss(coeffs, x):
     return re, im
 
 
-def _good_points(sigma_sq):
-    """(p0, d = sigma^2 at p0) for p0 = 0, 1, -1, 2, -2, ..., so that values stay small.
+def _good_points(square):
+    """(p0, d = square(p0)) for p0 = 0, 1, -1, 2, -2, ..., so that values stay small.
 
-    Skips the p0 where d = c^2 q(p0) is zero or a square in Q(i), which is when q(p0) is.
+    ``square`` is q or sigma^2 = c^2 q.  Skips the p0 where d is zero or a square in
+    Q(i), which is when q(p0) is: when |d|, or |num(d) den(d)|, is a rational square.
     """
     for p0 in chain([0], chain.from_iterable(zip(count(1), count(-1, -1)))):
-        d, _ = _eval_gauss(sigma_sq, p0)
-        if d != 0 and isqrt(abs(d)) ** 2 != abs(d):
+        d, _ = _eval_gauss(square, p0)
+        v = abs(d.numerator * d.denominator)
+        if v and isqrt(v) ** 2 != v:
             yield p0, d
 
 
@@ -439,25 +440,31 @@ def nullity_at(matrix: CharacterMatrix, lam: Candidate):
     return n - rank, kernel
 
 
-def numeric_spectrum(matrix: CharacterMatrix, pi_value: float, tolerance: float):
-    """Floating-point eigenvalues of the specialized Hermitian matrix.
+def det_vanishes_by_norm(matrix: CharacterMatrix, lam: Candidate) -> bool:
+    """Whether det(E - lambda I) = 0, from its norms down to Q by ``bareiss_det`` (module docstring).
 
-    A numeric cross-check only; a non-Hermitian specialization beyond the
-    tolerance signals an assembly bug.
+    A + B s vanishes at a good p0 exactly when A and B do there.  They have degree at
+    most floor(n w), so it vanishes identically when it does at floor(n w) + 1 points.
     """
-    # Imported here so that commands which never run this oracle never load numpy.
-    import numpy as np
-
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     n = matrix.dim
-    a = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            a[j, k] = complex(*_eval_gauss(matrix.rows[j][k], pi_value)) / matrix.den
-    if np.max(np.abs(a - a.conj().T)) > tolerance:
-        raise AssertionError("specialized matrix is not Hermitian within tolerance")
-    return sorted(np.linalg.eigvalsh(a).tolist())
+    for p0, q0 in islice(_good_points(lam.q), n * _two_w(matrix, lam) // 2 + 1):
+        ar, ai = _eval_gauss(lam.a, p0)
+        br, bi = _eval_gauss(lam.b, p0)
+        rows = [[] for _ in range(4 * n)]
+        for j, row in enumerate(matrix.rows):
+            for k, e in enumerate(row):
+                xr, xi = (Fraction(x, matrix.den) for x in _eval_gauss(e, p0))
+                yr = yi = 0
+                if j == k:
+                    xr, xi, yr, yi = xr - ar, xi - ai, -br, -bi
+                # Multiplication by (xr + xi i) + (yr + yi i) s on (1, i, s, is).
+                rows[4 * j].extend((xr, -xi, q0 * yr, -q0 * yi))
+                rows[4 * j + 1].extend((xi, xr, q0 * yi, q0 * yr))
+                rows[4 * j + 2].extend((yr, -yi, xr, -xi))
+                rows[4 * j + 3].extend((yi, yr, xi, xr))
+        if bareiss_det(rows):
+            return False
+    return True
 
 
 # -- character shells ---------------------------------------------------------
@@ -526,8 +533,9 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
 def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """One-form comparison report for a loaded ``registry.ExampleRecord``, itself a Pair.
 
-    Representation-equivalent pairs are reported as equal on one-forms.  For
-    the rest, the character sector is compared exactly: shells at the
+    Representation-equivalent pairs are reported as equal on one-forms, and
+    the others without an eigenvalue candidate as inconclusive.  For the
+    rest, the character sector is compared exactly: shells at the
     example's S^2 target, determinant and nullity at the candidate
     eigenvalue, and the resulting multiplicities.  Each remaining sector is
     compared by ``repspec.sector_check`` in the mode configured per example.
@@ -539,6 +547,8 @@ def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAUL
         out["reason"] = "representation equivalent fundamental groups"
         return out
     lam = record.eigen_candidate
+    if lam is None:
+        return {**out, "verdict": "inconclusive", "reason": "no eigenvalue candidate"}
     out["lambda"] = lam.to_json()
     out["s2_target"] = rat_to_str(record.s2_target)
 

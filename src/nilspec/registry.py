@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from importlib import resources
 
 from .exactnum import rat_from_str
 from .geometry import Metric
@@ -26,11 +25,9 @@ EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
 
 
 def _data_text(name: str) -> str:
-    override = os.environ.get("NILSPEC_DATA")
-    if override:
-        with open(os.path.join(override, name), "r", encoding="utf-8") as fh:
-            return fh.read()
-    return resources.files("nilspec.data").joinpath(name).read_text(encoding="utf-8")
+    folder = os.environ.get("NILSPEC_DATA") or os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(folder, name), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _parse_matrix(rows):

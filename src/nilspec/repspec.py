@@ -652,13 +652,14 @@ def _sector_samples(pair: Pair, sector: SectorFlag, label: str, n_samples: int, 
                 sum(sample_fraction(rng) * Fraction(k[a]) for k in kernel)
                 for a in range(qalg.dim)
             )
-            vals = [vdot(mat_vec(lift, tau_q), b) for b in own]
+            lifted = mat_vec(lift, tau_q)
+            vals = [vdot(lifted, b) for b in own]
             if all(v == 0 for v in vals):
                 continue
-            scale = lcm(*[v.denominator for v in vals])
-            tau_q = tuple(scale * t for t in tau_q)
-            if sector.classify(mat_vec(lift, tau_q)) == label:
-                yield tau_q
+            # The sector of a lift is where it first pairs nonzero, the same for any nonzero multiple.
+            if sector.classify(lifted) == label:
+                scale = lcm(*[v.denominator for v in vals])
+                yield tuple(scale * t for t in tau_q)
                 break
         else:
             return

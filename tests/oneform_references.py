@@ -26,6 +26,8 @@ They have no caller in the package, so they live here:
 - ``s_squared``: S^2 of a functional, from the metric's frame columns.
 - ``covector_from_frame``: structure-dual coordinates of a frame covector.
 - ``leading_pi_coefficient``: the top p-coefficient of det(E - lambda I).
+- ``numeric_spectrum``: float eigenvalues of E at a float p, by numpy, the
+  float reference of acceptance criterion 10.
 """
 
 from fractions import Fraction
@@ -258,3 +260,14 @@ def leading_pi_coefficient(matrix, lam) -> Fraction:
     if im:
         raise AssertionError("leading coefficient is not real")
     return re
+
+
+def numeric_spectrum(matrix, pi_value: float) -> list:
+    """Eigenvalues of the Hermitian matrix E at p = pi_value, in floating point, sorted."""
+    import numpy as np
+
+    def at(coeffs):
+        return sum(complex(re, im) * pi_value**k for k, (re, im) in enumerate(coeffs))
+
+    a = np.array([[at(e) for e in row] for row in matrix.rows]) / matrix.den
+    return sorted(np.linalg.eigvalsh(a).tolist())

@@ -1,7 +1,6 @@
 import copy
 import inspect
 import json
-import math
 import pathlib
 import shutil
 from fractions import Fraction
@@ -204,12 +203,12 @@ def test_certify_files_refuses_an_algebra_that_is_not_a_lie_algebra(tmp_path, ca
     assert "alg.json" in err and "Jacobi violation at basis triple (0, 1, 2)" in err
 
 
-@pytest.mark.parametrize("pi", ["nan", "inf"])
-def test_non_finite_pi_is_input_error(pi, capsys):
-    code, out, err = invoke(capsys, "distinguish", "IV", "--pi", pi)
-    assert code == 2
-    assert out == ""
-    assert f"--pi must be finite, got {pi}" in err
+def test_pi_is_no_longer_an_option(capsys):
+    # The exact cross-check reads no value of pi.
+    with pytest.raises(SystemExit) as exc:
+        run(["distinguish", "IV", "--pi", "3.141592653589793"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pi" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
@@ -385,10 +384,33 @@ def test_distinguish_json_schema_and_determinism(capsys):
 
 
 def test_distinguish_numeric_oracle(capsys):
-    code, out, _ = invoke(capsys, "--json", "distinguish", "IV", "--pi", "3.141592653589793")
+    code, out, _ = invoke(capsys, "--json", "distinguish", "IV", "--cross-check")
     assert code == 0
     report = json.loads(out)
-    assert report["numeric_check"]["ok"] is True
+    assert report["numeric_check"] == {"ok": True, "count": 4}
+    code, out, _ = invoke(capsys, "distinguish", "IV", "--cross-check")
+    assert code == 0
+    assert out.splitlines()[-1] == "exact cross-check: True"
+
+
+def test_cross_check_fails_on_a_corrupted_matrix(monkeypatch, capsys):
+    # Shifting the whole diagonal of E by 1 / den moves every eigenvalue off the
+    # candidate; one perturbed entry can leave the determinant zero.
+    assemble = oneform.assemble_E
+
+    def shifted(algebra, metric, tau):
+        e = assemble(algebra, metric, tau)
+        for j, row in enumerate(e.rows):
+            (re, im), *rest = row[j]
+            row[j] = [(re + 1, im), *rest]
+        return e
+
+    monkeypatch.setattr(cli, "assemble_E", shifted)
+    code, out, _ = invoke(capsys, "--json", "distinguish", "III", "--cross-check")
+    assert code == 0
+    report = json.loads(out)
+    assert any(row["det_zero"] for rows in report["per_tau"].values() for row in rows)
+    assert report["numeric_check"] == {"ok": False, "count": 8}
 
 
 def test_numeric_oracle_reads_the_candidate_coefficient():
@@ -399,7 +421,7 @@ def test_numeric_oracle_reads_the_candidate_coefficient():
     rewritten.eigen_candidate = Candidate(lam.a, pmul(lam.b, poly(2)), pmul(lam.q, poly(Fraction(1, 4))))
     report = oneform.distinguish_pair(rewritten)
     assert report["per_tau"] == oneform.distinguish_pair(record)["per_tau"]
-    assert cli._numeric_cross_check(rewritten, report, math.pi)["ok"] is True
+    assert cli._cross_check(rewritten, report) == {"ok": True, "count": 12}
 
 
 def test_multiplicities_sector_table(capsys):
@@ -516,15 +538,26 @@ def test_table1_reads_seed(monkeypatch, capsys):
 
 @pytest.mark.parametrize("example_id", ["I", "II"])
 def test_numeric_oracle_on_pairs_without_a_candidate(example_id, capsys):
-    code, out, err = invoke(capsys, "--json", "distinguish", example_id, "--pi", "3.14")
+    code, out, err = invoke(capsys, "--json", "distinguish", example_id, "--cross-check")
     assert code == 0
     assert "Traceback" not in err
     report = json.loads(out)
     assert report["verdict"] == "one_form_isospectral"
     assert report["numeric_check"] == {"ok": None, "count": 0}
-    code, out, _ = invoke(capsys, "distinguish", example_id, "--pi", "3.14")
+    code, out, _ = invoke(capsys, "distinguish", example_id, "--cross-check")
     assert code == 0
     assert "nothing checked" in out and "True" not in out
+
+
+def test_a_pair_without_a_candidate_is_inconclusive(monkeypatch, capsys):
+    record = copy.copy(load("III"))
+    record.eigen_candidate = None
+    report = oneform.distinguish_pair(record)
+    assert report == {"example": "III", "verdict": "inconclusive", "reason": "no eigenvalue candidate"}
+    monkeypatch.setattr(cli, "load", lambda example_id: record)
+    code, out, err = invoke(capsys, "--json", "distinguish", "III", "--cross-check")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**report, "numeric_check": {"ok": None, "count": 0}}
 
 
 @pytest.mark.parametrize("ids", [["VI"], ["II", "VI"]])

@@ -2,8 +2,8 @@
 
 The math modules sit below the registry and the CLI: they never import
 either, so the exact arithmetic can be reused without the bundled data.
-numpy serves only the float oracle and is imported inside it, so commands
-that never run the oracle never load it.
+The package has no runtime dependency: no module imports numpy, and the
+bundled data is read with ``open``, not ``importlib.resources``.
 """
 
 import ast
@@ -72,11 +72,11 @@ def test_math_modules_do_not_import_registry():
                 assert not _refers_to(names, "nilspec.registry"), (module, scope)
 
 
-def test_numpy_only_inside_the_float_oracle():
+def test_no_module_imports_numpy_or_importlib_resources():
     for _, module, imports in _modules():
         for names, scope in imports:
-            if _refers_to(names, "numpy"):
-                assert (module, scope) == ("nilspec.oneform", "numeric_spectrum")
+            for target in ("numpy", "importlib.resources", "cmath"):
+                assert not _refers_to(names, target), (module, scope, target)
 
 
 COEFF_KEYS = ("a_coeffs", "b_coeffs", "q_coeffs")

@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import json
 import math
@@ -6,9 +5,10 @@ import pathlib
 from itertools import islice
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilspec.exactnum import IntLattice, bareiss_det
@@ -18,11 +18,11 @@ from nilspec.oneform import (
     CharacterMatrix,
     assemble_E,
     det_at,
+    det_vanishes_by_norm,
     enumerate_shell,
     nullity_at,
     _echelon_quadratic,
     _ShiftedAtPoints,
-    numeric_spectrum,
     s2_values_up_to,
 )
 from nilspec.registry import load
@@ -37,6 +37,7 @@ from oneform_references import (
     as_polys,
     ext,
     leading_pi_coefficient,
+    numeric_spectrum,
     padd,
     plain_candidate,
     pmul,
@@ -447,15 +448,15 @@ def test_character_s2_multisets_match():
 
 def test_numeric_spectrum():
     alg, met, tau = char7([0] * 7)
-    spec = numeric_spectrum(assemble_E(alg, met, tau), math.pi, 1e-9)
+    spec = numeric_spectrum(assemble_E(alg, met, tau), math.pi)
     assert [round(x, 9) for x in spec] == [0, 0, 0, 0, 1, 2, 3]
 
     alg5, met5, tau5 = char5([0] * 5)
-    spec5 = numeric_spectrum(assemble_E(alg5, met5, tau5), math.pi, 1e-9)
+    spec5 = numeric_spectrum(assemble_E(alg5, met5, tau5), math.pi)
     assert [round(x, 9) for x in spec5] == [0, 0, 0, 1, 2]
 
     alg, met, tau_b = char7([0, 0, F(1, 2), 0, 0, 0, 0])
-    spec_b = numeric_spectrum(assemble_E(alg, met, tau_b), math.pi, 1e-9)
+    spec_b = numeric_spectrum(assemble_E(alg, met, tau_b), math.pi)
     target = math.pi**2 + 1
     assert any(abs(x - target) < 1e-9 for x in spec_b)
 
@@ -491,12 +492,13 @@ def _reference_rank(m):
 def _check_nullity(matrix, entries, lam):
     """nullity_at against _reference_rank on E's entries; its kernel is
     exact and independent, equal to the per-minor Cramer construction, and the
-    nullity is positive exactly where det_at finds det(E - lambda I) = 0."""
+    nullity is positive exactly where det_at and det_vanishes_by_norm find
+    det(E - lambda I) = 0."""
     n = matrix.dim
     m = _shifted(entries, lam)
     nullity, kernel = nullity_at(matrix, lam)
     assert nullity == n - _reference_rank(m)
-    assert (nullity > 0) == det_at(matrix, lam)[1]
+    assert (nullity > 0) == det_at(matrix, lam)[1] == det_vanishes_by_norm(matrix, lam)
     assert (nullity, kernel) == reference_nullity_at(matrix, lam)
     assert len(kernel) == nullity
     vectors = [[ext(v, lam.q) for v in vec] for vec in kernel]
@@ -557,15 +559,18 @@ def candidate(draw):
     return Candidate(draw(gauss_poly(real=True)), b, q)
 
 
+def _split_off(entries, lam):
+    """Make the plain lambda a 1 x 1 block of E, so that it is an eigenvalue."""
+    for k in range(1, len(entries)):
+        entries[0][k] = entries[k][0] = ()
+    entries[0][0] = lam.a
+
+
 @settings(max_examples=40, deadline=None)
 @given(entries=hermitian_matrix(), lam=candidate(), singular=st.booleans())
 def test_det_at_matches_bareiss_over_polynomials(entries, lam, singular):
-    n = len(entries)
     if singular and not lam.b:
-        # Split off lambda as a 1 x 1 block, so that it is an eigenvalue.
-        for k in range(1, n):
-            entries[0][k] = entries[k][0] = ()
-        entries[0][0] = lam.a
+        _split_off(entries, lam)
     matrix = as_int_matrix(entries)
     det, is_zero = det_at(matrix, lam)
     expected = _reference_det_at(entries, lam)
@@ -573,6 +578,47 @@ def test_det_at_matches_bareiss_over_polynomials(entries, lam, singular):
     assert is_zero == expected.is_zero()
     if singular and not lam.b:
         assert is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=hermitian_matrix(), lam=candidate(), singular=st.booleans())
+# det = p - 2 vanishes at 2, the first good point of q = p, and nowhere else.
+@example(entries=[[poly(-2, 1)]], lam=plain_candidate([0]), singular=False)
+def test_det_vanishes_by_norm_matches_det_at(entries, lam, singular):
+    if singular and not lam.b:
+        _split_off(entries, lam)
+    matrix = as_int_matrix(entries)
+    assert det_vanishes_by_norm(matrix, lam) == det_at(matrix, lam)[1]
+
+
+def _matmul(x, y):
+    return [[reduce(padd, (pmul(a, c) for a, c in zip(row, col)), ()) for col in zip(*y)] for row in x]
+
+
+@pytest.mark.parametrize("b", [poly((0, 1)), poly((1, 1))], ids=["i", "1+i"])
+def test_det_vanishes_by_norm_with_gaussian_a_and_b(b):
+    # The generators above and the bundled candidates have real a and b.  Here
+    # lambda = a + b s with a = 1 + i, s^2 = 1 + p^2, is an eigenvalue of E = a + b G H G^-1:
+    # H = [[p, 1], [1, -p]] + [[2p, 1], [1, -2p]] has the eigenvalues +-s once each, and
+    # G = P W, W unitary and P unitriangular over Q(i), spreads the kernel vector over
+    # every coordinate and every part of (1, i, s, is).
+    a, one, c, d, u, v = (poly(x) for x in ((1, 1), 1, F(3, 5), F(4, 5), (F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))))
+    h = [[poly(0, 1), one, (), ()], [one, poly(0, -1), (), ()], [(), (), poly(0, 2), one], [(), (), one, poly(0, -2)]]
+    w = _matmul(
+        [[u, v, (), ()], [v, u, (), ()], [(), (), one, ()], [(), (), (), one]],
+        [[c, (), psub((), d), ()], [(), c, (), psub((), d)], [d, (), c, ()], [(), d, (), c]],
+    )
+    p, p_inv = ([[one, poly((0, k)), (), ()], [(), one, (), ()], [(), (), one, poly((k, k))], [(), (), (), one]]
+                for k in (1, -1))
+    g, g_inv = _matmul(p, w), _matmul([[conj(x) for x in col] for col in zip(*w)], p_inv)
+    entries = [
+        [padd(a if j == k else (), pmul(b, e)) for k, e in enumerate(row)]
+        for j, row in enumerate(_matmul(g, _matmul(h, g_inv)))
+    ]
+    matrix = as_int_matrix(entries)
+    for shift, singular in ((a, True), (padd(a, one), False)):
+        lam = Candidate(shift, b, poly(1, 0, 1))
+        assert det_vanishes_by_norm(matrix, lam) == det_at(matrix, lam)[1] == singular
 
 
 @pytest.mark.parametrize("root", ["III", "IV", "V"])
@@ -853,40 +899,3 @@ def test_candidate_json_round_trip_normalises(a, b, q, k, pad):
     # to_json drops trailing zero pairs itself.
     padded = Candidate(*(coeffs + ((F(0), F(0)),) * pad for coeffs in c))
     assert padded.to_json() == c.to_json()
-
-
-def _complex_value(c, p):
-    """a(p) + b(p) sqrt(q(p)) by complex Horner steps per part, as the float
-    oracle evaluated a candidate before it was coefficient data."""
-
-    def at(coeffs):
-        acc = 0j
-        for re, im in reversed(coeffs):
-            acc = acc * complex(p) + (complex(re) + 1j * complex(im))
-        return acc
-
-    return at(c.a) + at(c.b) * cmath.sqrt(at(c.q))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a=gauss_poly(),
-    b=gauss_poly(),
-    q=real_modulus,
-    p=st.floats(-4, 4, allow_nan=False, allow_infinity=False),
-)
-def test_candidate_value_at_matches_the_complex_formula(a, b, q, p):
-    c = Candidate(a, b, poly(*q))
-    want = _complex_value(c, p)
-    assert abs(c.value_at(p) - want) <= 1e-12 * max(1.0, abs(want))
-
-
-Q_V = 17 / 4 * math.pi**2 + 1
-BUNDLED_LAMBDA = {"III": math.pi**2 + 1, "IV": math.pi**2 + 1, "V": Q_V + math.sqrt(Q_V)}
-
-
-@pytest.mark.parametrize("root", sorted(BUNDLED_LAMBDA))
-def test_candidate_value_at_on_the_bundled_candidates(root):
-    lam = load(root).eigen_candidate
-    assert abs(lam.value_at(math.pi) - _complex_value(lam, math.pi)) <= 1e-12 * BUNDLED_LAMBDA[root]
-    assert abs(lam.value_at(math.pi) - BUNDLED_LAMBDA[root]) <= 1e-12 * BUNDLED_LAMBDA[root]

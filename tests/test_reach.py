@@ -25,7 +25,7 @@ from test_layering import UNCALLED_ALLOWED
 BUNDLED = (
     [["certify", x] for x in ("I", "II", "III", "IV", "V")]
     + [["distinguish", x] for x in ("I", "II", "IV", "V")]
-    + [["distinguish", "III", "--pi", "3.14"]]
+    + [["distinguish", "III", "--cross-check"]]
     + [["multiplicities", "III", "--sector", s] for s in ("I", "II", "III", "IV")]
     + [["table1", "II"], ["search-iso", "II", "--bound", "2"]]
 )

@@ -123,6 +123,20 @@ def test_nilspec_data_override(tmp_path, monkeypatch):
     reg._CACHE.clear()
 
 
+@pytest.mark.parametrize("override", [None, ""], ids=["unset", "empty"])
+def test_bundled_data_is_read_from_the_package_directory(override, monkeypatch):
+    # With NILSPEC_DATA unset or empty, each bundled file is one open in the
+    # package's own data directory, which an installed package ships too.
+    import nilspec.registry as reg
+
+    if override is None:
+        monkeypatch.delenv("NILSPEC_DATA", raising=False)
+    else:
+        monkeypatch.setenv("NILSPEC_DATA", override)
+    for name, digest in CHECKSUMS.items():
+        assert hashlib.sha256(reg._data_text(name).encode("utf-8")).hexdigest() == digest, name
+
+
 def test_table_one_computes_each_rows_quotient_once(monkeypatch):
     # A loaded record is the Pair that certify_isospectral and distinguish_pair
     # both read, so the 2-step quotient of each row is computed once, on it.
