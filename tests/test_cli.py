@@ -203,6 +203,17 @@ def test_certify_files_refuses_an_algebra_that_is_not_a_lie_algebra(tmp_path, ca
     assert "alg.json" in err and "Jacobi violation at basis triple (0, 1, 2)" in err
 
 
+@pytest.mark.parametrize("pi", ["nan", "inf"])
+def test_non_finite_pi_is_input_error(pi, capsys):
+    # The exact cross-check reads no value of pi, so any --pi is an unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        run(["distinguish", "IV", "--pi", pi])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --pi" in captured.err
+
+
 def test_pi_is_no_longer_an_option(capsys):
     # The exact cross-check reads no value of pi.
     with pytest.raises(SystemExit) as exc:
