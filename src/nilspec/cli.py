@@ -19,7 +19,6 @@ from fractions import Fraction
 from .exactnum import IntLattice
 from .exactnum.matrix import mat_vec
 from .exactnum.scalars import rat_from_str, rat_to_str
-from .geometry import Metric
 from .isosearch import (
     SearchBudget,
     SearchOutcome,
@@ -28,9 +27,7 @@ from .isosearch import (
 )
 from .lattices import LatticeSpec
 from .liealg import CERTIFY_SAMPLES, DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
-from .oneform import assemble_E, det_vanishes_by_norm, distinguish_pair, enumerate_shell
-from .registry import EXAMPLE_IDS, load, parse_algebra, parse_witness, table_one
-from .repspec import Pair, central_dual_generator, certify_isospectral, certify_rep_equivalent
+from .registry import EXAMPLE_IDS, load, load_lattices, parse_algebra, parse_witness, table_one
 
 
 class InputError(Exception):
@@ -62,11 +59,15 @@ def _parse_file(path: str, parse, *args):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_record(example_id: str):
+def _check_id(example_id: str) -> str:
     # Only the id is user input; a bundled file that fails to load is an internal error.
     if example_id not in EXAMPLE_IDS:
         raise InputError(f"unknown example id: {example_id!r}")
-    return load(example_id)
+    return example_id
+
+
+def _load_record(example_id: str):
+    return load(_check_id(example_id))
 
 
 def _emit(args, payload: dict, text_lines):
@@ -106,6 +107,9 @@ def cmd_validate(args) -> int:
 
 def _pair_from_files(args):
     """The pair and optional witness named by --files and --witness."""
+    from .geometry import Metric
+    from .repspec import Pair
+
     alg_path, metric_path, path1, path2 = args.files
     alg = _parse_file(alg_path, parse_algebra)
     metric = _parse_file(metric_path, Metric.from_json, alg)
@@ -135,6 +139,8 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def cmd_certify(args) -> int:
+    from .repspec import certify_isospectral, certify_rep_equivalent
+
     # Every input names one pair; nothing given is dropped unread.
     if args.witness and not args.files:
         raise InputError("--witness is read only with --files")
@@ -206,6 +212,9 @@ def _multiplicity_row(records) -> dict:
 
 
 def cmd_multiplicities(args) -> int:
+    from .oneform import enumerate_shell
+    from .repspec import central_dual_generator
+
     _require_positive("--range", args.range)
     record = _load_record(args.target)
     flag = record.sector_flag
@@ -245,6 +254,8 @@ def cmd_multiplicities(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
+    from .oneform import distinguish_pair
+
     _require_positive("--samples-small", args.samples_small)
     record = _load_record(args.target)
     report = distinguish_pair(record, n_samples=args.samples_small, seed=args.seed)
@@ -271,6 +282,8 @@ def _cross_check(record, report) -> dict:
 
     ``ok`` is None when no row was checked, as on a pair without a candidate eigenvalue.
     """
+    from .oneform import assemble_E, det_vanishes_by_norm
+
     lam, algebra, metric = record.eigen_candidate, record.algebra, record.metric
     agrees = [
         det_vanishes_by_norm(assemble_E(algebra, metric, tuple(map(rat_from_str, row["tau"]))), lam)
@@ -306,13 +319,11 @@ def cmd_table1(args) -> int:
 
 def cmd_search_iso(args) -> int:
     _require_positive("--bound", args.bound)
-    record = _load_record(args.target)
+    algebra, spec1, spec2 = load_lattices(_check_id(args.target))
     budget = SearchBudget(bound=args.bound)
     truncated = False
     try:
-        outcome = bounded_lattice_isomorphism_search(
-            record.algebra, record.spec1, record.spec2, budget
-        )
+        outcome = bounded_lattice_isomorphism_search(algebra, spec1, spec2, budget)
     except SearchSpaceExceeded as exc:
         outcome = SearchOutcome(None, False, budget.node_ceiling, str(exc))
         truncated = True

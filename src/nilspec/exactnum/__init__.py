@@ -5,6 +5,8 @@ Rationals are plain ``fractions.Fraction`` values.  The elimination core,
 through ``rref`` and ``bareiss_det``, which clear denominators first.
 Polynomials in pi over Q(i) are not a ring here: the one-form layer keeps
 them as (re, im) coefficient tuples and eliminates on integers itself.
+The shell enumerators are imported from ``exactnum.qforms`` itself, not from
+here, so that only the commands that enumerate shells compile them.
 """
 
 from .matrix import (
@@ -28,15 +30,12 @@ from .intlattice import (
     snf,
     solve_integer,
 )
-from .qforms import enumerate_on_shell, enumerate_up_to
 from .scalars import perfect_square_root, rat_from_str, rat_to_str
 
 __all__ = [
     "IntLattice",
     "bareiss_det",
     "bareiss_echelon",
-    "enumerate_on_shell",
-    "enumerate_up_to",
     "hnf",
     "identity",
     "integer_kernel",

@@ -66,11 +66,14 @@ def canonical_subspaces(algebra: NilLieAlgebra):
     base.append(algebra.center())
     for k in range(1, algebra.step):
         base.append(algebra.centralizer(algebra.derived(k)))
-    # Intersection is symmetric and a cap a = a: each unordered pair once.
+    base = list(dict.fromkeys(base))
+    # Intersection is symmetric and a cap a = a: each unordered pair once, and
+    # a nested pair (the bundled ideals mostly are) needs no elimination.
     closure = list(base)
     for i, a in enumerate(base):
         for b in base[i + 1 :]:
-            closure.append(a.intersection(b))
+            nested = a if b.contains_subspace(a) else b if a.contains_subspace(b) else None
+            closure.append(nested or a.intersection(b))
     out = []
     for sub in closure:
         if 0 < sub.dim < algebra.dim and sub not in out:
@@ -147,16 +150,18 @@ class _Column:
 def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: SearchBudget):
     subs = canonical_subspaces(algebra)
     center = algebra.center()
+    # Keyed by the canonical subspaces containing a generator: each distinct
+    # set is intersected once and its log cover built once.
     covers = {}
     cols = []
     for i, gen in enumerate(spec1.generators):
-        constraint = algebra.derived(0)
-        for sub in subs:
-            if sub.contains(gen):
-                constraint = constraint.intersection(sub)
-        if constraint not in covers:
-            covers[constraint] = spec2.log_cover_lattice(constraint)
-        lattice = covers[constraint]
+        key = tuple(k for k, sub in enumerate(subs) if sub.contains(gen))
+        if key not in covers:
+            constraint = subs[key[0]] if key else algebra.derived(0)
+            for k in key[1:]:
+                constraint = constraint.intersection(subs[k])
+            covers[key] = constraint, spec2.log_cover_lattice(constraint)
+        constraint, lattice = covers[key]
         norm1 = sum(abs(x) for x in gen)
         box = Fraction(budget.bound) * norm1
         col = _Column(i, gen, constraint, lattice, box, spec2)

@@ -58,8 +58,9 @@ from itertools import chain, count, islice
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .exactnum import IntLattice, bareiss_det, enumerate_on_shell, enumerate_up_to
+from .exactnum import IntLattice, bareiss_det
 from .exactnum.matrix import mat_vec
+from .exactnum.qforms import enumerate_on_shell, enumerate_up_to
 from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
@@ -531,7 +532,7 @@ def s2_values_up_to(algebra, metric, log_lattice, bound) -> list:
 
 
 def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
-    """One-form comparison report for a loaded ``registry.ExampleRecord``, itself a Pair.
+    """One-form comparison report for a ``repspec.ExampleRecord`` from ``registry.load``.
 
     Representation-equivalent pairs are reported as equal on one-forms, and
     the others without an eigenvalue candidate as inconclusive.  For the

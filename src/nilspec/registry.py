@@ -1,25 +1,24 @@
 """Bundled example pairs: algebras, lattices, metrics, witnesses, targets.
 
 Five pairs ship as JSON under ``nilspec/data`` (override the directory with
-the ``NILSPEC_DATA`` environment variable).  ``load`` returns a fully
-validated record, a ``repspec.Pair`` that also carries the example's
-witnesses and targets; ``table_one`` recomputes the comparison table from
-scratch.
+the ``NILSPEC_DATA`` environment variable).  ``load_lattices`` parses and
+validates an example's algebra and its two lattices alone, which is all the
+isomorphism search reads; ``load`` returns the fully validated record, a
+``repspec.ExampleRecord`` (a ``repspec.Pair`` that also carries the
+example's witnesses and targets); ``table_one`` recomputes the comparison
+table from scratch.  The metric, sector and one-form modules are imported
+only by the functions that build or use them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .exactnum import rat_from_str
-from .geometry import Metric
 from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomorphism_search
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
-from .oneform import Candidate, distinguish_pair
-from .repspec import Pair, SectorFlag, Witness, certify_isospectral
 
 EXAMPLE_IDS = ("I", "II", "III", "IV", "V")
 
@@ -45,7 +44,9 @@ def parse_algebra(data: dict) -> NilLieAlgebra:
     return algebra
 
 
-def parse_witness(data: dict) -> Witness:
+def parse_witness(data: dict):
+    from .repspec import Witness
+
     if data["kind"] == "composite":
         return Witness(
             kind="composite",
@@ -57,51 +58,36 @@ def parse_witness(data: dict) -> Witness:
     )
 
 
-class ExampleRecord(Pair):
-    """A bundled Pair with its witnesses, sector data and eigenvalue target."""
-
-    def __init__(
-        self,
-        name: str,
-        algebra: NilLieAlgebra,
-        metric: Metric,
-        spec1: LatticeSpec,
-        spec2: LatticeSpec,
-        quotient_witness: Witness,
-        rep_equivalent_witness: Witness | None,
-        sector_flag: SectorFlag,
-        sector_modes: dict,
-        pairing_map: list | None,
-        iso_witness: list | None,
-        eigen_candidate: Candidate | None,
-        s2_target: Fraction | None,
-    ):
-        super().__init__(name, algebra, metric, spec1, spec2)
-        self.quotient_witness = quotient_witness
-        self.rep_equivalent_witness = rep_equivalent_witness
-        self.sector_flag = sector_flag
-        self.sector_modes = sector_modes
-        self.pairing_map = pairing_map
-        self.iso_witness = iso_witness
-        self.eigen_candidate = eigen_candidate
-        self.s2_target = s2_target
-
-
-_CACHE: dict = {}
-
-
-def load(example_id: str) -> ExampleRecord:
-    """Load and validate one bundled example pair."""
-    if example_id in _CACHE:
-        return _CACHE[example_id]
+def _read_example(example_id: str):
+    """(data, algebra, spec1, spec2): an example's JSON with its algebra and lattices validated."""
     if example_id not in EXAMPLE_IDS:
         raise KeyError(f"unknown example id: {example_id!r}")
     algebras = json.loads(_data_text("algebras.json"))
     data = json.loads(_data_text(f"example_{example_id}.json"))
     algebra = parse_algebra(algebras[data["algebra_ref"]])
-    metric = Metric.from_json(data["metric"], algebra)
     spec1 = LatticeSpec.from_json(data["lattices"][0], algebra)
     spec2 = LatticeSpec.from_json(data["lattices"][1], algebra)
+    return data, algebra, spec1, spec2
+
+
+def load_lattices(example_id: str) -> tuple:
+    """(algebra, spec1, spec2) of one bundled example, without the rest of its record."""
+    return _read_example(example_id)[1:]
+
+
+_CACHE: dict = {}
+
+
+def load(example_id: str):
+    """Load and validate one bundled example pair as a ``repspec.ExampleRecord``."""
+    if example_id in _CACHE:
+        return _CACHE[example_id]
+    from .geometry import Metric
+    from .oneform import Candidate
+    from .repspec import ExampleRecord, SectorFlag
+
+    data, algebra, spec1, spec2 = _read_example(example_id)
+    metric = Metric.from_json(data["metric"], algebra)
     chain = [
         Subspace(algebra.dim, _parse_matrix(vectors))
         for vectors in data["sector_chain"]
@@ -141,6 +127,9 @@ def table_one(ids, seed: int) -> list:
     a bounded search, labeled as evidence only), and the out-of-scope
     length-spectrum columns.  Sampled checks use ``seed`` and the default counts.
     """
+    from .oneform import distinguish_pair
+    from .repspec import certify_isospectral
+
     rows = []
     for example_id in ids:
         record = load(example_id)

@@ -119,6 +119,36 @@ class Pair:
         return moore_wolf_multiplicity(self.spec1, tau), moore_wolf_multiplicity(self.spec2, tau)
 
 
+class ExampleRecord(Pair):
+    """A bundled Pair with its witnesses, sector data and eigenvalue target."""
+
+    def __init__(
+        self,
+        name: str,
+        algebra: NilLieAlgebra,
+        metric: Metric,
+        spec1: LatticeSpec,
+        spec2: LatticeSpec,
+        quotient_witness: Witness,
+        rep_equivalent_witness: Witness | None,
+        sector_flag: SectorFlag,
+        sector_modes: dict,
+        pairing_map: list | None,
+        iso_witness: list | None,
+        eigen_candidate,  # a oneform.Candidate, or None
+        s2_target: Fraction | None,
+    ):
+        super().__init__(name, algebra, metric, spec1, spec2)
+        self.quotient_witness = quotient_witness
+        self.rep_equivalent_witness = rep_equivalent_witness
+        self.sector_flag = sector_flag
+        self.sector_modes = sector_modes
+        self.pairing_map = pairing_map
+        self.iso_witness = iso_witness
+        self.eigen_candidate = eigen_candidate
+        self.s2_target = s2_target
+
+
 # -- multiplicities -------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilspec import cli, oneform
+from nilspec import cli, oneform, repspec
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.oneform import Candidate
@@ -280,10 +280,11 @@ def test_internal_failure_exits_4(monkeypatch, capsys):
 @pytest.mark.parametrize("error", [TypeError, IndexError, AttributeError])
 def test_any_unexpected_exception_exits_4(monkeypatch, capsys, command, target, error):
     # Exit 1 is a valid negative verdict, so no internal failure may end there.
+    # The CLI imports each certifier from its defining module when it runs.
     def fail(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setattr(oneform if command == "distinguish" else repspec, target, fail)
     code, out, err = invoke(capsys, "--json", command, "III")
     assert code == 4
     assert out == ""
@@ -330,6 +331,17 @@ def test_bundled_data_missing_a_key_exits_4(tmp_path, monkeypatch, capsys):
     # Only the example id is user input; a KeyError from reading a known
     # example's file is corrupt data, like any other load failure.
     _corrupt_example_v(tmp_path, monkeypatch, lambda example: example.pop("metric"))
+    code, out, err = invoke(capsys, "certify", "V")
+    assert (code, out, err) == (4, "", "internal error: KeyError: 'metric'\n")
+
+
+def test_search_iso_reads_only_the_algebra_and_lattices(tmp_path, monkeypatch, capsys):
+    # search-iso parses the algebra and the two lattices alone, so a corrupt
+    # metric is reported by the commands that read it, not by the search.
+    _corrupt_example_v(tmp_path, monkeypatch, lambda example: example.pop("metric"))
+    code, out, err = invoke(capsys, "--json", "search-iso", "V", "--bound", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["found"] is not None
     code, out, err = invoke(capsys, "certify", "V")
     assert (code, out, err) == (4, "", "internal error: KeyError: 'metric'\n")
 
@@ -416,7 +428,16 @@ def test_cross_check_fails_on_a_corrupted_matrix(monkeypatch, capsys):
             row[j] = [(re + 1, im), *rest]
         return e
 
-    monkeypatch.setattr(cli, "assemble_E", shifted)
+    # The report is made on the true matrices; only the cross-check, which
+    # runs after it, reads the shifted ones.
+    distinguish = oneform.distinguish_pair
+
+    def then_shift(*args, **kwargs):
+        report = distinguish(*args, **kwargs)
+        monkeypatch.setattr(oneform, "assemble_E", shifted)
+        return report
+
+    monkeypatch.setattr(oneform, "distinguish_pair", then_shift)
     code, out, _ = invoke(capsys, "--json", "distinguish", "III", "--cross-check")
     assert code == 0
     report = json.loads(out)
@@ -521,8 +542,6 @@ def test_table1_single_row(capsys):
 def test_table1_reads_seed(monkeypatch, capsys):
     # table1 reads --seed only; its certificate and its one-form column sample
     # as certify and distinguish do at their defaults. III samples sectors.
-    import nilspec.registry as reg
-
     defaults = cli.build_parser().parse_args(["distinguish", "III"])
     seen = []
 
@@ -537,8 +556,8 @@ def test_table1_reads_seed(monkeypatch, capsys):
 
         return wrapped
 
-    monkeypatch.setattr(reg, "certify_isospectral", spy(reg.certify_isospectral))
-    monkeypatch.setattr(reg, "distinguish_pair", spy(reg.distinguish_pair))
+    monkeypatch.setattr(repspec, "certify_isospectral", spy(repspec.certify_isospectral))
+    monkeypatch.setattr(oneform, "distinguish_pair", spy(oneform.distinguish_pair))
     code, _, _ = invoke(capsys, "--seed", "7", "table1", "III")
     assert code == 0
     assert seen == [

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nilspec.exactnum import (
     IntLattice,
     bareiss_det,
-    enumerate_on_shell,
     hnf,
     identity,
     integer_kernel,
@@ -31,6 +30,7 @@ from nilspec.exactnum import (
 )
 from nilspec.exactnum.intlattice import _kernel_split
 from nilspec.exactnum.matrix import bareiss_echelon, transpose
+from nilspec.exactnum.qforms import enumerate_on_shell
 from nilspec.liealg import Subspace
 
 from fraction_references import cofactor_det, reference_rref, reference_solve

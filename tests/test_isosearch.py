@@ -154,6 +154,33 @@ def test_column_data_builds_one_log_cover_per_constraint(example_id, monkeypatch
     assert len(set(constraints)) < len(cols)
 
 
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_column_data_intersects_each_set_of_containing_subspaces_once(example_id, monkeypatch):
+    # Generators contained in the same canonical subspaces share one
+    # intersection chain, started from the first of them: a set of k subspaces
+    # costs k - 1 intersections, however many generators it holds.
+    record = load(example_id)
+    subs = canonical_subspaces(record.algebra)
+    sets = {tuple(k for k, sub in enumerate(subs) if sub.contains(g)) for g in record.spec1.generators}
+    calls = []
+    original = Subspace.intersection
+
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr("nilspec.isosearch.canonical_subspaces", lambda algebra: subs)
+    monkeypatch.setattr(Subspace, "intersection", counting)
+    cols = _column_data(record.algebra, record.spec1, record.spec2, SearchBudget(bound=1))
+    assert len(calls) == sum(len(s) - 1 for s in sets if s) < len(cols)
+    for col, gen in zip(cols, record.spec1.generators):
+        expected = record.algebra.derived(0)
+        for sub in subs:
+            if sub.contains(gen):
+                expected = original(expected, sub)
+        assert col.subspace == expected
+
+
 def test_canonical_subspaces_dim7():
     record = load("I")
     subs = canonical_subspaces(record.algebra)

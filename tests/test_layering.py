@@ -3,13 +3,21 @@
 The math modules sit below the registry and the CLI: they never import
 either, so the exact arithmetic can be reused without the bundled data.
 The package has no runtime dependency: no module imports numpy, and the
-bundled data is read with ``open``, not ``importlib.resources``.
+bundled data is read with ``open``, not ``importlib.resources``.  The
+isomorphism search loads only what it runs: the registry and the CLI import
+the certifier, one-form and metric modules inside the functions that use them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import nilspec
+from nilspec.registry import EXAMPLE_IDS, load, load_lattices
 
 PACKAGE = pathlib.Path(nilspec.__file__).parent
 MATH_MODULES = (
@@ -328,3 +336,30 @@ def test_one_sampling_policy_in_liealg():
     assert {flag: flags.get(flag) for flag in SAMPLING_POLICY.values()} == {
         flag: name for name, flag in SAMPLING_POLICY.items()
     }
+
+
+# Modules that search-iso never runs, so a search process must not compile them.
+NOT_SEARCHED = ("nilspec.geometry", "nilspec.repspec", "nilspec.oneform", "nilspec.exactnum.qforms")
+
+
+def test_search_iso_loads_only_the_search_modules():
+    code = (
+        "import sys\n"
+        "from nilspec import cli\n"
+        "assert cli.run(['--json', 'search-iso', 'IV', '--bound', '3']) == 1\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('nilspec'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    loaded = done.stdout.splitlines()[-1].split()
+    assert "nilspec.isosearch" in loaded
+    assert [m for m in NOT_SEARCHED if m in loaded] == []
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_load_lattices_agrees_with_load(example_id):
+    algebra, spec1, spec2 = load_lattices(example_id)
+    record = load(example_id)
+    assert algebra.structure_tensor() == record.algebra.structure_tensor()
+    assert (spec1.generators, spec2.generators) == (record.spec1.generators, record.spec2.generators)
+    assert spec1.algebra is spec2.algebra is algebra

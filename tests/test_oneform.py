@@ -549,14 +549,15 @@ def hermitian_matrix(draw, n=None):
 
 @st.composite
 def candidate(draw):
+    """lambda = a + b s with Gaussian a and b, as Candidate.from_json accepts them."""
     q = poly(*draw(st.sampled_from(MODULI)))
     kind = draw(st.sampled_from(["plain", "sqrt", "mixed"]))
     if kind == "plain":
-        return Candidate(draw(gauss_poly(real=True)), (), q)
+        return Candidate(draw(gauss_poly()), (), q)
     if kind == "sqrt":
         return Candidate(q, poly(1), q)
-    b = draw(gauss_poly(real=True, max_degree=1))
-    return Candidate(draw(gauss_poly(real=True)), b, q)
+    b = draw(gauss_poly(max_degree=1))
+    return Candidate(draw(gauss_poly()), b, q)
 
 
 def _split_off(entries, lam):
@@ -597,8 +598,9 @@ def _matmul(x, y):
 
 @pytest.mark.parametrize("b", [poly((0, 1)), poly((1, 1))], ids=["i", "1+i"])
 def test_det_vanishes_by_norm_with_gaussian_a_and_b(b):
-    # The generators above and the bundled candidates have real a and b.  Here
-    # lambda = a + b s with a = 1 + i, s^2 = 1 + p^2, is an eigenvalue of E = a + b G H G^-1:
+    # The bundled candidates have real a and b, and candidate() makes a mixed
+    # lambda an eigenvalue only by chance.  Here lambda = a + b s with a = 1 + i,
+    # s^2 = 1 + p^2, is an eigenvalue of E = a + b G H G^-1:
     # H = [[p, 1], [1, -p]] + [[2p, 1], [1, -2p]] has the eigenvalues +-s once each, and
     # G = P W, W unitary and P unitriangular over Q(i), spreads the kernel vector over
     # every coordinate and every part of (1, i, s, is).
@@ -709,6 +711,26 @@ def test_nullity_at_matches_minors_over_polynomials(case):
     entries, lam, deficiency = case
     n = len(entries)
     assert all(entries[j][k] == conj(entries[k][j]) for j in range(n) for k in range(n))
+    assert _check_nullity(as_int_matrix(entries), entries, lam) >= deficiency
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    a=gauss_poly().filter(lambda a: any(im for _, im in a)),
+    q=st.sampled_from(MODULI),
+    deficiency=st.integers(1, 2),
+    rest=hermitian_matrix(n=2),
+)
+def test_nullity_at_with_a_non_real_lambda(a, q, deficiency, rest):
+    # 1 x 1 blocks equal to a non-real a make E non-Hermitian; nullity_at does
+    # not need E Hermitian, and the real parts alone would miss a sign slip in i.
+    n = deficiency + len(rest)
+    entries = [[()] * n for _ in range(n)]
+    for j in range(deficiency):
+        entries[j][j] = a
+    for j, row in enumerate(rest):
+        entries[deficiency + j][deficiency:] = row
+    lam = Candidate(a, (), poly(*q))
     assert _check_nullity(as_int_matrix(entries), entries, lam) >= deficiency
 
 
