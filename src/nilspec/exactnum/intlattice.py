@@ -28,14 +28,22 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
+def _require_ints(rows, name):
+    """Raise TypeError unless every entry is an int, not a bool or a Fraction."""
+    if any(type(x) is not int for r in rows for x in r):
+        raise TypeError(f"{name} takes int entries; clear denominators first")
+
+
 def hnf(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Zero rows are dropped; pivots are positive and entries above each pivot
     are reduced into [0, pivot).  The result is the unique canonical basis
-    of the row lattice.
+    of the row lattice.  Any entry that is not an int (a bool included)
+    raises TypeError.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
+    _require_ints(rows, "hnf")
+    work = [list(r) for r in rows if any(r)]
     if not work:
         return []
     ncols = len(work[0])
@@ -112,9 +120,10 @@ def snf(mat):
     """Smith normal form with transforms: returns (s, u, v) with u*m*v = s.
 
     s is diagonal (as a rectangular matrix) with s[i] | s[i+1]; u and v are
-    unimodular.
+    unimodular.  Any entry that is not an int raises TypeError, as in `hnf`.
     """
-    m = [list(map(int, r)) for r in mat]
+    _require_ints(mat, "snf")
+    m = [list(r) for r in mat]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = identity(nr)

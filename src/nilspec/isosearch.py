@@ -18,7 +18,9 @@ Z-span of the brackets of the two column bases (`_outside_bracket_span`):
 every bracket [x, u] of column points lies in that span, so a target outside
 it kills the pair with no candidate listed.  Each column's boxed points are
 enumerated and sorted once; Malcev membership in the second lattice is
-tested, once per point, only for a candidate the search takes.
+tested, once per point, only for a candidate the search takes.  Columns
+are enumerated along echelon integer directions, their lattice's Hermite
+basis or its images of Hermite kernel rows (`_enumerate_affine`).
 
 A negative outcome means precisely: no automorphism maps the first lattice
 onto the second while sending each generator v_i to a point of the log-cover
@@ -29,11 +31,11 @@ bounded by that box, never a nonisomorphism proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import NamedTuple
 
 from .exactnum import IntLattice, integer_kernel, integer_solvable, solve_integer
-from .exactnum.matrix import identity, invert_rational, mat_mul
+from .exactnum.matrix import invert_rational, mat_mul
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra
 from .vecops import clear_denominators
@@ -85,18 +87,19 @@ class _Column:
     """One generator's image: a lattice, a box and the probe tensor, in integers.
 
     Candidates are integer vectors over ``den``, the column lattice's
-    denominator; ``box`` is the L-infinity radius in those units.  The probe
-    tensor holds [b_j, e_m]_a for the lattice basis b_j as integers over
+    denominator, and ``basis`` its Hermite basis; ``box`` is the L-infinity
+    radius bound * |gen|_1 in those units, rounded down.  The probe tensor
+    holds [b_j, e_m]_a for the lattice basis b_j as integers over
     ``tensor_den``: entry m lists the nonzero (a, j, c).
     """
 
-    def __init__(self, index, gen, subspace, lattice, box, spec2):
+    def __init__(self, index, gen, subspace, lattice, bound, spec2):
         self.index = index
         self.subspace = subspace
         self.lattice = lattice
         self.den = lattice.den
         self.basis = lattice.rows
-        self.box = box * self.den
+        self.box = floor(bound * sum(abs(x) for x in gen) * self.den)
         self.spec2 = spec2
         self.central = False
         self._cached = None
@@ -141,8 +144,8 @@ class _Column:
         left to the caller, which asks `is_member` of the candidates it takes.
         """
         if self._cached is None:
-            u0, directions = _solve_column_system(self, [])
-            raw = _enumerate_affine(u0, directions, self.box, ceiling, counter)
+            origin = (0,) * self.lattice.ambient
+            raw = _enumerate_affine(origin, self.basis, self.box, ceiling, counter)
             self._cached = sorted(raw, key=self.sort_key)
         return self._cached
 
@@ -162,9 +165,7 @@ def _column_data(algebra, spec1: LatticeSpec, spec2: LatticeSpec, budget: Search
                 constraint = constraint.intersection(subs[k])
             covers[key] = constraint, spec2.log_cover_lattice(constraint)
         constraint, lattice = covers[key]
-        norm1 = sum(abs(x) for x in gen)
-        box = Fraction(budget.bound) * norm1
-        col = _Column(i, gen, constraint, lattice, box, spec2)
+        col = _Column(i, gen, constraint, lattice, budget.bound, spec2)
         col.central = center.contains(gen)
         cols.append(col)
     return cols
@@ -220,69 +221,50 @@ def _outside_bracket_span(first: _Column, second: _Column, target) -> bool:
 def _solve_column_system(col: _Column, constraints):
     """Integer solutions x of [x, u_j] = rhs_j with x in the column lattice.
 
-    The system comes from `_column_rows`; the search needs a particular
+    The depth-first step's system, from `_column_rows`: it needs a particular
     solution (`solve_integer`) and a kernel basis (`integer_kernel`), while
     the probe, which needs feasibility alone, asks `integer_solvable`.
     Returns None when infeasible, else (u0, directions): the particular
-    solution and the images of a kernel basis, integer vectors over col.den.
+    solution and the images of the Hermite kernel basis, integer vectors over
+    col.den, echelon as `_enumerate_affine` takes them.
     """
     basis = col.basis
-    k = len(basis)
     n = col.lattice.ambient
-    if k == 0:
-        if all(not any(rhs) for _, (rhs, _den) in constraints):
-            return (0,) * n, []
+    int_rows, int_rhs = _column_rows(col, constraints)
+    x0 = solve_integer(int_rows, int_rhs)
+    if x0 is None:
         return None
-    if constraints:
-        int_rows, int_rhs = _column_rows(col, constraints)
-        x0 = solve_integer(int_rows, int_rhs)
-        if x0 is None:
-            return None
-        kern = integer_kernel(int_rows)
-    else:
-        x0 = [0] * k
-        kern = identity(k)
 
     def image(x):
-        return tuple(sum(x[j] * basis[j][m] for j in range(k)) for m in range(n))
+        return tuple(sum(c * b[m] for c, b in zip(x, basis)) for m in range(n))
 
-    return image(x0), [image(kv) for kv in kern]
+    return image(x0), [image(kv) for kv in integer_kernel(int_rows)]
 
 
 def _enumerate_affine(u0, directions, box, ceiling, counter):
     """All points u0 + sum z_r directions[r] with every |coordinate| <= box.
 
-    Points are integer vectors; box may be a Fraction.  The search radius of
-    each z_r comes from the Gram inverse, once per call.  A coordinate that
-    no later direction touches is final once z_r is chosen, so each level
-    only runs z over the range that keeps those coordinates in the box; for
-    echelon directions (a lattice's Hermite basis) that prunes every level.
+    Everything is on ints, and the directions are echelon, as a lattice's
+    Hermite basis and its images of Hermite kernel rows are: each is nonzero
+    and its pivot (first nonzero coordinate) lies strictly right of the
+    previous one's.  Anything else raises ValueError.  Each level runs z,
+    ascending, over the range that keeps in the box the coordinates no later
+    direction moves, its own pivot among them; the coordinates no direction
+    moves are checked once, first.
     """
-    ambient = len(u0)
-    limit = int(box)
+    if type(box) is not int:
+        raise ValueError("the box must be an int")
+    pivot = -1
+    for d in directions:
+        p = next((m for m, x in enumerate(d) if x), None)
+        if p is None or p <= pivot:
+            raise ValueError("directions must be nonzero with strictly increasing pivots")
+        pivot = p
     f = len(directions)
-    if f == 0:
-        if all(abs(x) <= limit for x in u0):
-            counter[0] += 1
-            if counter[0] > ceiling:
-                raise SearchSpaceExceeded("node ceiling exceeded")
-            yield tuple(u0)
+    last = {m: r for r, d in enumerate(directions) for m, x in enumerate(d) if x}
+    settled = [[m for m, r in last.items() if r == level] for level in range(f)]
+    if any(abs(x) > box for m, x in enumerate(u0) if m not in last):
         return
-    gram = [
-        [sum(a * b for a, b in zip(directions[r], directions[s])) for s in range(f)]
-        for r in range(f)
-    ]
-    ginv = invert_rational(gram)
-    pinv = [
-        [sum(ginv[r][s] * directions[s][m] for s in range(f)) for m in range(ambient)]
-        for r in range(f)
-    ]
-    radius = []
-    for r in range(f):
-        total = sum(abs(pinv[r][m]) * (box + abs(u0[m])) for m in range(ambient))
-        radius.append(int(total) + 1)
-    last = [max((r for r, d in enumerate(directions) if d[m]), default=0) for m in range(ambient)]
-    settled = [[m for m in range(ambient) if last[m] == r] for r in range(f)]
 
     def rec(r, partial):
         if r == f:
@@ -292,14 +274,10 @@ def _enumerate_affine(u0, directions, box, ceiling, counter):
             yield tuple(partial)
             return
         d = directions[r]
-        low, high = -radius[r], radius[r]
-        for m in settled[r]:
-            if d[m]:
-                # The z with |p + z dm| <= limit, after flipping signs to dm > 0.
-                p, dm = (partial[m], d[m]) if d[m] > 0 else (-partial[m], -d[m])
-                low, high = max(low, -((limit + p) // dm)), min(high, (limit - p) // dm)
-            elif abs(partial[m]) > limit:
-                return
+        # The z with |p + z dm| <= box, after flipping signs to dm > 0.
+        spans = [(partial[m], d[m]) if d[m] > 0 else (-partial[m], -d[m]) for m in settled[r]]
+        low = max(-((box + p) // dm) for p, dm in spans)
+        high = min((box - p) // dm for p, dm in spans)
         for z in range(low, high + 1):
             if z == 0:
                 nxt = partial
@@ -354,8 +332,6 @@ def _probe_pairs(algebra, brackets, cols):
 def _central_assignments(cols, spec2, budget, counter):
     """All ways to map the central generators onto the central lattice."""
     central_cols = [c for c in cols if c.central]
-    if not central_cols:
-        return [{}]
     target = spec2.center_intersection()
     out = []
 

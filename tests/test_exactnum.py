@@ -133,6 +133,21 @@ def test_snf_transforms_and_kernel():
             )
 
 
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(2), True, 2.0])
+def test_hermite_and_smith_forms_take_ints_only(bad):
+    # Truncating would be silently wrong: hnf would read 3/2 as 1, and
+    # integer_solvable would call x/2 = 1 infeasible although x = 2 solves it.
+    m = [[bad, 1], [0, 2]]
+    for form in (hnf, snf):
+        with pytest.raises(TypeError, match="int entries"):
+            form(m)
+    with pytest.raises(TypeError, match="int entries"):
+        integer_solvable([[bad]], [1])
+    # A zero row is checked too, though hnf drops it.
+    with pytest.raises(TypeError, match="int entries"):
+        hnf([[1, 0], [0, Fraction(0)]])
+
+
 def test_solve_integer():
     m = [[2, 0], [0, 3]]
     assert solve_integer(m, [4, 9]) == [2, 3]

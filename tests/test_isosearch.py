@@ -331,7 +331,7 @@ def affine_boxes(draw):
     entry = st.integers(-3, 3)
     directions = [[draw(entry) for _ in range(n)] for _ in range(f)]
     if draw(st.booleans()):
-        # Echelon directions, as a lattice's Hermite basis: every level prunes.
+        # Already a Hermite basis: the test then compares the order too.
         directions = hnf(directions)
     if directions:
         gram = [[sum(a * b for a, b in zip(d, e)) for e in directions] for d in directions]
@@ -364,9 +364,35 @@ def test_pruned_enumeration_matches_the_full_z_box(case):
         u = tuple(u0[m] + sum(z[r] * directions[r][m] for r in range(f)) for m in range(n))
         if all(abs(x) <= box for x in u):
             expected.append(u)
+    # The enumerator takes echelon directions and an int box: the Hermite
+    # form spans the same lattice, so the points are the same, in the same
+    # order when the drawn directions are that form already.
+    echelon = hnf(directions)
     counter = [0]
-    assert list(_enumerate_affine(u0, directions, box, 10**6, counter)) == expected
+    got = list(_enumerate_affine(u0, echelon, int(box), 10**6, counter))
+    assert sorted(got) == sorted(expected)
+    if echelon == directions:
+        assert got == expected
     assert counter == [len(expected)]
+
+
+@pytest.mark.parametrize(
+    "directions",
+    [
+        [[0, 0, 0]],  # a zero direction
+        [[1, 0, 0], [0, 0, 0]],
+        [[0, 1, 0], [1, 0, 0]],  # pivots out of order
+        [[1, 0, 0], [2, 1, 0]],  # two pivots in one column
+    ],
+)
+def test_enumeration_refuses_directions_that_are_not_echelon(directions):
+    with pytest.raises(ValueError, match="pivots"):
+        list(_enumerate_affine([0, 0, 0], directions, 2, 10**6, [0]))
+
+
+def test_enumeration_refuses_a_box_that_is_not_an_int():
+    with pytest.raises(ValueError, match="box"):
+        list(_enumerate_affine([0, 0], [[1, 0]], F(5, 2), 10**6, [0]))
 
 
 # -- the span test and lazy membership ---------------------------------------
@@ -376,8 +402,8 @@ def _eager_members(col, ceiling, counter):
     """The eager candidate list: every boxed point filtered by Malcev
     membership, then sorted.  The points are listed first, so a column over
     the ceiling raises before any membership test."""
-    u0, directions = _solve_column_system(col, [])
-    raw = list(_enumerate_affine(u0, directions, col.box, ceiling, counter))
+    origin = (0,) * col.lattice.ambient
+    raw = list(_enumerate_affine(origin, col.basis, col.box, ceiling, counter))
     return sorted((u for u in raw if col.spec2.contains_scaled(u, col.den)), key=col.sort_key)
 
 

@@ -175,6 +175,13 @@ def test_only_solve_integer_calls_snf():
     assert _callers("snf") == {("intlattice.py", ("solve_integer",))}
 
 
+def test_the_enumeration_does_no_rational_elimination():
+    # Columns are enumerated on echelon integer directions; the one rational
+    # inverse in the search is the generator matrix its verify leaf uses.
+    callers = {c for c in _callers("invert_rational") if c[0] == "isosearch.py"}
+    assert callers == {("isosearch.py", ("bounded_lattice_isomorphism_search",))}
+
+
 # Public functions and methods with no caller in the package, each used only
 # by tests, with the reason it stays.  The list only shrinks: move a helper
 # into tests/ or give it a caller.

@@ -189,6 +189,21 @@ def test_pair_records_are_the_direct_calls(example_id):
         )
 
 
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_moore_wolf_multiplicity_is_homogeneous_in_c(example_id):
+    # sector_check decides the Moore-Wolf sector at tau0 alone: c tau0 occurs
+    # on both lattices, with |c|^(r/2) times tau0's multiplicity, r = dim g - dim z.
+    record = load(example_id)
+    tau0 = central_dual_generator(record.spec1)
+    half = (record.algebra.dim - record.algebra.center().dim) // 2
+    base = record.moore_wolf(tau0)
+    for c in range(-5, 6):
+        if c:
+            for got, ref in zip(record.moore_wolf(tuple(c * t for t in tau0)), base):
+                assert got.occurs and ref.occurs, c
+                assert got.multiplicity == abs(c) ** half * ref.multiplicity, c
+
+
 def test_pair_records_follow_the_lattice_order(monkeypatch):
     # The bundled pairs' Moore-Wolf records agree on every central functional
     # tried, so only the arguments show which lattice each record came from.
