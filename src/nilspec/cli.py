@@ -27,7 +27,7 @@ from .isosearch import (
 )
 from .lattices import LatticeSpec
 from .liealg import CERTIFY_SAMPLES, DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
-from .registry import EXAMPLE_IDS, load, load_lattices, parse_algebra, parse_witness, table_one
+from .registry import EXAMPLE_IDS, load, load_lattices, parse_algebra, table_one
 
 
 class InputError(Exception):
@@ -108,14 +108,14 @@ def cmd_validate(args) -> int:
 def _pair_from_files(args):
     """The pair and optional witness named by --files and --witness."""
     from .geometry import Metric
-    from .repspec import Pair
+    from .repspec import Pair, Witness
 
     alg_path, metric_path, path1, path2 = args.files
     alg = _parse_file(alg_path, parse_algebra)
     metric = _parse_file(metric_path, Metric.from_json, alg)
     spec1 = _parse_file(path1, LatticeSpec.from_json, alg)
     spec2 = _parse_file(path2, LatticeSpec.from_json, alg)
-    witness = _parse_file(args.witness, parse_witness) if args.witness else None
+    witness = _parse_file(args.witness, Witness.from_json) if args.witness else None
     pair = Pair("files", alg, metric, spec1, spec2)
     try:
         # What the certifiers project; a lattice they cannot project is bad input.
@@ -139,7 +139,7 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def cmd_certify(args) -> int:
-    from .repspec import certify_isospectral, certify_rep_equivalent
+    from .repspec import CERTIFICATE_KINDS, certify_isospectral, certify_rep_equivalent
 
     # Every input names one pair; nothing given is dropped unread.
     if args.witness and not args.files:
@@ -153,9 +153,10 @@ def cmd_certify(args) -> int:
     saved = _read_json(args.replay) if args.replay else None
     if args.replay and (not isinstance(saved, dict) or not {"pair", "kind"} <= saved.keys()):
         raise InputError(f"{args.replay} is not a certificate: needs 'pair' and 'kind'")
+    if args.replay and saved["kind"] not in CERTIFICATE_KINDS:
+        raise InputError(f"{args.replay}: no certifier makes a certificate of kind {saved['kind']!r}")
     if args.files:
-        pair, iso_witness = _pair_from_files(args)
-        rep_witness = iso_witness
+        pair, witness = _pair_from_files(args)
     elif args.replay and saved["pair"] == "files":
         raise InputError(
             "certificate was made with --files; replay it with the same "
@@ -163,14 +164,11 @@ def cmd_certify(args) -> int:
         )
     else:
         pair = _load_record(saved["pair"] if args.replay else args.target)
-        iso_witness, rep_witness = pair.quotient_witness, pair.rep_equivalent_witness
+        witness = pair.quotient_witness
     if args.replay:
-        if saved["kind"] == "isospectral":
-            if iso_witness is None:
-                raise InputError("replaying an isospectral certificate needs --witness")
-            certify, witness = certify_isospectral, iso_witness
-        else:
-            certify, witness = certify_rep_equivalent, rep_witness
+        if saved["kind"] == "isospectral" and witness is None:
+            raise InputError("replaying an isospectral certificate needs --witness")
+        certify = certify_isospectral if saved["kind"] == "isospectral" else certify_rep_equivalent
         fresh = certify(pair, witness, n_samples=args.samples, seed=args.seed)
         same = fresh.to_json() == saved
         payload = {"replay_matches": same, "certificate": fresh.to_json()}
@@ -178,11 +176,11 @@ def cmd_certify(args) -> int:
         return 0 if same else 1
 
     iso_cert = (
-        certify_isospectral(pair, iso_witness, n_samples=args.samples, seed=args.seed)
-        if iso_witness
+        certify_isospectral(pair, witness, n_samples=args.samples, seed=args.seed)
+        if witness
         else None
     )
-    cor = certify_rep_equivalent(pair, rep_witness, n_samples=args.samples, seed=args.seed)
+    cor = certify_rep_equivalent(pair, witness, n_samples=args.samples, seed=args.seed)
     payload = {
         "isospectral": iso_cert.to_json() if iso_cert else None,
         "rep_equivalence": cor.to_json(),

@@ -11,8 +11,10 @@ import math
 from fractions import Fraction
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse a rational serialized as "p" or "p/q"."""
-    return Fraction(s.strip())
+    """Parse a rational serialized as "p" or "p/q"; anything but a str is a TypeError."""
+    if not isinstance(s, str):
+        raise TypeError(f'a rational is a string "p" or "p/q", got {s!r}')
+    return Fraction(s)
 
 
 def rat_to_str(x: Fraction) -> str:

@@ -542,7 +542,7 @@ def distinguish_pair(record, n_samples: int = SECTOR_SAMPLES, seed: int = DEFAUL
     compared by ``repspec.sector_check`` in the mode configured per example.
     """
     out = {"example": record.name}
-    cor = certify_rep_equivalent(record, record.rep_equivalent_witness, seed=seed)
+    cor = certify_rep_equivalent(record, record.quotient_witness, seed=seed)
     if cor.kind == "rep_equivalent" and cor.ok:
         out["verdict"] = "one_form_isospectral"
         out["reason"] = "representation equivalent fundamental groups"

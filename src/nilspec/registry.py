@@ -1,12 +1,12 @@
-"""Bundled example pairs: algebras, lattices, metrics, witnesses, targets.
+"""Bundled example pairs: algebras, lattices, metrics, one witness per pair, targets.
 
 Five pairs ship as JSON under ``nilspec/data`` (override the directory with
 the ``NILSPEC_DATA`` environment variable).  ``load_lattices`` parses and
 validates an example's algebra and its two lattices alone, which is all the
 isomorphism search reads; ``load`` returns the fully validated record, a
 ``repspec.ExampleRecord`` (a ``repspec.Pair`` that also carries the
-example's witnesses and targets); ``table_one`` recomputes the comparison
-table from scratch.  The metric, sector and one-form modules are imported
+example's one quotient witness, read by both certifiers, and its targets);
+``table_one`` recomputes the comparison table from scratch.  The metric, sector and one-form modules are imported
 only by the functions that build or use them.
 """
 
@@ -44,20 +44,6 @@ def parse_algebra(data: dict) -> NilLieAlgebra:
     return algebra
 
 
-def parse_witness(data: dict):
-    from .repspec import Witness
-
-    if data["kind"] == "composite":
-        return Witness(
-            kind="composite",
-            factors=[parse_witness(f) for f in data["factors"]],
-            name=data.get("name", ""),
-        )
-    return Witness(
-        kind=data["kind"], matrix=_parse_matrix(data["matrix"]), name=data.get("name", "")
-    )
-
-
 def _read_example(example_id: str):
     """(data, algebra, spec1, spec2): an example's JSON with its algebra and lattices validated."""
     if example_id not in EXAMPLE_IDS:
@@ -84,7 +70,7 @@ def load(example_id: str):
         return _CACHE[example_id]
     from .geometry import Metric
     from .oneform import Candidate
-    from .repspec import ExampleRecord, SectorFlag
+    from .repspec import ExampleRecord, SectorFlag, Witness
 
     data, algebra, spec1, spec2 = _read_example(example_id)
     metric = Metric.from_json(data["metric"], algebra)
@@ -99,12 +85,7 @@ def load(example_id: str):
         metric=metric,
         spec1=spec1,
         spec2=spec2,
-        quotient_witness=parse_witness(data["quotient_witness"]),
-        rep_equivalent_witness=(
-            parse_witness(data["rep_equivalent_witness"])
-            if data.get("rep_equivalent_witness")
-            else None
-        ),
+        quotient_witness=Witness.from_json(data["quotient_witness"]),
         sector_flag=flag,
         sector_modes=dict(data["sector_modes"]),
         pairing_map=_parse_matrix(data["pairing_map"]) if data.get("pairing_map") else None,

@@ -24,12 +24,13 @@ from __future__ import annotations
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import NamedTuple
 
 from .exactnum import IntLattice, perfect_square_root, pfaffian
 from .exactnum.matrix import bareiss_det, identity, mat_mul, mat_vec, solve_rational, transpose
-from .exactnum.scalars import rat_to_str
+from .exactnum.scalars import rat_from_str, rat_to_str
 from .geometry import Metric
 from .lattices import LatticeSpec, maps_onto, quotient_covolume
 from .liealg import (
@@ -120,7 +121,7 @@ class Pair:
 
 
 class ExampleRecord(Pair):
-    """A bundled Pair with its witnesses, sector data and eigenvalue target."""
+    """A bundled Pair with the one witness both certifiers read, its sector data and targets."""
 
     def __init__(
         self,
@@ -130,7 +131,6 @@ class ExampleRecord(Pair):
         spec1: LatticeSpec,
         spec2: LatticeSpec,
         quotient_witness: Witness,
-        rep_equivalent_witness: Witness | None,
         sector_flag: SectorFlag,
         sector_modes: dict,
         pairing_map: list | None,
@@ -140,7 +140,6 @@ class ExampleRecord(Pair):
     ):
         super().__init__(name, algebra, metric, spec1, spec2)
         self.quotient_witness = quotient_witness
-        self.rep_equivalent_witness = rep_equivalent_witness
         self.sector_flag = sector_flag
         self.sector_modes = sector_modes
         self.pairing_map = pairing_map
@@ -299,19 +298,31 @@ def central_dual_generator(spec: LatticeSpec) -> tuple:
 
 
 class Witness(NamedTuple):
+    """A quotient map: one matrix of an atom kind, or the product of one or more factors."""
+
     kind: str  # "almost_inner" | "inner" | "isometry" | "composite"
     matrix: list | None = None
     factors: list | tuple = ()
     name: str = ""
 
+    @classmethod
+    def from_json(cls, data: dict) -> Witness:
+        """The witness in data; an unknown kind or a composite without factors is a ValueError."""
+        kind = data["kind"]
+        name = data.get("name", "")
+        if kind == "composite":
+            factors = [cls.from_json(f) for f in data["factors"]]
+            if not factors:
+                raise ValueError(f"composite witness {name or kind!r} has no factors")
+            return cls(kind, factors=factors, name=name)
+        if kind not in ("almost_inner", "inner", "isometry"):
+            raise ValueError(f"unknown witness kind {kind!r}")
+        return cls(kind, matrix=[[rat_from_str(x) for x in row] for row in data["matrix"]], name=name)
+
     def total_matrix(self):
         if self.kind != "composite":
             return self.matrix
-        total = None
-        for f in self.factors:
-            m = f.total_matrix()
-            total = m if total is None else mat_mul(total, m)
-        return total
+        return reduce(mat_mul, (f.total_matrix() for f in self.factors))
 
     def atoms(self):
         if self.kind == "composite":
@@ -351,9 +362,12 @@ def is_isometry(metric: Metric, m) -> bool:
 # -- certificates -----------------------------------------------------------------
 
 
+CERTIFICATE_KINDS = ("isospectral", "rep_equivalent", "not_rep_equivalent")
+
+
 class Certificate:
     def __init__(self, kind: str, ok: bool, pair: str):
-        self.kind = kind  # "isospectral" | "rep_equivalent" | "not_rep_equivalent"
+        self.kind = kind  # one of CERTIFICATE_KINDS
         self.ok = ok
         self.pair = pair
         self.checked_claims = []
@@ -414,8 +428,7 @@ def _verify_atom(cert: Certificate, qalg, qmetric, atom: Witness,
             note="verified_on_sample",
         )
         return verdict.ok
-    cert.claim(f"{label}:kind", False, unknown_kind=atom.kind)
-    return False
+    raise ValueError(f"unknown witness kind {atom.kind!r}")
 
 
 def _witness_maps_lattices(cert: Certificate, label, qspec1, qspec2, total) -> bool:

@@ -43,8 +43,7 @@ def write_files_input(directory, record) -> list:
     """Write the record's pair as alg, met, l1, l2 and w JSON files under directory.
 
     Returns ``["--files", ALGEBRA, METRIC, LAT1, LAT2, "--witness", WITNESS]``;
-    the witness is the record's representation-equivalence witness, which
-    must exist.
+    the witness is the record's quotient witness, the one both certifiers read.
     """
     ref = f"dim{record.algebra.dim}"
     data = {
@@ -52,7 +51,7 @@ def write_files_input(directory, record) -> list:
         "met": metric_json(record.metric, ref),
         "l1": lattice_json(record.spec1, ref),
         "l2": lattice_json(record.spec2, ref),
-        "w": record.rep_equivalent_witness.to_json(),
+        "w": record.quotient_witness.to_json(),
     }
     paths = {}
     for key, value in data.items():

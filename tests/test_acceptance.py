@@ -201,7 +201,7 @@ def test_criterion_6_certificates():
     t0 = time.monotonic()
     for ex in ("I", "II"):
         record = load(ex)
-        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
+        cert = certify_rep_equivalent(record, record.quotient_witness)
         assert cert.kind == "rep_equivalent" and cert.ok
     for ex in ("III", "IV"):
         record = load(ex)

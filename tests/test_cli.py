@@ -11,7 +11,7 @@ from nilspec import cli, oneform, repspec
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
 from nilspec.oneform import Candidate
-from nilspec.registry import load
+from nilspec.registry import EXAMPLE_IDS, load
 
 from json_writers import algebra_json, write_files_input
 from oneform_references import pmul, poly
@@ -255,7 +255,7 @@ def test_replay_of_a_non_certificate_is_input_error(tmp_path, capsys):
 def test_certify_inputs_it_would_not_read_are_input_errors(argv, flag, tmp_path, capsys):
     files = write_files_input(tmp_path, load("II"))[:5]
     cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"pair": "II", "kind": "rep_equivalence"}))
+    cert.write_text(json.dumps({"pair": "II", "kind": "rep_equivalent"}))
     expanded = []
     for arg in argv:
         expanded += files if arg == "{files}" else [arg.format(cert=cert)]
@@ -620,3 +620,70 @@ def test_witness_of_the_wrong_shape_is_input_error(matrix, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "w.json" in err and "4x4" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "name, keys, command",
+    [
+        ("alg", ("brackets", 0, 2, 0, 1), "certify"),
+        ("met", ("orthonormal_columns", 0, 0), "certify"),
+        ("l1", ("generators", 0, 0), "certify"),
+        ("w", ("matrix", 0, 0), "certify"),
+        ("alg", ("brackets", 0, 2, 0, 1), "validate"),
+    ],
+    ids=["alg", "met", "l1", "w", "validate"],
+)
+def test_a_json_number_for_a_rational_is_input_error(name, keys, command, tmp_path, capsys):
+    # A rational is a "p" or "p/q" string; a bare number used to exit 4 with an AttributeError.
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / f"{name}.json"
+    data = json.loads(path.read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = 1
+    path.write_text(json.dumps(data))
+    argv = [str(path)] if command == "validate" else files
+    code, out, err = invoke(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert f"{path}:" in err and '"p/q"' in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"kind": "foo", "name": "w", "matrix": UNIT4}, "unknown witness kind 'foo'"),
+        ({"kind": "composite", "name": "empty", "factors": []}, "'empty' has no factors"),
+    ],
+    ids=["unknown-kind", "composite-without-factors"],
+)
+def test_a_malformed_witness_is_input_error(witness, message, tmp_path, capsys):
+    # An unknown kind used to read as NOT CERTIFIED (exit 1), an empty composite as exit 4.
+    files = write_files_input(tmp_path, load("II"))
+    (tmp_path / "w.json").write_text(json.dumps(witness))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert "w.json" in err and message in err and "internal error" not in err
+
+
+def test_replay_of_a_kind_no_certifier_makes_is_input_error(tmp_path, capsys):
+    # It used to replay as rep_equivalent and report a MISMATCH (exit 1).
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"pair": "I", "kind": "foo"}))
+    code, out, err = invoke(capsys, "certify", "--replay", str(path))
+    assert (code, out) == (2, "")
+    assert "cert.json" in err and "'foo'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_a_bundled_pair_certifies_as_its_files_export(example_id, tmp_path, capsys):
+    # The export carries the pair's one witness, which both certifiers read on either path.
+    files = write_files_input(tmp_path, load(example_id))
+    code, out, _ = invoke(capsys, "--json", "--seed", "1", "certify", example_id)
+    files_code, files_out, _ = invoke(capsys, "--json", "--seed", "1", "certify", *files)
+    assert files_code == code
+    exported = json.loads(files_out)
+    for cert in exported.values():
+        assert cert["pair"] == "files"
+        cert["pair"] = example_id
+    assert exported == json.loads(out)

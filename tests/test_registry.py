@@ -21,11 +21,11 @@ DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "nilspec" / "da
 # Golden data integrity: silent edits to the bundled files must fail here.
 CHECKSUMS = {
     "algebras.json": "6815fd11625636e22f58e17d8b6b9349c749ce27a351aee2ce212e7f2b9d17cf",
-    "example_I.json": "7d40e743a5947d541bececf277bdef0d0df2139bf978abb590ad8ab8cd6b9e1b",
-    "example_II.json": "17622dea6c3e47f6787e0dd78d33a042ec54ebd417ad01f7401a41efe48da283",
-    "example_III.json": "40b611597e70f2cfab76e6127ac0c9233c34a0d710e8cf7e3bc9e115c432fcc3",
-    "example_IV.json": "b20e97ad0670ea05d510ebd3efe893fdcff00d37d351eac8631ae0d3b8c8a58a",
-    "example_V.json": "ef8fb2e8a44500c330ebc4ed80b339efba4ec2d3cd98baae613596e2344603c3",
+    "example_I.json": "6925ec219e4806c2292091b844c7d8915055610fc12f4c1e6f13452300a223dc",
+    "example_II.json": "7a01c5a2e963fce8f128923b4ef74bf7a259216b5aecd352372de6554f585121",
+    "example_III.json": "cf4a1408789de3352a67ded1e981b353f1d59a3275228fa2eb6d05365c109d83",
+    "example_IV.json": "0d2c41f788b33794a4b5fe740ea326656663b74bdd7db5f2494207f24c36ae4a",
+    "example_V.json": "ada067cd8f1e57cf702c0b210f25c9886427509f13c7d01e282bc32493017053",
 }
 
 
@@ -121,6 +121,26 @@ def test_nilspec_data_override(tmp_path, monkeypatch):
         load("I")
     monkeypatch.delenv("NILSPEC_DATA")
     reg._CACHE.clear()
+
+
+def test_a_data_copy_with_a_second_witness_key_loads_as_before(tmp_path, monkeypatch):
+    # Older data files also carried "rep_equivalent_witness"; the key is not read.
+    import shutil
+
+    import nilspec.registry as reg
+
+    bundled = load("I").quotient_witness
+    for name in CHECKSUMS:
+        shutil.copy(DATA_DIR / name, tmp_path / name)
+    path = tmp_path / "example_I.json"
+    data = json.loads(path.read_text())
+    data["rep_equivalent_witness"] = {"kind": "unread"}
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv("NILSPEC_DATA", str(tmp_path))
+    monkeypatch.setattr(reg, "_CACHE", {})
+    record = load("I")
+    assert record.quotient_witness == bundled
+    assert not hasattr(record, "rep_equivalent_witness")
 
 
 @pytest.mark.parametrize("override", [None, ""], ids=["unset", "empty"])

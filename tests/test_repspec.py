@@ -222,7 +222,7 @@ def test_certify_isospectral_rejects_identity_witness():
 def test_certify_rep_equivalent_positive():
     for ex in ("I", "II"):
         record = load(ex)
-        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
+        cert = certify_rep_equivalent(record, record.quotient_witness)
         assert cert.kind == "rep_equivalent" and cert.ok
 
 
@@ -237,9 +237,11 @@ def test_certify_rep_equivalent_self_pair():
 
 
 def test_certify_rep_equivalent_negative():
+    # Each quotient witness has an isometry atom, which certifies isospectrality only.
     for ex in ("III", "IV", "V"):
         record = load(ex)
-        cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
+        assert "isometry" in {atom.kind for atom in record.quotient_witness.atoms()}
+        cert = certify_rep_equivalent(record, record.quotient_witness)
         assert cert.kind == "not_rep_equivalent" and cert.ok
         claim = cert.checked_claims[0]
         assert claim["name"] == "occurrence_mismatch"

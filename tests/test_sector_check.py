@@ -221,6 +221,6 @@ def test_pair_records_follow_the_lattice_order(monkeypatch):
 def test_one_form_isospectral_exactly_when_rep_equivalent(example_id):
     # table_one reads the rep-equivalence column from this verdict.
     record = load(example_id)
-    cert = certify_rep_equivalent(record, record.rep_equivalent_witness)
+    cert = certify_rep_equivalent(record, record.quotient_witness)
     verdict = distinguish_pair(record)["verdict"]
     assert (verdict == "one_form_isospectral") == (cert.kind == "rep_equivalent" and cert.ok)
