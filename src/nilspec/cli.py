@@ -3,10 +3,17 @@
 Subcommands: validate, certify, multiplicities, distinguish, table1,
 search-iso.  Exit code 0 on success, 1 on a valid-but-negative verdict
 (for example "not representation equivalent"), 2 on input errors, 3 when
-search-iso hits its node ceiling before a verdict, and 4 when an internal
-invariant fails (an exact division with a remainder, a failed consistency
-check) or any other exception escapes: that is a bug or corrupt bundled
-data, never a verdict.
+search-iso hits its node ceiling before a verdict, and 4 on anything else.
+
+Input is checked where it is read.  The readers of user files
+(``NilLieAlgebra.from_json``, ``Metric.from_json``, ``LatticeSpec.from_json``
+and ``Witness.from_json``, whose matrices go through
+``exactnum.scalars.rat_matrix``) and the constructors behind them raise a
+ValueError that names what they reject, or a KeyError for a missing key;
+``_parse_file`` reports either as an input error naming the file.  Any other
+exception is a failed invariant, such as an exact division with a remainder
+or a failed consistency check: a bug or corrupt bundled data, exit 4, never
+a verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 
 from .exactnum import IntLattice
 from .exactnum.matrix import mat_vec
-from .exactnum.scalars import rat_from_str, rat_to_str
+from .exactnum.scalars import rat_matrix, rat_to_str
 from .isosearch import (
     SearchBudget,
     SearchOutcome,
@@ -44,13 +51,15 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-# What the constructors raise on a malformed or inconsistent user file.
-_BAD_FILE = (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError)
+# What the readers and constructors raise on a malformed or inconsistent user file.
+_BAD_FILE = (ValueError, KeyError)
 
 
 def _parse_file(path: str, parse, *args):
-    """parse(data, *args) on the JSON in path; its complaints are input errors."""
+    """parse(data, *args) on the JSON object in path; its complaints are input errors."""
     data = _read_json(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level is not a JSON object")
     try:
         return parse(data, *args)
     except KeyError as exc:
@@ -80,10 +89,7 @@ def _emit(args, payload: dict, text_lines):
 
 def cmd_validate(args) -> int:
     algebra = _parse_file(args.target, NilLieAlgebra.from_json)
-    try:
-        report = algebra.validate()
-    except _BAD_FILE as exc:
-        raise InputError(f"{args.target}: {exc}") from exc
+    report = algebra.validate()
     payload = {
         "jacobi_ok": report.jacobi_ok,
         "jacobi_violations": report.jacobi_violations,
@@ -112,6 +118,8 @@ def _pair_from_files(args):
 
     alg_path, metric_path, path1, path2 = args.files
     alg = _parse_file(alg_path, parse_algebra)
+    if alg.step < 2:
+        raise InputError(f"{alg_path}: the algebra is abelian; the certifiers need step 2 or 3")
     metric = _parse_file(metric_path, Metric.from_json, alg)
     spec1 = _parse_file(path1, LatticeSpec.from_json, alg)
     spec2 = _parse_file(path2, LatticeSpec.from_json, alg)
@@ -155,6 +163,8 @@ def cmd_certify(args) -> int:
         raise InputError(f"{args.replay} is not a certificate: needs 'pair' and 'kind'")
     if args.replay and saved["kind"] not in CERTIFICATE_KINDS:
         raise InputError(f"{args.replay}: no certifier makes a certificate of kind {saved['kind']!r}")
+    if args.replay and not isinstance(saved["pair"], str):
+        raise InputError(f"{args.replay}: the pair is an example id or 'files', got {saved['pair']!r}")
     if args.files:
         pair, witness = _pair_from_files(args)
     elif args.replay and saved["pair"] == "files":
@@ -283,11 +293,10 @@ def _cross_check(record, report) -> dict:
     from .oneform import assemble_E, det_vanishes_by_norm
 
     lam, algebra, metric = record.eigen_candidate, record.algebra, record.metric
+    rows = [row for rows in report.get("per_tau", {}).values() for row in rows]
     agrees = [
-        det_vanishes_by_norm(assemble_E(algebra, metric, tuple(map(rat_from_str, row["tau"]))), lam)
-        == row["det_zero"]
-        for rows in report.get("per_tau", {}).values()
-        for row in rows
+        det_vanishes_by_norm(assemble_E(algebra, metric, tuple(tau)), lam) == row["det_zero"]
+        for tau, row in zip(rat_matrix([row["tau"] for row in rows]), rows)
     ]
     return {"ok": all(agrees) if agrees else None, "count": len(agrees)}
 

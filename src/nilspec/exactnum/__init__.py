@@ -30,7 +30,7 @@ from .intlattice import (
     snf,
     solve_integer,
 )
-from .scalars import perfect_square_root, rat_from_str, rat_to_str
+from .scalars import perfect_square_root, rat_from_str, rat_matrix, rat_to_str
 
 __all__ = [
     "IntLattice",
@@ -47,6 +47,7 @@ __all__ = [
     "pfaffian",
     "rank_and_kernel",
     "rat_from_str",
+    "rat_matrix",
     "rat_to_str",
     "rref",
     "snf",

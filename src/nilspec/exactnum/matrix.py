@@ -29,19 +29,23 @@ def identity(n: int):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+# mat_mul and mat_vec skip each product with a zero factor but the first,
+# which keeps an entry's type that of the inputs.
 def mat_mul(a, b):
-    ra, ca = dims(a)
+    ca = dims(a)[1]
     rb, cb = dims(b)
     if ca != rb:
         raise ValueError("dimension mismatch in matrix product")
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(1, ca)), a[i][0] * b[0][j]) for j in range(cb)]
-        for i in range(ra)
-    ]
+    out = []
+    for row in a:
+        nz = [(k, x) for k, x in enumerate(row) if k and x]
+        out.append([sum((x * b[k][j] for k, x in nz if b[k][j]), row[0] * b[0][j]) for j in range(cb)])
+    return out
 
 
 def mat_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(1, len(v))), a[i][0] * v[0]) for i in range(len(a))]
+    nz = [(k, x) for k, x in enumerate(v) if k and x]
+    return [sum((row[k] * x for k, x in nz if row[k]), row[0] * v[0]) for row in a]
 
 
 def transpose(m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import rat_from_str
+from .exactnum import rat_matrix
 from .exactnum.matrix import invert_rational, mat_mul, mat_vec
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import vec
@@ -76,8 +76,7 @@ class Metric:
 
     @staticmethod
     def from_json(data: dict, algebra: NilLieAlgebra) -> "Metric":
-        cols = [[rat_from_str(x) for x in c] for c in data["orthonormal_columns"]]
-        return Metric(algebra, cols)
+        return Metric(algebra, rat_matrix(data["orthonormal_columns"], algebra.dim))
 
 
 def koszul_connection(metric: Metric) -> tuple:

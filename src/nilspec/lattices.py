@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from .exactnum import IntLattice, bareiss_det, rat_from_str
+from .exactnum import IntLattice, bareiss_det, rat_matrix
 from .exactnum.matrix import invert_rational, mat_vec
 from .liealg import NilLieAlgebra, Subspace
 from .vecops import clear_denominators, clear_rows, is_zero_vec, vscale
@@ -222,8 +222,7 @@ class LatticeSpec:
 
     @staticmethod
     def from_json(data: dict, algebra: NilLieAlgebra) -> "LatticeSpec":
-        gens = [[rat_from_str(x) for x in g] for g in data["generators"]]
-        return LatticeSpec(algebra, gens)
+        return LatticeSpec(algebra, rat_matrix(data["generators"], algebra.dim))
 
 
 def maps_onto(psi, spec1: LatticeSpec, spec2: LatticeSpec) -> bool:

@@ -143,6 +143,11 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
+def _json_row(x, types) -> bool:
+    """Whether x is a JSON list of len(types) items of exactly these types (a bool is no int)."""
+    return type(x) is list and len(x) == len(types) and all(type(v) is t for v, t in zip(x, types))
+
+
 class NilLieAlgebra:
     """Lie algebra given by rational structure constants on a fixed basis."""
 
@@ -179,12 +184,35 @@ class NilLieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "NilLieAlgebra":
+        """The algebra in data; a JSON value of the wrong type or shape is a ValueError.
+
+        ``dim`` is an int of at least 1 and ``names`` a list of strings; each
+        bracket is [i, j, terms] with int indices and each term [k, "p/q"],
+        with no pair (i, j) and no k within a bracket listed twice.
+        """
+        dim, names, listed = data["dim"], data["names"], data["brackets"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer of at least 1, got {dim!r}")
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise ValueError(f"names must be a list of strings, got {names!r}")
+        if not isinstance(listed, list):
+            raise ValueError(f"brackets must be a list of [i, j, terms], got {listed!r}")
         brackets = {}
-        for i, j, terms in data["brackets"]:
+        for entry in listed:
+            if not _json_row(entry, (int, int, list)):
+                raise ValueError(f"a bracket is [i, j, terms] with int indices, got {entry!r}")
+            i, j, terms = entry
             if (i, j) in brackets:
                 raise ValueError(f"bracket ({i}, {j}) is listed twice")
-            brackets[(i, j)] = [(k, rat_from_str(c)) for k, c in terms]
-        return NilLieAlgebra(data["dim"], data["names"], brackets)
+            coeffs = {}
+            for term in terms:
+                if not _json_row(term, (int, str)):
+                    raise ValueError(f'bracket ({i}, {j}) has a term that is not [k, "p/q"]: {term!r}')
+                if term[0] in coeffs:
+                    raise ValueError(f"bracket ({i}, {j}) lists index {term[0]} twice")
+                coeffs[term[0]] = rat_from_str(term[1])
+            brackets[(i, j)] = list(coeffs.items())
+        return NilLieAlgebra(dim, names, brackets)
 
     # -- bracket and series ----------------------------------------------------
 
@@ -472,10 +500,11 @@ def _first_outside_span(a, cols):
 
     One integer elimination of [a | cols]: with pivots taken left to right,
     the first pivot past a's columns sits at the first column that lies
-    outside the span of a (the columns before it lie inside).
+    outside the span of a (the columns before it lie inside).  Zero rows of
+    [a | cols] change neither the span nor the pivots, so they are dropped.
     """
     n = len(a[0])
-    aug = [row + [c[k] for c in cols] for k, row in enumerate(a)]
+    aug = [r for r in (row + [c[k] for c in cols] for k, row in enumerate(a)) if any(r)]
     _, pivots, _ = bareiss_echelon(aug)
     return next((c - n for c in pivots if c >= n), None)
 

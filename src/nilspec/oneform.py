@@ -61,7 +61,7 @@ from typing import NamedTuple
 from .exactnum import IntLattice, bareiss_det
 from .exactnum.matrix import mat_vec
 from .exactnum.qforms import enumerate_on_shell, enumerate_up_to
-from .exactnum.scalars import rat_from_str, rat_to_str
+from .exactnum.scalars import rat_matrix, rat_to_str
 from .geometry import Metric, koszul_connection, laplacian_on_invariant_oneforms
 from .liealg import DEFAULT_SEED, SECTOR_SAMPLES, NilLieAlgebra
 from .repspec import certify_rep_equivalent, sector_check
@@ -84,7 +84,7 @@ class Candidate(NamedTuple):
     @classmethod
     def from_json(cls, data: dict) -> "Candidate":
         a, b, q = (
-            _trim((rat_from_str(re), rat_from_str(im)) for re, im in data[key])
+            _trim(map(tuple, rat_matrix(data[key], 2)))
             for key in ("a_coeffs", "b_coeffs", "q_coeffs")
         )
         if len(q) < 2:

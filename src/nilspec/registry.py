@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .exactnum import rat_from_str
+from .exactnum import rat_from_str, rat_matrix
 from .isosearch import SearchBudget, SearchSpaceExceeded, bounded_lattice_isomorphism_search
 from .lattices import LatticeSpec, maps_onto
 from .liealg import NilLieAlgebra, Subspace
@@ -27,10 +27,6 @@ def _data_text(name: str) -> str:
     folder = os.environ.get("NILSPEC_DATA") or os.path.join(os.path.dirname(__file__), "data")
     with open(os.path.join(folder, name), "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _parse_matrix(rows):
-    return [[rat_from_str(x) for x in row] for row in rows]
 
 
 def parse_algebra(data: dict) -> NilLieAlgebra:
@@ -74,10 +70,8 @@ def load(example_id: str):
 
     data, algebra, spec1, spec2 = _read_example(example_id)
     metric = Metric.from_json(data["metric"], algebra)
-    chain = [
-        Subspace(algebra.dim, _parse_matrix(vectors))
-        for vectors in data["sector_chain"]
-    ]
+    n = algebra.dim
+    chain = [Subspace(n, rat_matrix(vectors, n)) for vectors in data["sector_chain"]]
     flag = SectorFlag(chain=chain, labels=list(data["sector_labels"]))
     record = ExampleRecord(
         name=example_id,
@@ -88,8 +82,8 @@ def load(example_id: str):
         quotient_witness=Witness.from_json(data["quotient_witness"]),
         sector_flag=flag,
         sector_modes=dict(data["sector_modes"]),
-        pairing_map=_parse_matrix(data["pairing_map"]) if data.get("pairing_map") else None,
-        iso_witness=_parse_matrix(data["iso_witness"]) if data.get("iso_witness") else None,
+        pairing_map=rat_matrix(data["pairing_map"], n) if data.get("pairing_map") else None,
+        iso_witness=rat_matrix(data["iso_witness"], n) if data.get("iso_witness") else None,
         eigen_candidate=(
             Candidate.from_json(data["eigen_candidate"]) if data.get("eigen_candidate") else None
         ),

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .exactnum import IntLattice, perfect_square_root, pfaffian
 from .exactnum.matrix import bareiss_det, identity, mat_mul, mat_vec, solve_rational, transpose
-from .exactnum.scalars import rat_from_str, rat_to_str
+from .exactnum.scalars import rat_matrix, rat_to_str
 from .geometry import Metric
 from .lattices import LatticeSpec, maps_onto, quotient_covolume
 from .liealg import (
@@ -307,17 +307,21 @@ class Witness(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> Witness:
-        """The witness in data; an unknown kind or a composite without factors is a ValueError."""
+        """The witness in data; a wrong JSON type, an unknown kind or no factors is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a witness is a JSON object, got {data!r}")
         kind = data["kind"]
         name = data.get("name", "")
+        if not isinstance(kind, str) or not isinstance(name, str):
+            raise ValueError(f"a witness's kind and name are strings, got {kind!r} and {name!r}")
         if kind == "composite":
-            factors = [cls.from_json(f) for f in data["factors"]]
-            if not factors:
-                raise ValueError(f"composite witness {name or kind!r} has no factors")
-            return cls(kind, factors=factors, name=name)
+            factors = data["factors"]
+            if not isinstance(factors, list) or not factors:
+                raise ValueError(f"composite witness {name or kind!r} has no factors: {factors!r}")
+            return cls(kind, factors=[cls.from_json(f) for f in factors], name=name)
         if kind not in ("almost_inner", "inner", "isometry"):
             raise ValueError(f"unknown witness kind {kind!r}")
-        return cls(kind, matrix=[[rat_from_str(x) for x in row] for row in data["matrix"]], name=name)
+        return cls(kind, matrix=rat_matrix(data["matrix"]), name=name)
 
     def total_matrix(self):
         if self.kind != "composite":

@@ -24,7 +24,7 @@ def vscale(c, a) -> tuple:
 
 
 def vdot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
 def is_zero_vec(a) -> bool:

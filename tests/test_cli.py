@@ -10,6 +10,7 @@ import pytest
 from nilspec import cli, oneform, repspec
 from nilspec.cli import run
 from nilspec.isosearch import SearchSpaceExceeded
+from nilspec.lattices import LatticeSpec
 from nilspec.oneform import Candidate
 from nilspec.registry import EXAMPLE_IDS, load
 
@@ -687,3 +688,96 @@ def test_a_bundled_pair_certifies_as_its_files_export(example_id, tmp_path, caps
         assert cert["pair"] == "files"
         cert["pair"] = example_id
     assert exported == json.loads(out)
+
+
+def _rewrite(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "name, key", [("l1", "generators"), ("met", "orthonormal_columns"), ("w", "matrix")]
+)
+def test_a_matrix_row_written_as_one_string_is_input_error(name, key, tmp_path, capsys):
+    # Each string row, "20000", used to be read digit by digit and certified.
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / f"{name}.json"
+    _rewrite(path, lambda data: data.update({key: ["".join(row) for row in data[key]]}))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert f"{path}: row 0 is not a list of rationals" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # True used to be read as dim 1 and validated as "dim True".
+        (lambda data: data.update(dim=True), "dim must be an integer of at least 1, got True"),
+        # The second term used to be added to the first.
+        (lambda data: data["brackets"][0][2].append([3, "1"]), "bracket (0, 1) lists index 3 twice"),
+        (lambda data: data.update(names=[1, 2, 3, 4, 5]), "names must be a list of strings"),
+        (lambda data: data["brackets"][0].__setitem__(0, "0"), "a bracket is [i, j, terms] with int indices"),
+        (lambda data: data["brackets"][0][2][0].__setitem__(0, 3.0), 'has a term that is not [k, "p/q"]'),
+    ],
+    ids=["bool_dim", "repeated_term", "number_names", "string_index", "float_term_index"],
+)
+def test_validate_rejects_an_algebra_of_the_wrong_json_types(edit, message, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    data = algebra_json(load("II").algebra)
+    edit(data)
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert f"{path}: " in err and message in err and "internal error" not in err
+
+
+def test_a_witness_name_that_is_not_a_string_is_input_error(tmp_path, capsys):
+    # A list name used to be echoed into the claim labels and the certificate.
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / "w.json"
+    _rewrite(path, lambda data: data.update(name=["shift"]))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert f"{path}: " in err and "kind and name are strings" in err
+
+
+def test_an_abelian_files_algebra_is_refused_by_name(tmp_path, capsys):
+    # It used to reach the projection and exit 2 with "list index out of range".
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / "alg.json"
+    _rewrite(path, lambda data: data.update(brackets=[]))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the algebra is abelian; the certifiers need step 2 or 3\n"
+
+
+@pytest.mark.parametrize("name", ["alg", "met", "l1", "w"])
+def test_a_file_whose_top_level_is_not_an_object_is_input_error(name, tmp_path, capsys):
+    files = write_files_input(tmp_path, load("II"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps([json.loads(path.read_text())]))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the top level is not a JSON object\n"
+
+
+def test_replay_of_a_certificate_whose_pair_is_not_a_string_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"pair": ["II"], "kind": "rep_equivalent"}))
+    code, out, err = invoke(capsys, "certify", "--replay", str(path))
+    assert (code, out) == (2, "")
+    assert f"{path}: the pair is an example id or 'files'" in err
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, ZeroDivisionError])
+def test_an_unexpected_exception_in_a_reader_exits_4(error, monkeypatch, tmp_path, capsys):
+    # A reader names what it rejects with a ValueError or KeyError; anything else is a bug.
+    def fail(data, algebra):
+        raise error("injected")
+
+    files = write_files_input(tmp_path, load("II"))
+    monkeypatch.setattr(LatticeSpec, "from_json", staticmethod(fail))
+    code, out, err = invoke(capsys, "certify", *files)
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {error.__name__}: injected\n"

@@ -20,9 +20,12 @@ from nilspec.exactnum import (
     integer_solvable,
     invert_rational,
     mat_mul,
+    mat_vec,
     perfect_square_root,
     pfaffian,
     rank_and_kernel,
+    rat_from_str,
+    rat_matrix,
     rref,
     snf,
     solve_integer,
@@ -32,6 +35,7 @@ from nilspec.exactnum.intlattice import _kernel_split
 from nilspec.exactnum.matrix import bareiss_echelon, transpose
 from nilspec.exactnum.qforms import enumerate_on_shell
 from nilspec.liealg import Subspace
+from nilspec.vecops import vdot
 
 from fraction_references import cofactor_det, reference_rref, reference_solve
 
@@ -605,3 +609,56 @@ def test_lattice_membership_agrees_with_solve_integer(system, scale, den):
     )
     assert lat.member_scaled(rhs, den) == expected
     assert lat.member([Fraction(x, den) for x in rhs]) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(1, '"p" or "p/q", got 1'), (None, '"p" or "p/q", got None'), ("1/0", "'1/0' has a zero denominator"), ("x", "'x'")],
+)
+def test_rat_from_str_refuses_what_is_not_a_rational_string(text, message):
+    assert rat_from_str("-3/6") == Fraction(-1, 2)
+    with pytest.raises(ValueError) as info:
+        rat_from_str(text)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, message",
+    [
+        ("1 0", None, "a matrix is a list of rows, got '1 0'"),
+        ({}, 2, "a matrix is a list of rows, got {}"),
+        (["10", "01"], 2, "row 0 is not a list of rationals: '10'"),
+        ([["1", "0"], ["1"]], 2, "row 1 has 1 entries, not 2"),
+        ([["1", "0"], ["1", 0]], None, 'row 1: a rational is a string "p" or "p/q", got 0'),
+    ],
+    ids=["string", "object", "string_rows", "short_row", "number_entry"],
+)
+def test_rat_matrix_names_the_row_it_cannot_read(rows, ncols, message):
+    with pytest.raises(ValueError) as info:
+        rat_matrix(rows, ncols)
+    assert str(info.value) == message
+
+
+def test_rat_matrix_reads_rows_of_any_length_without_ncols():
+    assert rat_matrix([["1/2"], ["0", "-3"]]) == [[Fraction(1, 2)], [0, -3]]
+    assert rat_matrix([["1", "2"]], 2) == [[1, 2]]
+    assert rat_matrix([]) == []
+
+
+def test_products_skipping_zero_factors_equal_the_full_sums():
+    # Mostly zero entries, as in the certifiers' matrices; homogeneous input
+    # keeps its type, so int matrices give int products.
+    rng = random.Random(5)
+    for _ in range(300):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        zero, entry = (0, lambda: rng.randint(-3, 3)) if rng.random() < 0.5 else (Fraction(0), lambda: rand_frac(rng, 3))
+        a, b = ([[rng.choice([zero, zero, zero, entry()]) for _ in range(m)] for _ in range(n)] for n, m in ((r, k), (k, c)))
+        v = [row[0] for row in b]
+        full = [
+            [sum((a[i][m] * b[m][j] for m in range(1, k)), a[i][0] * b[0][j]) for j in range(c)]
+            for i in range(r)
+        ]
+        got = mat_mul(a, b)
+        assert got == full and [list(map(type, row)) for row in got] == [list(map(type, row)) for row in full]
+        assert mat_vec(a, v) == [row[0] for row in full]
+        assert vdot(a[0], v) == sum((x * y for x, y in zip(a[0], v)), Fraction(0))

@@ -120,6 +120,22 @@ def test_only_lattices_constructs_lattice_specs():
                 assert name != "LatticeSpec", (path.name, node.lineno)
 
 
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_only_rat_matrix_reads_rows_of_rationals():
+    # exactnum.scalars.rat_matrix checks that each row is a list of the
+    # stated length; a comprehension over a row elsewhere would read a string
+    # row such as "20000" digit by digit.
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.relative_to(PACKAGE).as_posix() == "exactnum/scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, COMPREHENSIONS):
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                assert "rat_from_str" not in names, (path.name, node.lineno)
+
+
 def _callers(target):
     """(file name, enclosing class and def names) of each call to ``target`` in the package."""
     out = set()

@@ -6,6 +6,7 @@ old ``distinguish_pair`` sector dicts, and ``Pair.pesce`` / ``Pair.moore_wolf``
 must be the direct multiplicity calls on the two lattices.
 """
 
+import copy
 from fractions import Fraction
 from itertools import islice
 
@@ -16,6 +17,7 @@ from nilspec.oneform import distinguish_pair
 from nilspec.registry import EXAMPLE_IDS, load
 from nilspec.repspec import (
     OCCURRENCE_GRID,
+    MultiplicityRecord,
     central_dual_generator,
     certify_rep_equivalent,
     find_occurrence_mismatch,
@@ -224,3 +226,18 @@ def test_one_form_isospectral_exactly_when_rep_equivalent(example_id):
     cert = certify_rep_equivalent(record, record.quotient_witness)
     verdict = distinguish_pair(record)["verdict"]
     assert (verdict == "one_form_isospectral") == (cert.kind == "rep_equivalent" and cert.ok)
+
+
+@pytest.mark.parametrize("mode, label", [("moore_wolf", "IV"), ("pesce_equal", "III")])
+@pytest.mark.parametrize("multiplicities", [(1, 2), (2, 2)], ids=["differ", "agree"])
+def test_a_sector_is_ok_only_when_the_multiplicities_agree_too(mode, label, multiplicities):
+    # No bundled sector has records that agree on occurrence and differ on
+    # multiplicity, so a copy of pair III answers with stubbed records.
+    pair = copy.copy(load("III"))
+
+    def records(tau):
+        return tuple(MultiplicityRecord(tuple(tau), True, Fraction(m), "stub") for m in multiplicities)
+
+    pair.pesce = pair.moore_wolf = records
+    got = sector_check(pair, pair.sector_flag, label, mode, pair.pairing_map, 3, 1)
+    assert got["ok"] is (multiplicities[0] == multiplicities[1])
